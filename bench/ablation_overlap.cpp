@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
   bool seconds_changed = false;
   bool fallback_seen = false;
   for (int i = 0; i < steps; ++i) {
-    const StepRecord a = off.step();
-    const StepRecord b = on.step();
+    const StepRecord a = off.step_once();
+    const StepRecord b = on.step_once();
     seconds_changed |= a.compute_seconds != b.compute_seconds;
     fallback_seen |= a.cpu_fallback || b.cpu_fallback;
   }
@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
   double tail_aware = 0.0;
   double tail_serial = 0.0;
   for (int i = 0; i < steps; ++i) {
-    const StepRecord ra = aware.step();
-    const StepRecord rs = serial.step();
+    const StepRecord ra = aware.step_once();
+    const StepRecord rs = serial.step_once();
     if (i >= steps - tail) {
       tail_aware += ra.compute_seconds;
       tail_serial += rs.compute_seconds;

@@ -10,11 +10,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -130,12 +130,12 @@ std::vector<ReplayRecord> replay_strategy(
 
 // ---- command-line handling -------------------------------------------------
 //
-// Benches take "--key value" pairs with environment fallback (AFMM_<KEY>),
-// so `for b in build/bench/*; do $b; done` runs with defaults while
-// full-scale runs stay one flag away. Parsing is strict: a malformed,
-// out-of-range or negative numeric aborts with a clear message instead of
-// silently running the wrong experiment, and validate_args() rejects unknown
-// or valueless keys with a usage line listing every key the bench consumed.
+// Benches take "--key value" pairs and nothing else, so
+// `for b in build/bench/*; do $b; done` runs with defaults while full-scale
+// runs stay one flag away. Parsing is strict: a malformed, out-of-range or
+// negative numeric aborts with a clear message instead of silently running
+// the wrong experiment, and validate_args() rejects unknown or valueless keys
+// with a usage line listing every key the bench consumed.
 
 namespace detail {
 
@@ -158,12 +158,12 @@ inline void register_key(const std::string& key) {
     std::fprintf(stderr, "usage: [--<key> <value>]...\n");
     std::fprintf(stderr, "known keys:");
     for (const auto& k : keys) std::fprintf(stderr, " --%s", k.c_str());
-    std::fprintf(stderr, " (env fallback: AFMM_<KEY>)\n");
+    std::fprintf(stderr, "\n");
   }
   std::exit(2);
 }
 
-// Strict non-negative integer parse; `source` names the flag or env var.
+// Strict non-negative integer parse; `source` names the flag.
 inline long parse_count(const std::string& text, const std::string& source) {
   if (text.empty()) arg_fail(source + ": empty value");
   errno = 0;
@@ -185,29 +185,36 @@ inline long arg_or(int argc, char** argv, const std::string& key, long fallback)
   for (int i = 1; i + 1 < argc; ++i)
     if (std::string(argv[i]) == "--" + key)
       return detail::parse_count(argv[i + 1], "--" + key);
-  std::string env = "AFMM_" + key;
-  for (auto& c : env) c = static_cast<char>(std::toupper(c));
-  if (const char* v = std::getenv(env.c_str()))
-    return detail::parse_count(v, env);
   return fallback;
 }
 
-// String-valued variant of arg_or (same flag / AFMM_<KEY> env fallback).
+// String-valued variant of arg_or.
 inline std::string arg_str_or(int argc, char** argv, const std::string& key,
                               const std::string& fallback) {
   detail::register_key(key);
   for (int i = 1; i + 1 < argc; ++i)
     if (std::string(argv[i]) == "--" + key) return argv[i + 1];
-  std::string env = "AFMM_" + key;
-  for (auto& c : env) c = static_cast<char>(std::toupper(c));
-  if (const char* v = std::getenv(env.c_str())) return v;
   return fallback;
 }
 
-// Where this bench writes its CSV/JSON artifacts: --out <dir> (env AFMM_OUT),
-// default ./results so repeated runs never litter the repo root. The
-// directory is created on lookup (best effort, matching mirror_csv: a
-// read-only filesystem downgrades the run to stdout-only instead of failing).
+// String-valued lookup restricted to `choices`, the first being the default;
+// any other value aborts with the list of accepted ones.
+inline std::string arg_choice(int argc, char** argv, const std::string& key,
+                              std::initializer_list<const char*> choices) {
+  const std::string value = arg_str_or(argc, argv, key, *choices.begin());
+  std::string accepted;
+  for (const char* c : choices) {
+    if (value == c) return value;
+    accepted += (accepted.empty() ? "" : "|") + std::string(c);
+  }
+  detail::arg_fail("--" + key + ": unknown value '" + value + "' (" +
+                   accepted + ")");
+}
+
+// Where this bench writes its CSV/JSON artifacts: --out <dir>, default
+// ./results so repeated runs never litter the repo root. The directory is
+// created on lookup (best effort, matching mirror_csv: a read-only
+// filesystem downgrades the run to stdout-only instead of failing).
 // Call BEFORE validate_args(), like every other lookup.
 inline std::string out_dir(int argc, char** argv) {
   const std::string dir = arg_str_or(argc, argv, "out", "results");

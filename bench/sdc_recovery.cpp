@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
 
   SdcReport rtally;
   for (int i = 0; i < steps; ++i) {
-    const StepRecord rec = repair.step();
+    const StepRecord rec = repair.step_once();
     rtally.injected += rec.sdc_injected;
     rtally.detected += rec.sdc_detected;
     rtally.repaired += rec.sdc_repaired;
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   bool escalated = false;
   int guard = 4 * (steps + 8);
   while (escal.steps_taken() < steps && guard-- > 0) {
-    const StepRecord rec = escal.step();
+    const StepRecord rec = escal.step_once();
     etally.injected += rec.sdc_injected;
     etally.detected += rec.sdc_detected;
     etally.repaired += rec.sdc_repaired;

@@ -133,15 +133,10 @@ int main(int argc, char** argv) {
   const long n = arg_or(argc, argv, "n", 2000);
   const int order = static_cast<int>(arg_or(argc, argv, "order", 3));
   const int steps = static_cast<int>(arg_or(argc, argv, "steps", 48));
-  const std::string problem = arg_str_or(argc, argv, "problem", "gravity");
+  const std::string problem =
+      arg_choice(argc, argv, "problem", {"gravity", "stokes"});
   const std::string out = out_dir(argc, argv);
   validate_args(argc, argv);
-
-  if (problem != "gravity" && problem != "stokes") {
-    std::fprintf(stderr, "unknown --problem '%s' (gravity|stokes)\n",
-                 problem.c_str());
-    return 2;
-  }
 
   std::printf("trace demo: %s, %ld bodies, order %d, %d steps, "
               "2-GPU system A\n",

@@ -9,10 +9,15 @@
 // Useful for quick what-if studies without writing code: pick a workload,
 // a virtual machine shape and a balancing strategy, and read the resulting
 // virtual CPU/GPU times and balancer behaviour.
+//
+// Flags go through the benches' strict parser (bench/common.hpp), applied to
+// argv + 1 so the subcommand takes the program-name slot: a malformed or
+// negative number, an unknown flag, or an unknown --dist / --kernel /
+// --strategy value exits 2 with an "error:" line before any work runs.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common.hpp"
 #include "core/simulation.hpp"
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
@@ -20,18 +25,13 @@
 #include "util/table.hpp"
 
 using namespace afmm;
+using bench::arg_choice;
+using bench::arg_or;
 
 namespace {
 
-const char* flag(int argc, char** argv, const char* key, const char* fallback) {
-  for (int i = 2; i + 1 < argc; ++i)
-    if (std::strcmp(argv[i], key) == 0) return argv[i + 1];
-  return fallback;
-}
-
-long flag_long(int argc, char** argv, const char* key, long fallback) {
-  const char* v = flag(argc, argv, key, nullptr);
-  return v ? std::atol(v) : fallback;
+std::string dist_flag(int argc, char** argv) {
+  return arg_choice(argc, argv, "dist", {"plummer", "uniform", "collision"});
 }
 
 ParticleSet make_distribution(const std::string& dist, long n, Rng& rng) {
@@ -48,28 +48,31 @@ ParticleSet make_distribution(const std::string& dist, long n, Rng& rng) {
 
 NodeSimulator make_node(int argc, char** argv) {
   CpuModelConfig cpu;
-  cpu.num_cores = static_cast<int>(flag_long(argc, argv, "--cores", 10));
+  cpu.num_cores = static_cast<int>(arg_or(argc, argv, "cores", 10));
   return NodeSimulator(
       cpu, GpuSystemConfig::uniform(
-               static_cast<int>(flag_long(argc, argv, "--gpus", 2))));
+               static_cast<int>(arg_or(argc, argv, "gpus", 2))));
 }
 
 int cmd_solve(int argc, char** argv) {
-  Rng rng(1);
-  const long n = flag_long(argc, argv, "--n", 50000);
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
+  const long n = arg_or(argc, argv, "n", 50000);
+  const std::string dist = dist_flag(argc, argv);
+  const int leaf_capacity = static_cast<int>(arg_or(argc, argv, "s", 64));
+  FmmConfig cfg;
+  cfg.order = static_cast<int>(arg_or(argc, argv, "order", 5));
+  cfg.collect_real_timings = true;
+  auto node = make_node(argc, argv);
+  const std::string kernel =
+      arg_choice(argc, argv, "kernel", {"gravity", "stokeslet"});
+  bench::validate_args(argc, argv);
 
+  Rng rng(1);
+  auto set = make_distribution(dist, n, rng);
   TreeConfig tc = fit_cube(set.positions);
-  tc.leaf_capacity = static_cast<int>(flag_long(argc, argv, "--s", 64));
+  tc.leaf_capacity = leaf_capacity;
   AdaptiveOctree tree;
   tree.build(set.positions, tc);
 
-  FmmConfig cfg;
-  cfg.order = static_cast<int>(flag_long(argc, argv, "--order", 5));
-  cfg.collect_real_timings = true;
-  auto node = make_node(argc, argv);
-
-  const std::string kernel = flag(argc, argv, "--kernel", "gravity");
   ObservedStepTimes times;
   SolveStats stats;
   std::shared_ptr<OpTimers> timers;
@@ -109,23 +112,27 @@ int cmd_solve(int argc, char** argv) {
 }
 
 int cmd_simulate(int argc, char** argv) {
-  Rng rng(1);
-  const long n = flag_long(argc, argv, "--n", 20000);
-  const long steps = flag_long(argc, argv, "--steps", 50);
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
-
+  const long n = arg_or(argc, argv, "n", 20000);
+  const long steps = arg_or(argc, argv, "steps", 50);
+  const std::string dist = dist_flag(argc, argv);
   SimulationConfig cfg;
-  cfg.fmm.order = static_cast<int>(flag_long(argc, argv, "--order", 4));
+  cfg.fmm.order = static_cast<int>(arg_or(argc, argv, "order", 4));
+  const std::string strat =
+      arg_choice(argc, argv, "strategy", {"full", "static", "enforce"});
+  cfg.balancer.strategy = strat == "static" ? LbStrategy::kStatic
+                          : strat == "enforce" ? LbStrategy::kEnforceOnly
+                                               : LbStrategy::kFull;
+  auto node = make_node(argc, argv);
+  bench::validate_args(argc, argv);
+
+  Rng rng(1);
+  auto set = make_distribution(dist, n, rng);
   cfg.tree = fit_cube(set.positions);
   cfg.tree.root_half *= 3.0;  // room to evolve
   cfg.dt = 0.01;
   cfg.softening = 0.01;
-  const std::string strat = flag(argc, argv, "--strategy", "full");
-  cfg.balancer.strategy = strat == "static" ? LbStrategy::kStatic
-                          : strat == "enforce" ? LbStrategy::kEnforceOnly
-                                               : LbStrategy::kFull;
 
-  GravitySimulation sim(cfg, make_node(argc, argv), set);
+  GravitySimulation sim(cfg, std::move(node), set);
   Table t({"step", "S", "state", "cpu_s", "gpu_s", "lb_s", "depth"});
   for (long s = 0; s < steps; ++s) {
     const auto rec = sim.step();
@@ -140,9 +147,12 @@ int cmd_simulate(int argc, char** argv) {
 }
 
 int cmd_tree(int argc, char** argv) {
+  const long n = arg_or(argc, argv, "n", 100000);
+  const std::string dist = dist_flag(argc, argv);
+  bench::validate_args(argc, argv);
+
   Rng rng(1);
-  const long n = flag_long(argc, argv, "--n", 100000);
-  auto set = make_distribution(flag(argc, argv, "--dist", "plummer"), n, rng);
+  auto set = make_distribution(dist, n, rng);
   TreeConfig tc = fit_cube(set.positions);
   Table t({"S", "nodes", "leaves", "depth", "max_leaf", "m2l_pairs",
            "p2p_interactions"});
@@ -168,9 +178,9 @@ int cmd_tree(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "solve") return cmd_solve(argc, argv);
-  if (cmd == "simulate") return cmd_simulate(argc, argv);
-  if (cmd == "tree") return cmd_tree(argc, argv);
+  if (cmd == "solve") return cmd_solve(argc - 1, argv + 1);
+  if (cmd == "simulate") return cmd_simulate(argc - 1, argv + 1);
+  if (cmd == "tree") return cmd_tree(argc - 1, argv + 1);
   std::printf(
       "usage: afmm_cli <solve|simulate|tree> [options]\n"
       "  solve    --dist plummer|uniform|collision --n N --s S --order P\n"

@@ -328,7 +328,7 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   }
 
   // 7. The global physics step (read-only from the cluster's perspective).
-  rec.inner = inner_.step();
+  rec.inner = inner_.step_once();
 
   // 8. Per-node attribution: each shard's body share of the compute time,
   // scaled by its capability, plus its halo receive time.

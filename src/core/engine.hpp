@@ -188,9 +188,6 @@ class SimulationEngine {
   // benches -- is a loop over this.
   StepRecord step_once();
 
-  // Back-compat spelling of step_once().
-  StepRecord step() { return step_once(); }
-
   // Run `n` steps, collecting records: a thin loop over step_once().
   std::vector<StepRecord> run(int n);
 
@@ -308,7 +305,7 @@ class SimulationEngine {
 
   // Observability state (null / unused while config_.obs is disabled). The
   // pending struct carries what step_core saw, so emission can run at the
-  // very end of step() with the resilience flags already folded into the
+  // very end of step_once() with the resilience flags already folded into the
   // record.
   struct PendingObs {
     ObservedStepTimes times;

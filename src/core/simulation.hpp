@@ -44,7 +44,7 @@ class GravitySimulation {
   // Advance one time step; returns its record. With resilience enabled the
   // step is watchdog-guarded, audited on the configured cadence, and
   // checkpointed / rolled back as needed.
-  StepRecord step() { return engine_.step(); }
+  StepRecord step() { return engine_.step_once(); }
 
   // Run `n` steps, collecting records.
   std::vector<StepRecord> run(int n) { return engine_.run(n); }

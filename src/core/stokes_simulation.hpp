@@ -38,7 +38,7 @@ class StokesSimulation {
   StokesSimulation(const StokesSimulationConfig& config, NodeSimulator node,
                    const SimCheckpoint& ckpt, ForceModel force_model);
 
-  StepRecord step() { return engine_.step(); }
+  StepRecord step() { return engine_.step_once(); }
   std::vector<StepRecord> run(int n) { return engine_.run(n); }
 
   const std::vector<Vec3>& positions() const {

@@ -16,17 +16,17 @@ namespace {
 // Below this range size a build task recurses serially instead of spawning.
 constexpr std::uint32_t kTaskCutoff = 2048;
 
-// Morton keys carry 21 bits per dimension, so no builder can resolve more
-// than 21 levels below the root; the pointer build honors the same cap so
-// the two strategies stay structurally interchangeable.
-constexpr int kMaxResolvableDepth = 21;
+// Deepest level a tree may reach: a level-21 cell is 2^-21 of the root's
+// width. Beyond that, subdivision only stacks levels around (near-)
+// coincident bodies, which the max_depth escape hatch exists to stop.
+constexpr int kMaxTreeDepth = 21;
 
 int octant_of(const Vec3& p, const Vec3& c) {
   return (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0) | (p.z >= c.z ? 4 : 0);
 }
 
 void validate_tree_config(const TreeConfig& config, const char* who) {
-  if (config.max_depth < 0 || config.max_depth > kMaxResolvableDepth)
+  if (config.max_depth < 0 || config.max_depth > kMaxTreeDepth)
     throw std::invalid_argument(std::string(who) +
                                 ": max_depth must be in [0, 21]");
 }
@@ -38,16 +38,6 @@ std::uint64_t next_version_stamp() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 }  // namespace
-
-BuildStrategy resolved_build_strategy(BuildStrategy s) {
-  if (s != BuildStrategy::kAuto) return s;
-  static const BuildStrategy from_env = [] {
-    const char* e = std::getenv("AFMM_TREE_BUILD");
-    return (e && std::string(e) == "morton") ? BuildStrategy::kMorton
-                                             : BuildStrategy::kPointer;
-  }();
-  return from_env;
-}
 
 void AdaptiveOctree::bump_structure() {
   structure_version_ = next_version_stamp();
@@ -112,11 +102,6 @@ void AdaptiveOctree::build(std::span<const Vec3> positions,
                            const TreeConfig& config) {
   validate_tree_config(config, "AdaptiveOctree::build");
   config_ = config;
-  if (resolved_build_strategy(config_.build_strategy) ==
-      BuildStrategy::kMorton) {
-    build_morton_impl(positions);
-    return;
-  }
   const auto n = static_cast<std::uint32_t>(positions.size());
   sorted_pos_.assign(positions.begin(), positions.end());
   perm_.resize(n);

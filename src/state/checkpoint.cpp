@@ -170,7 +170,6 @@ void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
   put_vec3(w, t.config.root_center);
   w.f64(t.config.root_half);
   w.u8(t.config.parallel_build ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(t.config.build_strategy));
   w.u64(t.nodes.size());
   for (const auto& n : t.nodes) {
     put_vec3(w, n.center);
@@ -199,10 +198,6 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.config.root_center = get_vec3(r);
   t.config.root_half = r.f64();
   t.config.parallel_build = r.u8() != 0;
-  const std::uint8_t strategy = r.u8();
-  if (strategy > static_cast<std::uint8_t>(BuildStrategy::kMorton))
-    return false;
-  t.config.build_strategy = static_cast<BuildStrategy>(strategy);
   const std::uint64_t num_nodes = r.u64();
   // Conservative lower bound on a serialized node keeps a corrupt count from
   // allocating unbounded memory.
@@ -224,14 +219,16 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.sorted_pos.resize(num_pos);
   {
     const auto raw = r.bytes(num_pos * sizeof(Vec3));
-    std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
+    // memcpy requires non-null pointers even for zero bytes, and an empty
+    // vector's data() may be null.
+    if (!raw.empty()) std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
   }
   const std::uint64_t num_perm = r.u64();
   if (num_perm * sizeof(std::uint32_t) > r.remaining()) return false;
   t.perm.resize(num_perm);
   {
     const auto raw = r.bytes(num_perm * sizeof(std::uint32_t));
-    std::memcpy(t.perm.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(t.perm.data(), raw.data(), raw.size());
   }
   return r.ok();
 }

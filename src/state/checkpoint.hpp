@@ -59,7 +59,8 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // v5: observed section gains the per-sweep split and the overlap makespans;
 // balancer section gains the per-sweep / overlap efficiencies, the near
 // overhead coefficient, and the overlap observation count.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: tree section drops the build-strategy byte (one tree builder remains).
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 

@@ -42,7 +42,9 @@ namespace afmm {
 inline constexpr std::uint32_t kShardMagic = 0x534D4641;  // "AFMS"
 // v2: the shared observed/balancer encoders (checkpoint v5) grew the overlap
 // fields, changing the wire layout of the control file.
-inline constexpr std::uint32_t kShardVersion = 2;
+// v3: the shared tree encoder (checkpoint v6) dropped the build-strategy
+// byte.
+inline constexpr std::uint32_t kShardVersion = 3;
 
 // What a coordinated save captures: the full single-engine checkpoint, the
 // cluster layer's opaque state blob (shard map, per-node health, failure

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "dist/distributions.hpp"
 #include "octree/octree.hpp"
@@ -119,6 +121,144 @@ TEST(Octree, MaxDepthCapsRecursion) {
   tree.check_invariants();
   EXPECT_LE(tree.effective_depth(), 6);
   EXPECT_EQ(tree.max_leaf_count(), 100);
+}
+
+TEST(Octree, MaxDepthOutsideZeroToTwentyOneThrows) {
+  Rng rng(22);
+  const auto pts = random_points(rng, 10, {0.5, 0.5, 0.5}, 0.5);
+  AdaptiveOctree tree;
+  auto tc = unit_config(8);
+  for (int bad : {-1, 22}) {
+    tc.max_depth = bad;
+    EXPECT_THROW(tree.build(pts, tc), std::invalid_argument);
+    EXPECT_THROW(tree.build_uniform(pts, tc, 0), std::invalid_argument);
+  }
+}
+
+TEST(Octree, MaxDepthTwentyOneBuilds) {
+  // A cluster far smaller than a level-21 cell keeps splitting until the cap.
+  Rng rng(3);
+  const auto pts = random_points(rng, 2000, {0.5, 0.5, 0.5}, 1e-8);
+  AdaptiveOctree tree;
+  auto tc = unit_config(2);
+  tc.max_depth = 21;
+  tree.build(pts, tc);
+  tree.check_invariants();
+  EXPECT_EQ(tree.effective_depth(), 21);
+}
+
+TEST(Octree, BuildUniformRejectsDepthAboveMaxDepth) {
+  std::vector<Vec3> pts = {{0.25, 0.25, 0.25}, {0.75, 0.75, 0.75}};
+  auto tc = unit_config(8);
+  tc.max_depth = 3;
+  AdaptiveOctree tree;
+  tree.build_uniform(pts, tc, 3);
+  tree.check_invariants();
+  EXPECT_EQ(tree.effective_depth(), 3);
+  EXPECT_THROW(tree.build_uniform(pts, tc, 4), std::invalid_argument);
+  EXPECT_THROW(tree.build_uniform(pts, tc, -1), std::invalid_argument);
+}
+
+TEST(Octree, NonFinitePositionsStillBuild) {
+  // The resilience loop rebuilds from fault-corrupted positions and relies
+  // on the auditor, not the builder, to reject them. NaN compares false, so
+  // it descends to the low octant at every level.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(11);
+  auto pts = random_points(rng, 500, {0.5, 0.5, 0.5}, 0.5);
+  pts[31].y = nan;
+  pts[77] = {nan, nan, nan};
+  pts[123].z = inf;
+  pts[200].x = -inf;
+  auto tc = unit_config(8);
+  tc.max_depth = 8;  // NaNs co-locate at the low corner; cap the recursion
+  AdaptiveOctree tree;
+  tree.build(pts, tc);
+  tree.check_invariants();
+  EXPECT_EQ(tree.num_bodies(), pts.size());
+
+  // The all-NaN body sits in the all-low octant chain down to its leaf.
+  int at = tree.root();
+  while (!tree.is_effective_leaf(at)) at = tree.node(at).children[0];
+  const auto& leaf = tree.node(at);
+  const auto perm = tree.perm();
+  EXPECT_NE(std::find(perm.begin() + leaf.begin,
+                      perm.begin() + leaf.begin + leaf.count, 77u),
+            perm.begin() + leaf.begin + leaf.count);
+}
+
+TEST(Octree, BodiesOnSplittingPlanesGoToUpperOctant) {
+  // `p >= center` goes up: a body exactly on the root's splitting planes
+  // lands in octant 7, and one on a single plane lands above that plane.
+  const std::vector<Vec3> pts = {{0.5, 0.5, 0.5},
+                                 {0.5, 0.25, 0.25},
+                                 {0.25, 0.5, 0.25},
+                                 {0.25, 0.25, 0.5},
+                                 {0.25, 0.25, 0.25}};
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(1));
+  tree.check_invariants();
+  const auto& root = tree.node(tree.root());
+  ASSERT_TRUE(root.has_children);
+  const int expected_octant[] = {7, 1, 2, 4, 0};
+  const auto perm = tree.perm();
+  for (int o = 0; o < 8; ++o) {
+    const auto& c = tree.node(root.children[o]);
+    for (std::uint32_t t = c.begin; t < c.begin + c.count; ++t)
+      EXPECT_EQ(expected_octant[perm[t]], o) << "body " << perm[t];
+  }
+}
+
+TEST(Octree, CollapseRebinPushDownRepartitionsStaleSpans) {
+  // collapse hides children, a rebin moves bodies inside the collapsed span
+  // (the hidden spans go stale), and push_down must reclaim the hidden
+  // children and repartition them against the moved bodies.
+  Rng rng(41);
+  auto pts = random_points(rng, 2000, {0.5, 0.5, 0.5}, 0.5);
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(32));
+
+  std::vector<int> collapsed;
+  for (int leaf : tree.effective_leaves()) {
+    const int parent = tree.node(leaf).parent;
+    if (parent >= 0 && !tree.is_effective_leaf(parent)) {
+      tree.collapse(parent);
+      collapsed.push_back(parent);
+    }
+  }
+  ASSERT_FALSE(collapsed.empty());
+
+  for (auto& p : pts)
+    for (int d = 0; d < 3; ++d)
+      p[d] = std::clamp(p[d] + rng.uniform(-0.02, 0.02), 0.001, 0.999);
+  tree.rebin(pts);
+  tree.check_invariants();
+
+  // Only collapsed nodes reachable in the effective tree are eligible: a
+  // node hidden beneath another collapse has a stale span by design.
+  const int nodes_before = tree.num_nodes();
+  std::vector<int> pushed;
+  for (int id : tree.effective_leaves())
+    if (tree.node(id).collapsed && tree.push_down(id)) pushed.push_back(id);
+  ASSERT_FALSE(pushed.empty());
+  EXPECT_EQ(tree.num_nodes(), nodes_before);  // reclaimed, not reallocated
+  tree.check_invariants();
+
+  const auto sorted = tree.sorted_positions();
+  for (int id : pushed)
+    for (int c : tree.node(id).children) {
+      const auto& n = tree.node(c);
+      for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
+        for (int d = 0; d < 3; ++d) {
+          EXPECT_GE(sorted[b][d], n.center[d] - n.half - 1e-12);
+          EXPECT_LE(sorted[b][d], n.center[d] + n.half + 1e-12);
+        }
+    }
+
+  tree.enforce_S(32);
+  tree.check_invariants();
+  EXPECT_LE(tree.max_leaf_count(), 32);
 }
 
 TEST(Octree, PermIsConsistentWithSortedPositions) {

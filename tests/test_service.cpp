@@ -148,8 +148,9 @@ void check_solo_identity(const std::string& tag, SessionFactory factory,
     // COLD after a restore (lists are rebuilt, not checkpointed) -- the one
     // instrumentation surface allowed to differ from the solo run. Physics,
     // balancing, health and resilience rows must match bit for bit.
-    if (svc_rows[i].metric.find(".cache.") == std::string::npos)
+    if (svc_rows[i].metric.find(".cache.") == std::string::npos) {
       EXPECT_EQ(svc_rows[i].value, solo_rows[i].value) << svc_rows[i].metric;
+    }
     EXPECT_EQ(svc_rows[i].metric.rfind("tenant." + tag + ".", 0), 0u)
         << svc_rows[i].metric;
   }
