@@ -116,8 +116,8 @@ void BM_P2P(benchmark::State& state) {
 
 BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
+BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_P2P);

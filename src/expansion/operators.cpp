@@ -27,14 +27,13 @@ ExpansionContext::ExpansionContext(int order)
     }
   }
 
-  // Dense M2L contraction table.
-  m2l_pairs_.reserve(static_cast<std::size_t>(n) * n);
+  // Dense M2L contraction table, one row of alpha + beta indices per beta.
+  m2l_rows_.reserve(static_cast<std::size_t>(n) * n);
   for (int beta = 0; beta < n; ++beta) {
     const auto& b = set_p_[beta];
     for (int alpha = 0; alpha < n; ++alpha) {
       const auto& a = set_p_[alpha];
-      const int sum = set_q_.find(a.i + b.i, a.j + b.j, a.k + b.k);
-      m2l_pairs_.push_back({beta, alpha, sum});
+      m2l_rows_.push_back(set_q_.find(a.i + b.i, a.j + b.j, a.k + b.k));
     }
   }
 
@@ -124,28 +123,53 @@ void ExpansionContext::m2m(const Vec3& from, const Vec3& to,
 
 void ExpansionContext::m2l(const Vec3& src, const Vec3& dst, const double* M,
                            double* L) const {
-  thread_local std::vector<double> T;
-  thread_local std::vector<double> Ms;
-  T.resize(set_q_.size());
-  Ms.resize(ncoef());
-  derivs_.evaluate(dst - src, T.data());
-  for (int a = 0; a < ncoef(); ++a) Ms[a] = sign_[a] * M[a];
-  for (const auto& pr : m2l_pairs_) L[pr.beta] += Ms[pr.alpha] * T[pr.sum];
+  m2l_multi(src, dst, M, L, 1, ncoef());
 }
 
 void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  const double* M, double* L, int nrhs,
                                  int stride) const {
+  const int n = ncoef();
   thread_local std::vector<double> T;
   thread_local std::vector<double> Ms;
   T.resize(set_q_.size());
-  Ms.resize(ncoef());
+  Ms.resize(n);
   derivs_.evaluate(dst - src, T.data());
+  const double* t = T.data();
+  const double* ms = Ms.data();
   for (int r = 0; r < nrhs; ++r) {
     const double* m = M + static_cast<std::ptrdiff_t>(r) * stride;
     double* l = L + static_cast<std::ptrdiff_t>(r) * stride;
-    for (int a = 0; a < ncoef(); ++a) Ms[a] = sign_[a] * m[a];
-    for (const auto& pr : m2l_pairs_) l[pr.beta] += Ms[pr.alpha] * T[pr.sum];
+    for (int a = 0; a < n; ++a) Ms[a] = sign_[a] * m[a];
+    // Each L[beta] is summed in a local accumulator that starts from the
+    // incoming value and adds its row's terms in ascending alpha -- the same
+    // floating-point sequence as one `L[beta] +=` per term, so results are
+    // bit-identical to the pairwise contraction. Four rows at a time keep
+    // four independent add chains in flight.
+    int b = 0;
+    for (; b + 4 <= n; b += 4) {
+      const int* r0 = m2l_rows_.data() + static_cast<std::ptrdiff_t>(b) * n;
+      const int* r1 = r0 + n;
+      const int* r2 = r1 + n;
+      const int* r3 = r2 + n;
+      double acc0 = l[b], acc1 = l[b + 1], acc2 = l[b + 2], acc3 = l[b + 3];
+      for (int a = 0; a < n; ++a) {
+        acc0 += ms[a] * t[r0[a]];
+        acc1 += ms[a] * t[r1[a]];
+        acc2 += ms[a] * t[r2[a]];
+        acc3 += ms[a] * t[r3[a]];
+      }
+      l[b] = acc0;
+      l[b + 1] = acc1;
+      l[b + 2] = acc2;
+      l[b + 3] = acc3;
+    }
+    for (; b < n; ++b) {
+      const int* row = m2l_rows_.data() + static_cast<std::ptrdiff_t>(b) * n;
+      double acc = l[b];
+      for (int a = 0; a < n; ++a) acc += ms[a] * t[row[a]];
+      l[b] = acc;
+    }
   }
 }
 

@@ -113,7 +113,7 @@ class ExpansionContext {
   double flops_m2l() const {
     // Derivative tensor build + the dense (alpha, beta) contraction.
     return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0 +
-           2.0 * static_cast<double>(m2l_pairs_.size());
+           2.0 * static_cast<double>(m2l_rows_.size());
   }
   double flops_deriv_tensor() const {
     return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0;
@@ -140,13 +140,10 @@ class ExpansionContext {
   };
   std::vector<Triple> triples_;
 
-  // M2L contraction entries: L[beta] += sign_alpha * M[alpha] * T[alpha+beta].
-  struct M2LPair {
-    int beta;
-    int alpha;
-    int sum;  // index of alpha + beta in set_q_
-  };
-  std::vector<M2LPair> m2l_pairs_;
+  // Dense M2L contraction table, row-major over (beta, alpha): entry
+  // beta * ncoef() + alpha is the set_q_ index of alpha + beta, so
+  // L[beta] += sign_alpha * M[alpha] * T[row_beta[alpha]].
+  std::vector<int> m2l_rows_;
   std::vector<double> sign_;        // (-1)^|alpha| over set_p_
   std::vector<int> lift_;           // set_p_ index -> set_q_ index (same alpha)
   std::vector<int> lift_add_[3];    // set_p_ alpha -> set_q_ index of alpha+e_d

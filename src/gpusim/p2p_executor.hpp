@@ -95,6 +95,13 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // Runs all P2P work. `sources` and `ids` are tree-ordered (node spans index
 // into them); `out` accumulates per tree-ordered body.
 //
+// Host execution: every device's share (or, with every GPU lost, every work
+// item) is gathered into one list that runs under an OpenMP dynamic loop,
+// one thread-private staging buffer per thread. Bits do not depend on the
+// thread count or the device split: each target node has exactly one work
+// item, so items write disjoint spans of `out`, and each target visits its
+// sources in the item's own order.
+//
 // ABFT (sdc/): each work item -- one "batch", the unit a device would hand
 // back -- is computed into a staging buffer, checksummed at production, and
 // only flushed into `out` after verification. A corrupted batch (the
@@ -105,7 +112,8 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // end-to-end sample. The staging buffer changes no arithmetic: per-target
 // accumulation order and the `out[bt] += batch[j]` flush are the exact
 // operations of the direct path, so results stay bit-identical with hooks
-// on, off, or null.
+// on, off, or null. The report's counters are reduced over threads after
+// the loop.
 template <typename Kernel>
 GpuRunResult run_p2p(const AdaptiveOctree& tree,
                      const std::vector<P2PWork>& work, const Kernel& kernel,
@@ -129,8 +137,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
   // would: every target body accumulates its sources in concatenated
   // source-list order. Value-initializing the elements keeps any padding
   // bytes deterministic for raw-byte checksums.
-  std::vector<Accum> batch;
-  auto compute_batch = [&](int wi) {
+  auto compute_batch = [&](int wi, std::vector<Accum>& batch) {
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);
     batch.assign(t.count, Accum{});
@@ -149,7 +156,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
 
   // Recompute one target body of the batch from scratch (the sampled CPU
   // re-evaluation); returns true when it matches the staged result bitwise.
-  auto sample_matches = [&](int wi) {
+  auto sample_matches = [&](int wi, const std::vector<Accum>& batch) {
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);
     if (t.count == 0) return true;
@@ -164,12 +171,29 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
     return std::memcmp(&acc, batch.data(), sizeof(Accum)) == 0;
   };
 
-  // A single accumulation routine serves both the per-device shares and the
-  // all-GPUs-lost CPU fallback: per-target source order depends only on the
-  // work item itself, so the forces are bitwise identical either way.
-  auto execute = [&](const std::vector<int>& assigned) {
-    for (int wi : assigned) {
-      compute_batch(wi);
+  GpuRunResult result =
+      simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(), system,
+                          health);
+  std::vector<int> items;
+  if (result.cpu_fallback) {
+    items.resize(work.size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+      items[i] = static_cast<int>(i);
+  } else {
+    const auto weights = device_weights(system, health);
+    for (const auto& assigned :
+         partition_p2p_work(work, weights, system.partition))
+      items.insert(items.end(), assigned.begin(), assigned.end());
+  }
+
+  int injected = 0, detected = 0, repaired = 0, unrepaired = 0;
+#pragma omp parallel reduction(+ : injected, detected, repaired, unrepaired)
+  {
+    std::vector<Accum> batch;
+#pragma omp for schedule(dynamic)
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const int wi = items[i];
+      compute_batch(wi, batch);
       const std::size_t bytes = batch.size() * sizeof(Accum);
       // ABFT checksum at production time (before the batch "leaves the
       // device"); also the bit-exact ground truth a repair must reproduce.
@@ -182,45 +206,31 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
         sdc_flip_double_bit(doubles[sdc_pick(sdc->seed >> 7,
                                              bytes / sizeof(double))],
                             static_cast<int>(sdc->seed >> 17));
-        if (sdc->report) ++sdc->report->injected;
+        ++injected;
       }
       bool bad = false;
       if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
       if (!bad && sample_stride > 0 && wi % sample_stride == 0)
-        bad = !sample_matches(wi);
+        bad = !sample_matches(wi, batch);
       if (bad) {
-        if (sdc->report) ++sdc->report->detected;
+        ++detected;
         // Surgical repair: recompute just this batch, then prove the repair
         // bit-exact against the production-time checksum (or the sampled
         // re-evaluation when checksums are off).
-        compute_batch(wi);
+        compute_batch(wi, batch);
         const bool fixed =
             check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
-                       : sample_matches(wi);
-        if (sdc->report) ++(fixed ? sdc->report->repaired
-                                  : sdc->report->unrepaired);
+                       : sample_matches(wi, batch);
+        ++(fixed ? repaired : unrepaired);
       }
-      const P2PWork& w = work[wi];
-      const OctreeNode& t = tree.node(w.target);
+      const OctreeNode& t = tree.node(work[wi].target);
       std::size_t j = 0;
       for (std::uint32_t bt = t.begin; bt < t.begin + t.count; ++bt, ++j)
         out[bt] += batch[j];
     }
-  };
-
-  GpuRunResult result =
-      simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(), system,
-                          health);
-  if (result.cpu_fallback) {
-    std::vector<int> all(work.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
-    execute(all);
-    return result;
   }
-
-  const auto weights = device_weights(system, health);
-  const auto assignment = partition_p2p_work(work, weights, system.partition);
-  for (const auto& assigned : assignment) execute(assigned);
+  if (sdc && sdc->report)
+    sdc->report->merge({injected, detected, repaired, unrepaired});
   return result;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "expansion/operators.hpp"
 #include "util/rng.hpp"
@@ -202,6 +203,50 @@ TEST(Operators, L2PGradientMatchesFiniteDifference) {
   }
 }
 
+// The pairwise M2L contraction: one `L[beta] += sign * M[alpha] *
+// T[alpha + beta]` per term, beta-major, alpha ascending. The operator's row
+// contraction must reproduce it bit for bit.
+void pairwise_m2l(const ExpansionContext& ctx, const Vec3& src,
+                  const Vec3& dst, const double* M, double* L) {
+  const MultiIndexSet& P = ctx.index_set();
+  const MultiIndexSet& Q = ctx.derivative_set();
+  std::vector<double> T(Q.size());
+  LaplaceDerivatives(Q).evaluate(dst - src, T.data());
+  const int n = P.size();
+  std::vector<double> Ms(n);
+  for (int a = 0; a < n; ++a) Ms[a] = (P.order(a) % 2 == 0 ? 1.0 : -1.0) * M[a];
+  for (int b = 0; b < n; ++b)
+    for (int a = 0; a < n; ++a)
+      L[b] += Ms[a] * T[Q.find(P[a].i + P[b].i, P[a].j + P[b].j,
+                               P[a].k + P[b].k)];
+}
+
+TEST(Operators, M2LBitIdenticalToPairwiseContraction) {
+  const Vec3 src{0.1, -0.2, 0.3}, dst{2.5, 1.0, -0.5};
+  for (int p = 1; p <= 8; ++p) {
+    ExpansionContext ctx(p);
+    const int nc = ctx.ncoef();
+    for (int nrhs : {1, 4}) {
+      Rng rng(100 + p);
+      std::vector<double> M(nrhs * nc), L0(nrhs * nc);
+      for (auto& m : M) m = rng.uniform(-1, 1);
+      for (auto& l : L0) l = rng.uniform(-1, 1);  // M2L adds into L
+
+      std::vector<double> want = L0, single = L0, multi = L0;
+      for (int r = 0; r < nrhs; ++r) {
+        pairwise_m2l(ctx, src, dst, M.data() + r * nc, want.data() + r * nc);
+        ctx.m2l(src, dst, M.data() + r * nc, single.data() + r * nc);
+      }
+      ctx.m2l_multi(src, dst, M.data(), multi.data(), nrhs, nc);
+      const std::size_t bytes = want.size() * sizeof(double);
+      EXPECT_EQ(std::memcmp(single.data(), want.data(), bytes), 0)
+          << "m2l p=" << p << " nrhs=" << nrhs;
+      EXPECT_EQ(std::memcmp(multi.data(), want.data(), bytes), 0)
+          << "m2l_multi p=" << p << " nrhs=" << nrhs;
+    }
+  }
+}
+
 TEST(Operators, M2LMultiMatchesRepeatedM2L) {
   ExpansionContext ctx(4);
   Rng rng(24);
@@ -213,7 +258,7 @@ TEST(Operators, M2LMultiMatchesRepeatedM2L) {
   for (int r = 0; r < nrhs; ++r)
     ctx.m2l(src, dst, M.data() + r * nc, L1.data() + r * nc);
   ctx.m2l_multi(src, dst, M.data(), L2.data(), nrhs, nc);
-  for (int i = 0; i < nrhs * nc; ++i) EXPECT_DOUBLE_EQ(L1[i], L2[i]);
+  for (int i = 0; i < nrhs * nc; ++i) EXPECT_EQ(L1[i], L2[i]);
 }
 
 TEST(Operators, AccuracyImprovesMonotonicallyWithOrder) {
@@ -318,6 +363,22 @@ TEST(Operators, NeutralClusterFieldDecaysFaster) {
 TEST(Operators, RejectsBadOrder) {
   EXPECT_THROW(ExpansionContext(0), std::invalid_argument);
   EXPECT_THROW(ExpansionContext(17), std::invalid_argument);
+}
+
+TEST(Operators, M2LFlopsPinnedToClosedForm) {
+  // The virtual machine model charges M2L by this count; it must stay the
+  // derivative tensor plus the dense ncoef^2 multiply-add contraction,
+  // whatever the host implementation does.
+  for (int p = 1; p <= 8; ++p) {
+    ExpansionContext ctx(p);
+    const double q = MultiIndexSet::count(2 * p);
+    const double n = MultiIndexSet::count(p);
+    EXPECT_EQ(ctx.flops_deriv_tensor(), 4.0 * q * (2 * p + 1) / 2.0)
+        << "p=" << p;
+    EXPECT_EQ(ctx.flops_m2l(), ctx.flops_deriv_tensor() + 2.0 * n * n)
+        << "p=" << p;
+  }
+  EXPECT_EQ(ExpansionContext(5).flops_m2l(), 12564.0);
 }
 
 TEST(Operators, FlopCountsArePositiveAndGrowWithOrder) {

@@ -19,6 +19,7 @@
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
 #include "kernels/stokeslet.hpp"
+#include "omp_threads.hpp"
 #include "sdc/sdc.hpp"
 #include "state/auditor.hpp"
 #include "util/rng.hpp"
@@ -59,6 +60,17 @@ void expect_same_bodies(const ParticleSet& a, const ParticleSet& b) {
     EXPECT_EQ(a.velocities[i], b.velocities[i]) << "body " << i;
   }
 }
+
+// Runs a test at 1 and at 4 OpenMP threads: the P2P executor's threaded loop
+// must keep SDC counts exact and bodies bit-identical.
+class SdcThreads : public ::testing::TestWithParam<int> {
+ protected:
+  OmpThreads threads_{GetParam()};
+};
+INSTANTIATE_TEST_SUITE_P(Threads, SdcThreads, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 struct SdcTally {
   int injected = 0, detected = 0, repaired = 0, unrepaired = 0;
@@ -149,7 +161,7 @@ TEST(Sdc, ExpansionCorruptionRepairedWithoutRollback) {
   expect_same_bodies(reference.bodies(), sim.bodies());
 }
 
-TEST(Sdc, GpuBatchCorruptionRepairedWithoutRollback) {
+TEST_P(SdcThreads, GpuBatchCorruptionRepairedWithoutRollback) {
   const auto set = test_bodies();
   GravitySimulation reference(base_config(), default_node(), set);
   reference.run(6);
@@ -318,7 +330,7 @@ TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
 
 // ---- fault-free bit-identity of detection itself -------------------------
 
-TEST(Sdc, DetectionOnFaultFreeGravityRunIsBitIdentical) {
+TEST_P(SdcThreads, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   const auto set = test_bodies();
 
   // Same resilience cadence (audits, checkpoints) on both sides; the ONLY
@@ -368,7 +380,7 @@ TEST(Sdc, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   EXPECT_EQ(slurp(dir / "a.csv"), slurp(dir / "b.csv"));
 }
 
-TEST(Sdc, DetectionOnFaultFreeStokesRunIsBitIdentical) {
+TEST_P(SdcThreads, DetectionOnFaultFreeStokesRunIsBitIdentical) {
   StokesSimulationConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
