@@ -8,8 +8,12 @@
 // coefficients of Section IV.D usable for prediction.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <span>
+
 #include "expansion/operators.hpp"
 #include "kernels/gravity.hpp"
+#include "kernels/stokeslet.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -96,20 +100,67 @@ void BM_L2P(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * s.pos.size());
 }
 
-void BM_P2P(benchmark::State& state) {
-  Setup s(2);
-  GravityKernel kernel(1e-6);
+// One P2P work item through the lane routine: a 48-body target leaf against
+// the 27 leaves of a 3x3x3 block of unit cells (48 random bodies each), the
+// target the centre leaf, so its self pairs are among the sources. Targets
+// go kLanes at a time, one accumulate_lanes() call per source leaf (the
+// executor's case when no two source leaves are adjacent in tree order).
+// Items are interactions.
+constexpr std::size_t kLeafBodies = 48;
+constexpr std::size_t kSourceLeaves = 27;
+
+template <typename Kernel, typename MakeSource>
+void p2p_leaf(benchmark::State& state, const Kernel& kernel,
+              MakeSource make_source) {
+  using Source = typename Kernel::Source;
+  constexpr std::size_t kLanes = Kernel::kLanes;
+  Rng rng(3);
+  std::vector<Source> src;
+  for (std::size_t c = 0; c < kSourceLeaves; ++c) {
+    const Vec3 corner{static_cast<double>(c % 3),
+                      static_cast<double>(c / 3 % 3),
+                      static_cast<double>(c / 9)};
+    for (std::size_t b = 0; b < kLeafBodies; ++b) {
+      const Vec3 x = corner + Vec3{rng.uniform(), rng.uniform(), rng.uniform()};
+      src.push_back(make_source(x, rng));
+    }
+  }
+  std::vector<std::uint32_t> ids(src.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  const std::span<const Source> sources(src);
+  const std::span<const std::uint32_t> source_ids(ids);
+  const std::size_t target = 13 * kLeafBodies;
   for (auto _ : state) {
-    for (std::size_t t = 0; t < s.pos.size(); ++t) {
-      GravityAccum acc;
-      for (std::size_t j = 0; j < s.pos.size(); ++j)
-        kernel.accumulate(s.pos[t], static_cast<std::uint32_t>(t),
-                          {s.pos[j], s.q[j]}, static_cast<std::uint32_t>(j),
-                          acc);
+    for (std::size_t j0 = 0; j0 < kLeafBodies; j0 += kLanes) {
+      Vec3 xt[kLanes];
+      std::uint32_t tid[kLanes];
+      typename Kernel::Accum acc[kLanes]{};
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        xt[l] = src[target + j0 + l].x;
+        tid[l] = ids[target + j0 + l];
+      }
+      for (std::size_t c = 0; c < kSourceLeaves; ++c)
+        kernel.accumulate_lanes(
+            xt, tid, sources.subspan(c * kLeafBodies, kLeafBodies),
+            source_ids.subspan(c * kLeafBodies, kLeafBodies), acc);
       benchmark::DoNotOptimize(acc);
     }
   }
-  state.SetItemsProcessed(state.iterations() * s.pos.size() * s.pos.size());
+  state.SetItemsProcessed(state.iterations() * kLeafBodies * kSourceLeaves *
+                          kLeafBodies);
+}
+
+void BM_P2P_Gravity(benchmark::State& state) {
+  p2p_leaf(state, GravityKernel(1e-6), [](const Vec3& x, Rng& rng) {
+    return GravitySource{x, rng.uniform(0.5, 1.5)};
+  });
+}
+
+void BM_P2P_Stokeslet(benchmark::State& state) {
+  p2p_leaf(state, StokesletKernel(1e-2), [](const Vec3& x, Rng& rng) {
+    return StokesletSource{
+        x, {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)}};
+  });
 }
 
 }  // namespace
@@ -120,5 +171,6 @@ BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_P2P);
+BENCHMARK(BM_P2P_Gravity);
+BENCHMARK(BM_P2P_Stokeslet);
 BENCHMARK_MAIN();

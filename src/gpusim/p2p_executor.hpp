@@ -4,7 +4,15 @@
 // would -- every target body accumulates its sources in concatenated
 // source-list order (the lock-step tile march visits sources in that order
 // for every lane), so results are deterministic and association-order
-// faithful to the device kernel.
+// faithful to the device kernel. On the host the lanes are SIMD lanes:
+// Kernel::kLanes consecutive targets of the item advance together through
+// the kernel's accumulate_lanes(), each source broadcast to every lane in
+// order, and each lane performs accumulate()'s exact operation sequence for
+// its own target. Gravity's self pair is masked, not branched on: keep = 0
+// adds 1 to r^2 (no division by zero) and scales the contribution to +-0,
+// which leaves an accumulator that started at +0.0 unchanged (such a sum can
+// never reach -0.0); keep = 1 adds +0 to r^2 >= +0 and scales by 1, both
+// exact. The output is bit-identical to the scalar per-target loop.
 //
 // Timing: each device's share is expanded into block shapes and passed to
 // simulate_kernel(); the reported GPU Time is the maximum kernel time over
@@ -20,6 +28,7 @@
 // the healthy GPU path no matter which devices survive.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -108,8 +117,9 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // simulated kSdcGpuBatch event flips a bit post-"transfer") is detected by
 // the checksum mismatch and SURGICALLY REPAIRED by re-executing just that
 // batch on the CPU; `sdc->detect->p2p_verify_stride` additionally re-evaluates
-// one target body of every Nth batch from scratch as an independent
-// end-to-end sample. The staging buffer changes no arithmetic: per-target
+// one target body of every Nth batch from scratch with the scalar
+// accumulate() as an independent end-to-end sample, which also checks the
+// lane routine. The staging buffer changes no arithmetic: per-target
 // accumulation order and the `out[bt] += batch[j]` flush are the exact
 // operations of the direct path, so results stay bit-identical with hooks
 // on, off, or null. The report's counters are reduced over threads after
@@ -135,27 +145,45 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
 
   // Compute one batch (work item) into `batch`, exactly as the direct path
   // would: every target body accumulates its sources in concatenated
-  // source-list order. Value-initializing the elements keeps any padding
-  // bytes deterministic for raw-byte checksums.
+  // source-list order. Targets run kLanes at a time through the kernel's
+  // lane routine, one call per contiguous run of source nodes; a ragged
+  // last block repeats its last target and drops the copies.
+  // Value-initializing the elements keeps any padding bytes deterministic
+  // for raw-byte checksums.
   auto compute_batch = [&](int wi, std::vector<Accum>& batch) {
+    constexpr std::uint32_t kLanes = Kernel::kLanes;
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);
     batch.assign(t.count, Accum{});
-    std::size_t j = 0;
-    for (std::uint32_t bt = t.begin; bt < t.begin + t.count; ++bt, ++j) {
-      Accum acc{};
-      const Vec3 xt = sources[bt].x;
-      for (int s : w.sources) {
-        const OctreeNode& sn = tree.node(s);
-        for (std::uint32_t bs = sn.begin; bs < sn.begin + sn.count; ++bs)
-          kernel.accumulate(xt, ids[bt], sources[bs], ids[bs], acc);
+    for (std::uint32_t j0 = 0; j0 < t.count; j0 += kLanes) {
+      Vec3 xt[kLanes];
+      std::uint32_t tid[kLanes];
+      Accum acc[kLanes]{};
+      for (std::uint32_t l = 0; l < kLanes; ++l) {
+        const std::uint32_t bt = t.begin + std::min(j0 + l, t.count - 1);
+        xt[l] = sources[bt].x;
+        tid[l] = ids[bt];
       }
-      batch[j] = acc;
+      // Consecutive source nodes whose spans are adjacent form one run; its
+      // memory order is their list order.
+      for (std::size_t k = 0; k < w.sources.size();) {
+        const std::uint32_t begin = tree.node(w.sources[k]).begin;
+        std::uint32_t end = begin;
+        for (; k < w.sources.size() && tree.node(w.sources[k]).begin == end;
+             ++k)
+          end += tree.node(w.sources[k]).count;
+        kernel.accumulate_lanes(xt, tid, sources.subspan(begin, end - begin),
+                                ids.subspan(begin, end - begin), acc);
+      }
+      for (std::uint32_t l = 0; l < kLanes && j0 + l < t.count; ++l)
+        batch[j0 + l] = acc[l];
     }
   };
 
-  // Recompute one target body of the batch from scratch (the sampled CPU
-  // re-evaluation); returns true when it matches the staged result bitwise.
+  // Recompute one target body of the batch from scratch with the scalar
+  // accumulate() (the sampled CPU re-evaluation, which thereby also checks
+  // the lane routine); returns true when it matches the staged result
+  // bitwise.
   auto sample_matches = [&](int wi, const std::vector<Accum>& batch) {
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);

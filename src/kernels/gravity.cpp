@@ -4,6 +4,46 @@
 
 namespace afmm {
 
+// Defined here, not in the header, so that it is always compiled with the
+// library's flags: `std::sqrt` vectorizes only under -fno-math-errno.
+void GravityKernel::accumulate_lanes(std::span<const Vec3, kLanes> xt,
+                                     std::span<const std::uint32_t, kLanes> tid,
+                                     std::span<const Source> src,
+                                     std::span<const std::uint32_t> sid,
+                                     std::span<Accum, kLanes> acc) const {
+  double tx[kLanes], ty[kLanes], tz[kLanes], tids[kLanes];
+  double pot[kLanes], gx[kLanes], gy[kLanes], gz[kLanes];
+  // Unrolled before vectorization, so the lane arrays become registers;
+  // otherwise GCC 12 vectorizes this loop into the arrays and keeps the
+  // accumulators in memory across the whole source loop.
+#pragma GCC unroll kLanes
+  for (int l = 0; l < kLanes; ++l) {
+    tx[l] = xt[l].x;
+    ty[l] = xt[l].y;
+    tz[l] = xt[l].z;
+    tids[l] = tid[l];  // exact: ids are 32-bit
+    pot[l] = acc[l].pot;
+    gx[l] = acc[l].grad.x;
+    gy[l] = acc[l].grad.y;
+    gz[l] = acc[l].grad.z;
+  }
+  for (std::size_t j = 0; j < src.size(); ++j) {
+    const Vec3& sx = src[j].x;
+    const double q = src[j].q;
+    const double sids = sid[j];
+#pragma omp simd
+    for (int l = 0; l < kLanes; ++l) {
+      const double keep = static_cast<double>(tids[l] != sids);
+      const Accum c = term(sx - Vec3{tx[l], ty[l], tz[l]}, q, 1.0 - keep);
+      pot[l] += c.pot * keep;
+      gx[l] += c.grad.x * keep;
+      gy[l] += c.grad.y * keep;
+      gz[l] += c.grad.z * keep;
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) acc[l] = {pot[l], {gx[l], gy[l], gz[l]}};
+}
+
 void gravity_direct(const GravityKernel& kernel, std::span<const Vec3> targets,
                     std::span<const std::uint32_t> target_ids,
                     std::span<const GravitySource> sources,

@@ -41,18 +41,29 @@ class GravityKernel {
   explicit GravityKernel(double softening = 0.0)
       : eps2_(softening * softening) {}
 
+  // Targets one accumulate_lanes() call advances together (one SSE2
+  // register of doubles).
+  static constexpr int kLanes = 2;
+
   // One target <- source interaction; `tid`/`sid` are global body ids used to
   // skip self-interaction exactly (coincident distinct bodies still count).
   void accumulate(const Vec3& xt, std::uint32_t tid, const Source& s,
                   std::uint32_t sid, Accum& a) const {
     if (tid == sid) return;
-    const Vec3 r = s.x - xt;
-    const double r2 = norm2(r) + eps2_;
-    const double inv = 1.0 / std::sqrt(r2);
-    const double inv3 = inv * inv * inv;
-    a.pot += s.q * inv;
-    a.grad += (s.q * inv3) * r;
+    a += term(s.x - xt, s.q, 0.0);
   }
+
+  // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
+  // source j in order, with bit-identical results: the source is broadcast
+  // and the lanes run in SIMD. The self pair is masked, not branched on:
+  // keep = 0 adds 1 to r^2 (no division by zero) and contributes term * 0 =
+  // +-0, which leaves an accumulator that started at +0.0 unchanged; keep =
+  // 1 adds +0 to r^2 >= +0 and multiplies by 1, both exact.
+  void accumulate_lanes(std::span<const Vec3, kLanes> xt,
+                        std::span<const std::uint32_t, kLanes> tid,
+                        std::span<const Source> src,
+                        std::span<const std::uint32_t> sid,
+                        std::span<Accum, kLanes> acc) const;
 
   double softening2() const { return eps2_; }
 
@@ -61,6 +72,16 @@ class GravityKernel {
   static double flops_per_interaction() { return 20.0; }
 
  private:
+  // Contribution of a source of charge `q` at offset `r` (source - target);
+  // `pad` is added to the softened r^2. The one definition of the per-pair
+  // arithmetic: accumulate() passes +0.0, accumulate_lanes() 1 - keep.
+  Accum term(const Vec3& r, double q, double pad) const {
+    const double r2 = norm2(r) + eps2_ + pad;
+    const double inv = 1.0 / std::sqrt(r2);
+    const double inv3 = inv * inv * inv;
+    return {q * inv, (q * inv3) * r};
+  }
+
   double eps2_;
 };
 

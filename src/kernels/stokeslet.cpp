@@ -4,6 +4,34 @@
 
 namespace afmm {
 
+// Defined here, not in the header, so that it is always compiled with the
+// library's flags: `std::sqrt` vectorizes only under -fno-math-errno.
+void StokesletKernel::accumulate_lanes(
+    std::span<const Vec3, kLanes> xt, std::span<const std::uint32_t, kLanes>,
+    std::span<const Source> src, std::span<const std::uint32_t>,
+    std::span<Accum, kLanes> acc) const {
+  double tx[kLanes], ty[kLanes], tz[kLanes];
+  double ux[kLanes], uy[kLanes], uz[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    tx[l] = xt[l].x;
+    ty[l] = xt[l].y;
+    tz[l] = xt[l].z;
+    ux[l] = acc[l].u.x;
+    uy[l] = acc[l].u.y;
+    uz[l] = acc[l].u.z;
+  }
+  for (const Source& s : src) {
+#pragma omp simd
+    for (int l = 0; l < kLanes; ++l) {
+      const Vec3 c = term(Vec3{tx[l], ty[l], tz[l]} - s.x, s.f);
+      ux[l] += c.x;
+      uy[l] += c.y;
+      uz[l] += c.z;
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) acc[l].u = {ux[l], uy[l], uz[l]};
+}
+
 std::vector<StokesletAccum> stokeslet_direct_all(
     const StokesletKernel& kernel, std::span<const Vec3> positions,
     std::span<const Vec3> forces) {

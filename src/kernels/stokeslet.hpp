@@ -47,23 +47,42 @@ class StokesletKernel {
 
   explicit StokesletKernel(double epsilon) : eps2_(epsilon * epsilon) {}
 
+  // Targets one accumulate_lanes() call advances together (one SSE2
+  // register of doubles).
+  static constexpr int kLanes = 2;
+
   void accumulate(const Vec3& xt, std::uint32_t tid, const Source& s,
                   std::uint32_t sid, Accum& a) const {
     (void)tid;
     (void)sid;  // the regularized kernel is finite at r = 0; keep self terms
-    const Vec3 r = xt - s.x;
-    const double d2 = norm2(r) + eps2_;
-    const double inv = 1.0 / std::sqrt(d2);
-    const double inv3 = inv * inv * inv;
-    const double rf = dot(r, s.f);
-    a.u += ((norm2(r) + 2.0 * eps2_) * inv3) * s.f + (rf * inv3) * r;
+    a.u += term(xt - s.x, s.f);
   }
+
+  // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
+  // source j in order, with bit-identical results: the source is broadcast
+  // and the lanes run in SIMD.
+  void accumulate_lanes(std::span<const Vec3, kLanes> xt,
+                        std::span<const std::uint32_t, kLanes> tid,
+                        std::span<const Source> src,
+                        std::span<const std::uint32_t> sid,
+                        std::span<Accum, kLanes> acc) const;
 
   double epsilon2() const { return eps2_; }
 
   static double flops_per_interaction() { return 32.0; }
 
  private:
+  // Velocity induced at offset `r` (target - source) by force `f`; the one
+  // definition of the per-pair arithmetic, shared by accumulate() and
+  // accumulate_lanes().
+  Vec3 term(const Vec3& r, const Vec3& f) const {
+    const double d2 = norm2(r) + eps2_;
+    const double inv = 1.0 / std::sqrt(d2);
+    const double inv3 = inv * inv * inv;
+    const double rf = dot(r, f);
+    return ((norm2(r) + 2.0 * eps2_) * inv3) * f + (rf * inv3) * r;
+  }
+
   double eps2_;
 };
 

@@ -117,7 +117,7 @@ void SimulationService::ensure_resident(const std::string& name, Session& s,
   if (!s.factory.restore)
     throw std::logic_error("session '" + name + "' factory cannot restore");
   std::string error;
-  auto ckpt = s.store->load_latest(&error);
+  auto ckpt = s.store->load(s.evicted_step, &error);
   if (!ckpt)
     throw std::runtime_error("restore of '" + name + "' failed: " + error);
   s.engine = s.factory.restore(*ckpt);
@@ -139,6 +139,7 @@ void SimulationService::do_evict(const std::string& name, Session& s) {
     throw std::runtime_error("eviction of '" + name + "' failed: " + error);
   s.engine.reset();
   s.evicted = true;
+  s.evicted_step = ckpt.step;
   ++evictions_;
   if (metrics_) metrics_->add_counter("service.evictions_total", 1.0);
   service_instant("evict", name, ckpt.step);

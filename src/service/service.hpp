@@ -169,6 +169,10 @@ class SimulationService {
     int steps_run = 0;
     int ran_this_round = 0;
     bool evicted = false;
+    // Step of the snapshot the last eviction wrote; the restore loads
+    // exactly this file, never a higher step left in the directory by an
+    // earlier run.
+    int evicted_step = 0;
     bool departed = false;
     std::vector<StepRecord> records;
   };

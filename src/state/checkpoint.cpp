@@ -681,19 +681,33 @@ std::vector<std::string> CheckpointStore::files() const {
   return out;
 }
 
-bool CheckpointStore::save(const SimCheckpoint& ckpt, std::string* error) {
+std::string CheckpointStore::file_for(int step) const {
   char name[32];
-  std::snprintf(name, sizeof name, "ckpt_%010d.afmm", ckpt.step);
+  std::snprintf(name, sizeof name, "ckpt_%010d.afmm", step);
   const std::string file =
       owner_.empty() ? std::string(name) : owner_ + "_" + name;
-  const std::string path = (fs::path(dir_) / file).string();
-  if (!save_checkpoint_file(path, ckpt, error)) return false;
-  const auto all = files();
-  for (std::size_t i = static_cast<std::size_t>(keep_); i < all.size(); ++i) {
-    std::error_code ec;
-    fs::remove(all[i], ec);
+  return (fs::path(dir_) / file).string();
+}
+
+bool CheckpointStore::save(const SimCheckpoint& ckpt, std::string* error) {
+  const std::string written = file_for(ckpt.step);
+  if (!save_checkpoint_file(written, ckpt, error)) return false;
+  int kept = 1;  // the file just written
+  for (const auto& file : files()) {
+    if (file == written) continue;
+    if (kept < keep_) {
+      ++kept;
+    } else {
+      std::error_code ec;
+      fs::remove(file, ec);
+    }
   }
   return true;
+}
+
+std::optional<SimCheckpoint> CheckpointStore::load(int step,
+                                                   std::string* error) const {
+  return load_checkpoint_file(file_for(step), error);
 }
 
 std::optional<SimCheckpoint> CheckpointStore::load_latest(

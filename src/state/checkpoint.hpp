@@ -28,7 +28,7 @@
 //
 // Writing is crash-safe: encode to memory, write to `<name>.tmp`, fsync,
 // atomically rename over the final name, then prune snapshots beyond the
-// keep budget (oldest first).
+// keep budget (lowest step first, never the one just written).
 #pragma once
 
 #include <cstdint>
@@ -119,10 +119,12 @@ bool match_owned_snapshot(const std::string& name, const std::string& owner,
                           std::initializer_list<int> digit_groups,
                           const std::string& suffix);
 
-// Rotating on-disk snapshot store: `dir/[<owner>_]ckpt_<step>.afmm`, newest
-// `keep` files retained. load_latest() walks newest-first and silently skips
-// any snapshot that fails validation -- a crash mid-write therefore costs at
-// most one checkpoint interval of progress, never the run.
+// Rotating on-disk snapshot store: `dir/[<owner>_]ckpt_<step>.afmm`, `keep`
+// files retained: the one save() just wrote plus the newest others, so stale
+// higher-step files left by an earlier run can never rotate away the new
+// one. load_latest() walks newest-first and silently skips any snapshot that
+// fails validation -- a crash mid-write therefore costs at most one
+// checkpoint interval of progress, never the run.
 class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir, int keep = 3,
@@ -130,6 +132,10 @@ class CheckpointStore {
 
   bool save(const SimCheckpoint& ckpt, std::string* error = nullptr);
   std::optional<SimCheckpoint> load_latest(std::string* error = nullptr) const;
+  // The snapshot of exactly `step`: what save() wrote for it, never a
+  // neighbouring step.
+  std::optional<SimCheckpoint> load(int step,
+                                    std::string* error = nullptr) const;
 
   // Snapshot paths OF THIS OWNER, newest (highest step) first.
   std::vector<std::string> files() const;
@@ -138,6 +144,8 @@ class CheckpointStore {
   const std::string& owner() const { return owner_; }
 
  private:
+  std::string file_for(int step) const;
+
   std::string dir_;
   int keep_;
   std::string owner_;

@@ -246,6 +246,28 @@ TEST(CheckpointStore, SaveLoadAndPrune) {
   EXPECT_EQ(latest->step, 4);
 }
 
+TEST(CheckpointStore, SaveKeepsTheFileJustWrittenAndLoadsExactStep) {
+  const std::string dir = fresh_dir("ckpt_store_exact");
+  CheckpointStore store(dir, 2);
+  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  sim.step();
+  auto ckpt = sim.checkpoint();
+  // An earlier run left higher steps behind; they must not crowd out the
+  // new, lower-step snapshot.
+  for (const int step : {9, 8, 1}) {
+    ckpt.step = step;
+    ASSERT_TRUE(store.save(ckpt));
+  }
+  const auto files = store.files();
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_NE(files.back().find("ckpt_0000000001.afmm"), std::string::npos);
+  std::string error;
+  const auto exact = store.load(1, &error);
+  ASSERT_TRUE(exact.has_value()) << error;
+  EXPECT_EQ(exact->step, 1);
+  EXPECT_FALSE(store.load(8).has_value());  // rotated away
+}
+
 TEST(CheckpointStore, TornWriteFallsBackToPreviousSnapshot) {
   const std::string dir = fresh_dir("ckpt_store_torn");
   CheckpointStore store(dir, 3);

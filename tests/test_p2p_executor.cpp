@@ -1,10 +1,14 @@
-// run_p2p's host execution: one OpenMP loop over every work item. Its output
-// must be byte-identical to a serial per-target reference at any thread
-// count, on any number of healthy GPUs, and on the all-GPUs-lost CPU
-// fallback.
+// run_p2p's host execution: one OpenMP loop over every work item, each
+// item's targets in SIMD lane blocks. Its output must be byte-identical to a
+// serial per-target scalar reference at any thread count, on any number of
+// healthy GPUs, on the all-GPUs-lost CPU fallback, and for ragged lane
+// blocks, coincident bodies and masked self pairs.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <numeric>
+#include <set>
 #include <string>
 
 #include "gpusim/p2p_executor.hpp"
@@ -98,6 +102,17 @@ void expect_bytes_match_reference(
   }
 }
 
+// Sorted positions and per-body charges as tree-ordered gravity sources.
+std::vector<GravitySource> gravity_sources(const AdaptiveOctree& tree,
+                                           const std::vector<double>& q) {
+  const auto pos = tree.sorted_positions();
+  const auto perm = tree.perm();
+  std::vector<GravitySource> sources(pos.size());
+  for (std::size_t t = 0; t < pos.size(); ++t)
+    sources[t] = {pos[t], q[perm[t]]};
+  return sources;
+}
+
 TEST(RunP2P, GravityBytesIdenticalAcrossThreadsAndGpus) {
   Rng rng(15);
   const int n = 800;
@@ -108,11 +123,7 @@ TEST(RunP2P, GravityBytesIdenticalAcrossThreadsAndGpus) {
 
   AdaptiveOctree tree;
   tree.build(pts, unit_config(24));
-  const auto pos = tree.sorted_positions();
-  const auto perm = tree.perm();
-  std::vector<GravitySource> sources(n);
-  for (int t = 0; t < n; ++t) sources[t] = {pos[t], q[perm[t]]};
-  expect_bytes_match_reference(tree, GravityKernel{}, sources);
+  expect_bytes_match_reference(tree, GravityKernel{}, gravity_sources(tree, q));
 }
 
 TEST(RunP2P, StokesletBytesIdenticalAcrossThreadsAndGpus) {
@@ -130,6 +141,114 @@ TEST(RunP2P, StokesletBytesIdenticalAcrossThreadsAndGpus) {
   std::vector<StokesletSource> sources(n);
   for (int t = 0; t < n; ++t) sources[t] = {pos[t], f[perm[t]]};
   expect_bytes_match_reference(tree, StokesletKernel(1e-3), sources);
+}
+
+// Leaves of 1, 2 and 3 bodies leave the last lane block ragged. At
+// softening 0 every self pair must be skipped exactly: no NaN from r = 0.
+// Charges of both signs make a masked self pair contribute -0 as well as +0.
+TEST(RunP2P, RaggedLaneBlocksMatchReference) {
+  Rng rng(17);
+  const int n = 300;
+  std::vector<Vec3> pts(n);
+  for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
+  std::vector<double> q(n);
+  for (auto& v : q) v = rng.uniform(-1.0, 1.0);
+
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(3));
+  const auto lists = build_interaction_lists(tree);
+  std::set<std::uint32_t> counts;
+  for (const auto& w : lists.p2p) counts.insert(tree.node(w.target).count);
+  for (std::uint32_t c : {1u, 2u, 3u})
+    EXPECT_TRUE(counts.count(c)) << "no target leaf of " << c << " bodies";
+
+  const auto sources = gravity_sources(tree, q);
+  const GravityKernel kernel;
+  expect_bytes_match_reference(tree, kernel, sources);
+  for (const auto& a :
+       serial_reference(tree, lists.p2p, kernel, sources, tree.perm()))
+    EXPECT_TRUE(std::isfinite(a.pot) && std::isfinite(a.grad.x) &&
+                std::isfinite(a.grad.y) && std::isfinite(a.grad.z));
+}
+
+// Distinct bodies at one position interact (r = 0, finite through the
+// softening or the regularization); only a body's own pair is skipped.
+TEST(RunP2P, CoincidentBodiesMatchReference) {
+  Rng rng(18);
+  const int n = 400;
+  std::vector<Vec3> pts(n), f(n);
+  for (int i = 0; i < n; i += 2)
+    pts[i] = pts[i + 1] = {rng.uniform(), rng.uniform(), rng.uniform()};
+  std::vector<double> q(n);
+  for (auto& v : q) v = rng.uniform(0.1, 2.0);
+  for (auto& v : f)
+    v = {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(5));
+  expect_bytes_match_reference(tree, GravityKernel(1e-3),
+                               gravity_sources(tree, q));
+
+  const auto pos = tree.sorted_positions();
+  const auto perm = tree.perm();
+  std::vector<StokesletSource> sources(n);
+  for (int t = 0; t < n; ++t) sources[t] = {pos[t], f[perm[t]]};
+  expect_bytes_match_reference(tree, StokesletKernel(1e-3), sources);
+}
+
+// accumulate_lanes() called directly, against accumulate() byte for byte:
+// block b puts bodies b..b+kLanes-1 in the lanes over all bodies as
+// sources, so every lane meets its own body, at every position. The
+// sources arrive in two runs, so lane state carries across calls.
+template <typename Kernel>
+void expect_lanes_match_scalar(
+    const Kernel& kernel, const std::vector<typename Kernel::Source>& src) {
+  using Accum = typename Kernel::Accum;
+  constexpr std::size_t kLanes = Kernel::kLanes;
+  std::vector<std::uint32_t> ids(src.size());
+  std::iota(ids.begin(), ids.end(), 0u);
+  const std::span<const typename Kernel::Source> all(src);
+  const std::span<const std::uint32_t> all_ids(ids);
+  for (std::size_t b = 0; b + kLanes <= src.size(); ++b) {
+    Vec3 xt[kLanes];
+    std::uint32_t tid[kLanes];
+    Accum acc[kLanes]{};
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      xt[l] = src[b + l].x;
+      tid[l] = ids[b + l];
+    }
+    const std::size_t cut = b + 1;
+    kernel.accumulate_lanes(xt, tid, all.first(cut), all_ids.first(cut), acc);
+    kernel.accumulate_lanes(xt, tid, all.subspan(cut), all_ids.subspan(cut),
+                            acc);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      Accum ref{};
+      for (std::size_t j = 0; j < src.size(); ++j)
+        kernel.accumulate(xt[l], tid[l], src[j], ids[j], ref);
+      EXPECT_EQ(std::memcmp(&ref, &acc[l], sizeof(Accum)), 0)
+          << "block " << b << " lane " << l;
+    }
+  }
+}
+
+TEST(KernelLanes, GravityMatchesScalarWithSelfPairInEveryLane) {
+  Rng rng(19);
+  std::vector<GravitySource> src(24);
+  for (auto& s : src)
+    s = {{rng.uniform(), rng.uniform(), rng.uniform()}, rng.uniform(-1, 1)};
+  expect_lanes_match_scalar(GravityKernel{}, src);
+  src[7].x = src[6].x;  // coincident distinct bodies need softening
+  expect_lanes_match_scalar(GravityKernel(1e-3), src);
+}
+
+TEST(KernelLanes, StokesletMatchesScalarWithSelfPairInEveryLane) {
+  Rng rng(20);
+  std::vector<StokesletSource> src(24);
+  for (auto& s : src)
+    s = {{rng.uniform(), rng.uniform(), rng.uniform()},
+         {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)}};
+  src[7].x = src[6].x;
+  expect_lanes_match_scalar(StokesletKernel(1e-3), src);
 }
 
 TEST(RunP2P, EmptyWorkIsNoOp) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -71,6 +72,25 @@ INSTANTIATE_TEST_SUITE_P(Threads, SdcThreads, ::testing::Values(1, 4),
                          [](const auto& info) {
                            return std::to_string(info.param);
                          });
+
+// The fault-free detection tests at 1 and 4 threads, with the sampled
+// scalar re-evaluation on every 8th batch and on every batch
+// (p2p_verify_stride = 1): each sampled batch's first target is recomputed
+// with the scalar accumulate() and compared bytewise with the lane
+// routine's result, so stride 1 checks the lane routine on every batch of
+// real engine steps.
+class SdcDetection : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  OmpThreads threads_{std::get<0>(GetParam())};
+  int verify_stride() const { return std::get<1>(GetParam()); }
+};
+INSTANTIATE_TEST_SUITE_P(
+    ThreadsStride, SdcDetection,
+    ::testing::Combine(::testing::Values(1, 4), ::testing::Values(8, 1)),
+    [](const auto& info) {
+      return std::to_string(std::get<0>(info.param)) + "threads_stride" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 struct SdcTally {
   int injected = 0, detected = 0, repaired = 0, unrepaired = 0;
@@ -330,7 +350,7 @@ TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
 
 // ---- fault-free bit-identity of detection itself -------------------------
 
-TEST_P(SdcThreads, DetectionOnFaultFreeGravityRunIsBitIdentical) {
+TEST_P(SdcDetection, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   const auto set = test_bodies();
 
   // Same resilience cadence (audits, checkpoints) on both sides; the ONLY
@@ -347,7 +367,7 @@ TEST_P(SdcThreads, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   on.fmm.sdc.expansion_checks = true;
   on.fmm.sdc.expansion_reaggregation = true;
   on.fmm.sdc.p2p_checks = true;
-  on.fmm.sdc.p2p_verify_stride = 8;
+  on.fmm.sdc.p2p_verify_stride = verify_stride();
   on.resilience.audit.momentum_rel_tol = 1e-2;
   on.resilience.sdc_repair = true;
   GravitySimulation armed(on, default_node(), set);
@@ -380,7 +400,7 @@ TEST_P(SdcThreads, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   EXPECT_EQ(slurp(dir / "a.csv"), slurp(dir / "b.csv"));
 }
 
-TEST_P(SdcThreads, DetectionOnFaultFreeStokesRunIsBitIdentical) {
+TEST_P(SdcDetection, DetectionOnFaultFreeStokesRunIsBitIdentical) {
   StokesSimulationConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
@@ -402,6 +422,7 @@ TEST_P(SdcThreads, DetectionOnFaultFreeStokesRunIsBitIdentical) {
   auto on = cfg;
   on.fmm.sdc.expansion_checks = true;
   on.fmm.sdc.p2p_checks = true;
+  on.fmm.sdc.p2p_verify_stride = verify_stride();
   on.resilience.audit.interval = 1;
   on.resilience.audit.force_samples = 4;
   on.resilience.sdc_repair = true;

@@ -92,14 +92,14 @@ void expect_same_record(const StepRecord& a, const StepRecord& b,
 }
 
 // Drive `steps` steps of one session through a service configured to evict
-// aggressively, then check trajectory + records + metric rows against a solo
-// replay of the identical factory.
+// aggressively into `dir`, then check trajectory + records + metric rows
+// against a solo replay of the identical factory.
 void check_solo_identity(const std::string& tag, SessionFactory factory,
-                         int steps) {
+                         int steps, const std::string& dir) {
   ServiceConfig sc;
   sc.quantum_seconds = 1.0;  // affordability never throttles this test
   sc.idle_evict_rounds = 1;
-  sc.checkpoint_dir = fresh_dir("svc_identity_" + tag);
+  sc.checkpoint_dir = dir;
   sc.metrics = true;
   SimulationService service(sc);
   service.admit(tag, factory);
@@ -157,17 +157,32 @@ void check_solo_identity(const std::string& tag, SessionFactory factory,
 }
 
 TEST(Service, GravitySessionIsBitIdenticalToSoloAcrossEviction) {
-  check_solo_identity("grav", gravity_factory(11), 8);
+  check_solo_identity("grav", gravity_factory(11), 8,
+                      fresh_dir("svc_identity_grav"));
 }
 
 TEST(Service, StokesSessionIsBitIdenticalToSoloAcrossEviction) {
-  check_solo_identity("stokes", stokes_factory(12), 8);
+  check_solo_identity("stokes", stokes_factory(12), 8,
+                      fresh_dir("svc_identity_stokes"));
 }
 
 TEST(Service, FaultedSessionIsBitIdenticalToSoloAcrossEviction) {
   FaultSchedule faults;
   faults.gpu_throttle(2, 0, 0.5).gpu_loss(5, 0);
-  check_solo_identity("chaos", gravity_factory(13, 64, faults), 8);
+  check_solo_identity("chaos", gravity_factory(13, 64, faults), 8,
+                      fresh_dir("svc_identity_chaos"));
+}
+
+// A second churn into a used directory finds the first run's snapshots
+// under the same session names at higher steps. Each restore must load the
+// step its own eviction wrote, and that file must survive rotation.
+TEST(Service, RerunIntoUsedCheckpointDirRestoresOwnSnapshots) {
+  const std::string dir = fresh_dir("svc_rerun");
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    check_solo_identity("grav", gravity_factory(11), 8, dir);
+    check_solo_identity("stokes", stokes_factory(12), 8, dir);
+  }
 }
 
 TEST(Service, MultiplexedSessionsDoNotPerturbEachOther) {
