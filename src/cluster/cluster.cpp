@@ -62,10 +62,7 @@ ClusterEngine<Problem>::ClusterEngine(const EngineConfig& engine_config,
       inner_.tree(), engine_config_.fmm.traversal);
   map_ = weighted_split(inner_.tree(), lists, inner_.balancer().cost_model(),
                         effective_weights());
-  if (!cluster_.checkpoint_dir.empty() && cluster_.checkpoint_interval > 0) {
-    store_.emplace(cluster_.checkpoint_dir, cluster_.checkpoint_keep);
-    store_->save(make_checkpoint());
-  }
+  init_store();
   init_metrics();
 }
 
@@ -96,9 +93,27 @@ ClusterEngine<Problem>::ClusterEngine(const EngineConfig& engine_config,
   for (const auto& r : ckpt.ranges) ranges.push_back({r.first, r.second});
   map_ = ShardMap(std::move(ranges));
   restore_cluster_blob(ckpt.cluster_blob);
-  if (!cluster_.checkpoint_dir.empty() && cluster_.checkpoint_interval > 0)
-    store_.emplace(cluster_.checkpoint_dir, cluster_.checkpoint_keep);
+  init_store();
   init_metrics();
+}
+
+template <class Problem>
+void ClusterEngine<Problem>::init_store() {
+  if (cluster_.checkpoint_dir.empty() || cluster_.checkpoint_interval <= 0)
+    return;
+  store_.emplace(cluster_.checkpoint_dir, cluster_.checkpoint_keep);
+  // Seed the recovery target with a set of our own (a resumed run
+  // re-snapshots its restored state, as the inner engine does): recovery
+  // restores only sets this engine wrote.
+  save_checkpoint();
+}
+
+template <class Problem>
+bool ClusterEngine<Problem>::save_checkpoint() {
+  const ShardedCheckpoint ckpt = make_checkpoint();
+  if (!store_->save(ckpt)) return false;
+  last_saved_step_ = ckpt.global.step;
+  return true;
 }
 
 template <class Problem>
@@ -218,11 +233,11 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   }
 
   // 3. Crash recovery: the dead node's range is gone with it; restore the
-  // global state from the last coordinated shard set (a PURE restore -- the
-  // replayed steps reproduce the lost trajectory bit for bit), then let the
-  // re-split below move its range onto the survivors.
-  if (new_death && store_) {
-    if (auto sc = store_->load_latest()) {
+  // global state from the last coordinated shard set this engine saved (a
+  // PURE restore -- the replayed steps reproduce the lost trajectory bit for
+  // bit), then let the re-split below move its range onto the survivors.
+  if (new_death && store_ && last_saved_step_ >= 0) {
+    if (auto sc = store_->load(last_saved_step_)) {
       inner_.restore(sc->global);
       // The cluster injector's cursor stays put (fired events remain
       // applied); the replayed steps only need the nondecreasing-step guard
@@ -383,7 +398,7 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
     bool quiescent = true;
     for (const auto& n : nodes_)
       if (!n.dead && (n.crashed || n.missed_heartbeats > 0)) quiescent = false;
-    if (quiescent) rec.checkpointed = store_->save(make_checkpoint());
+    if (quiescent) rec.checkpointed = save_checkpoint();
   }
   return rec;
 }

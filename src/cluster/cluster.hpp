@@ -14,8 +14,9 @@
 //     threshold declares it dead;
 //   * a global rebalancer: warm migration (capability-weighted re-split via
 //     weighted_split) when a node degrades or rejoins, and crash recovery --
-//     restore the lost ranges from the coordinated shard checkpoints
-//     (state/shard_store), re-split over the survivors, and replay forward;
+//     restore the lost ranges from the last coordinated shard checkpoint
+//     this engine saved (state/shard_store; never another run's set in a
+//     reused directory), re-split over the survivors, and replay forward;
 //   * coordinated shard checkpoints on a cadence, taken only when every
 //     node is either healthy or already declared dead (never while a crash
 //     is still being suspected).
@@ -161,6 +162,9 @@ class ClusterEngine {
 
  private:
   void init_metrics();
+  void init_store();
+  // Saves make_checkpoint() and remembers its step as the recovery target.
+  bool save_checkpoint();
   void restore_cluster_blob(const std::vector<std::uint8_t>& blob);
   std::vector<std::uint8_t> encode_cluster_blob() const;
   std::vector<double> effective_weights() const;
@@ -174,6 +178,7 @@ class ClusterEngine {
   FaultInjector injector_;        // node-scoped schedule
   MachineHealth cluster_health_;  // carrier for the per-step exchange seed
   std::optional<ShardStore> store_;
+  int last_saved_step_ = -1;  // step of the last set this engine saved
   int recoveries_ = 0;
   int migrations_ = 0;
 };

@@ -361,13 +361,13 @@ AuditReport SimulationEngine<Problem>::run_audit() const {
 
 template <class Problem>
 void SimulationEngine<Problem>::roll_back(StepRecord& rec) {
-  // The in-memory snapshot is the freshest good state; the on-disk store is
-  // the fallback when there is none (e.g. recovery misconfiguration).
-  std::optional<SimCheckpoint> good = last_good_;
-  if (!good && store_) good = store_->load_latest();
-  if (!good) return;  // nowhere to go; the record keeps its failure flags
+  // The in-memory snapshot is the rollback target: init_resilience() seeds
+  // it whenever resilience is on (the only time this runs) and nothing
+  // clears it. The on-disk store only serves resumes in a new process, so a
+  // reused directory's foreign snapshots are never adopted here.
+  if (!last_good_) return;  // nowhere to go; the record keeps its failure flags
 
-  restore(*good);
+  restore(*last_good_);
   if (!rec.sdc_escalated) {
     // Fail-stop rollback: the fault may have corrupted memory beyond the
     // structural checks and changed machine capability, so rebuild the tree

@@ -133,21 +133,6 @@ struct StepRecord {
   bool sdc_escalated = false;    // repair ladder exhausted -> rollback path
 };
 
-// What every Problem's solve hands back to the engine: the machine-model
-// observation the balancer digests, plus what observability emission needs.
-// The typed numerical result (gradient, velocity, ...) stays inside the
-// Problem between solve() and post_solve().
-struct SolveOutcome {
-  ObservedStepTimes times;
-  GpuRunResult gpu;
-  SolveStats stats;
-  std::shared_ptr<OpTimers> real_timings;
-  // SDC activity inside the solve (injections, ABFT detections, repairs).
-  SdcReport sdc;
-  // Executed overlap schedule (null unless the overlap executor ran).
-  std::shared_ptr<const DagSchedule> dag;
-};
-
 // Tag selecting the deferred-initialization constructor: the engine is
 // wired but its tree build / priming solve / resilience / obs setup waits
 // for prepare() (or the first step_once()). The multi-tenant service admits

@@ -90,21 +90,6 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
                        lcoef(id, 0), nrhs, nc);
       }
     }
-    // Extension: accumulate small well-separated source leaves directly
-    // into this node's local expansion (P2L).
-    if (!lists.p2l_offset.empty() &&
-        lists.p2l_offset[id + 1] > lists.p2l_offset[id]) {
-      OpTimers::Scoped timer(timers, FmmOp::kP2L,
-                             lists.p2l_offset[id + 1] - lists.p2l_offset[id]);
-      for (std::uint32_t e = lists.p2l_offset[id];
-           e < lists.p2l_offset[id + 1]; ++e) {
-        const OctreeNode& sn = tree.node(lists.p2l_sources[e]);
-        for (int r = 0; r < nrhs; ++r)
-          ctx_.p2l(n.center, pos.data() + sn.begin,
-                   charges[r].data() + sn.begin, static_cast<int>(sn.count),
-                   lcoef(id, r));
-      }
-    }
     if (n.parent >= 0) {
       OpTimers::Scoped timer(timers, FmmOp::kL2L);
       for (int r = 0; r < nrhs; ++r)
@@ -112,30 +97,10 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
                  lcoef(id, r));
     }
     if (tree.is_effective_leaf(id)) {
-      {
-        OpTimers::Scoped timer(timers, FmmOp::kL2P, n.count);
-        for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
-          for (int r = 0; r < nrhs; ++r)
-            out[r][b] = ctx_.l2p(n.center, lcoef(id, r), pos[b]);
-      }
-      // Extension: evaluate well-separated source multipoles directly at
-      // this tiny leaf's bodies (M2P).
-      if (!lists.m2p_offset.empty() &&
-          lists.m2p_offset[id + 1] > lists.m2p_offset[id]) {
-        OpTimers::Scoped timer(timers, FmmOp::kM2P,
-                               lists.m2p_offset[id + 1] - lists.m2p_offset[id]);
-        for (std::uint32_t e = lists.m2p_offset[id];
-             e < lists.m2p_offset[id + 1]; ++e) {
-          const int src = lists.m2p_sources[e];
-          const Vec3 sc = tree.node(src).center;
-          for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
-            for (int r = 0; r < nrhs; ++r) {
-              const auto v = ctx_.m2p(sc, mcoef(src, r), pos[b]);
-              out[r][b].potential += v.potential;
-              out[r][b].gradient += v.gradient;
-            }
-        }
-      }
+      OpTimers::Scoped timer(timers, FmmOp::kL2P, n.count);
+      for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
+        for (int r = 0; r < nrhs; ++r)
+          out[r][b] = ctx_.l2p(n.center, lcoef(id, r), pos[b]);
       return;
     }
     for (int c : n.children) {
@@ -296,9 +261,60 @@ SolveStats make_stats(const AdaptiveOctree& tree,
   return s;
 }
 
+template <class Kernel>
+FmmSolver<Kernel>::FmmSolver(const FmmConfig& config, NodeSimulator node,
+                             Kernel kernel)
+    : far_(config), node_(std::move(node)), kernel_(kernel) {}
+
+template <class Kernel>
+void FmmSolver<Kernel>::run(const AdaptiveOctree& tree,
+                            std::span<const std::vector<double>> rhs,
+                            std::span<const Source> sources, SolveOutcome& out,
+                            std::vector<std::vector<PointValue>>& far,
+                            std::vector<Accum>& near) const {
+  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
+  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
+  const int nrhs = static_cast<int>(rhs.size());
+
+  const SdcDetectConfig& det = far_.config().sdc;
+  const SdcPending pending = node_.health().sdc;
+
+  if (far_.config().collect_real_timings)
+    out.real_timings = std::make_shared<OpTimers>();
+  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
+                           &out.sdc};
+  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
+                       pending.expansion;
+  far_.evaluate(tree, lists, rhs, far, out.real_timings.get(),
+                arm_far ? &far_hooks : nullptr);
+
+  near.assign(tree.num_bodies(), Accum{});
+  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
+                           &out.sdc};
+  const bool arm_p2p =
+      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
+  out.gpu = run_p2p(tree, lists.p2p, kernel_, sources, tree.perm(),
+                    node_.gpus(), std::span<Accum>(near), &node_.health(),
+                    arm_p2p ? &p2p_hooks : nullptr);
+
+  out.times = node_.simulate_far_field(far_.context(), tree, lists, nrhs);
+  if (out.gpu.cpu_fallback)
+    out.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(out.gpu.total_interactions);
+  else
+    out.times.gpu_seconds = out.gpu.max_kernel_seconds;
+  out.times.transfer_retries = out.gpu.timeline.retries;
+  if (node_.overlap_enabled())
+    out.dag = node_.overlap_step(far_.context(), tree, lists, out.gpu, nrhs,
+                                 out.times);
+  out.stats = make_stats(tree, lists);
+}
+
+template class FmmSolver<GravityKernel>;
+template class FmmSolver<StokesletKernel>;
+
 GravitySolver::GravitySolver(const FmmConfig& config, NodeSimulator node,
                              GravityKernel kernel)
-    : far_(config), node_(std::move(node)), kernel_(kernel) {}
+    : FmmSolver(config, std::move(node), kernel) {}
 
 GravityResult GravitySolver::solve(const AdaptiveOctree& tree,
                                    std::span<const Vec3> positions,
@@ -307,40 +323,17 @@ GravityResult GravitySolver::solve(const AdaptiveOctree& tree,
       positions.size() != tree.num_bodies())
     throw std::invalid_argument("GravitySolver::solve: size mismatch");
 
-  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
-  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
-
-  std::vector<double> q_tree;
-  tree.gather(charges, q_tree);
-
-  GravityResult res;
-  const SdcDetectConfig& det = far_.config().sdc;
-  const SdcPending pending = node_.health().sdc;
-
-  std::vector<std::vector<double>> rhs{q_tree};
-  std::vector<std::vector<PointValue>> far_out;
-  std::shared_ptr<OpTimers> timers;
-  if (far_.config().collect_real_timings) timers = std::make_shared<OpTimers>();
-  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
-                           &res.sdc};
-  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
-                       pending.expansion;
-  far_.evaluate(tree, lists, rhs, far_out, timers.get(),
-                arm_far ? &far_hooks : nullptr);
-
+  std::vector<std::vector<double>> rhs(1);
+  tree.gather(charges, rhs[0]);
   const auto pos = tree.sorted_positions();
   const std::size_t n = tree.num_bodies();
   std::vector<GravitySource> sources(n);
-  for (std::size_t i = 0; i < n; ++i) sources[i] = {pos[i], q_tree[i]};
-  std::vector<GravityAccum> near(n);
+  for (std::size_t i = 0; i < n; ++i) sources[i] = {pos[i], rhs[0][i]};
 
-  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
-                           &res.sdc};
-  const bool arm_p2p =
-      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
-  res.gpu = run_p2p(tree, lists.p2p, kernel_, std::span<const GravitySource>(sources),
-                    tree.perm(), node_.gpus(), std::span<GravityAccum>(near),
-                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
+  GravityResult res;
+  std::vector<std::vector<PointValue>> far_out;
+  std::vector<GravityAccum> near;
+  run(tree, rhs, sources, res, far_out, near);
 
   res.potential.assign(n, 0.0);
   res.gradient.assign(n, Vec3{});
@@ -350,24 +343,12 @@ GravityResult GravitySolver::solve(const AdaptiveOctree& tree,
     res.potential[o] = far_out[0][t].potential + near[t].pot;
     res.gradient[o] = far_out[0][t].gradient + near[t].grad;
   }
-
-  res.times = node_.simulate_far_field(far_.context(), tree, lists, 1);
-  if (res.gpu.cpu_fallback)
-    res.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(res.gpu.total_interactions);
-  else
-    res.times.gpu_seconds = res.gpu.max_kernel_seconds;
-  res.times.transfer_retries = res.gpu.timeline.retries;
-  if (node_.overlap_enabled())
-    res.dag = node_.overlap_step(far_.context(), tree, lists, res.gpu, 1,
-                                 res.times);
-  res.stats = make_stats(tree, lists);
-  res.real_timings = std::move(timers);
   return res;
 }
 
 StokesletSolver::StokesletSolver(const FmmConfig& config, NodeSimulator node,
                                  double epsilon)
-    : far_(config), node_(std::move(node)), kernel_(epsilon) {}
+    : FmmSolver(config, std::move(node), StokesletKernel(epsilon)) {}
 
 StokesletResult StokesletSolver::solve(const AdaptiveOctree& tree,
                                        std::span<const Vec3> positions,
@@ -376,48 +357,26 @@ StokesletResult StokesletSolver::solve(const AdaptiveOctree& tree,
       positions.size() != tree.num_bodies())
     throw std::invalid_argument("StokesletSolver::solve: size mismatch");
 
-  auto& cache = external_cache_ ? *external_cache_ : own_cache_;
-  const InteractionLists& lists = cache.get(tree, far_.config().traversal);
   const auto pos = tree.sorted_positions();
   const auto perm = tree.perm();
   const std::size_t n = tree.num_bodies();
 
   // Four harmonic right-hand sides: f_x, f_y, f_z and the moment y.f.
   std::vector<std::vector<double>> rhs(4, std::vector<double>(n));
+  std::vector<StokesletSource> sources(n);
   for (std::size_t t = 0; t < n; ++t) {
     const Vec3 f = forces[perm[t]];
     rhs[0][t] = f.x;
     rhs[1][t] = f.y;
     rhs[2][t] = f.z;
     rhs[3][t] = dot(pos[t], f);
+    sources[t] = {pos[t], f};
   }
 
   StokesletResult res;
-  const SdcDetectConfig& det = far_.config().sdc;
-  const SdcPending pending = node_.health().sdc;
-
   std::vector<std::vector<PointValue>> far_out;
-  std::shared_ptr<OpTimers> timers;
-  if (far_.config().collect_real_timings) timers = std::make_shared<OpTimers>();
-  const SdcHooks far_hooks{&det, pending.expansion, pending.expansion_seed,
-                           &res.sdc};
-  const bool arm_far = det.expansion_checks || det.expansion_reaggregation ||
-                       pending.expansion;
-  far_.evaluate(tree, lists, rhs, far_out, timers.get(),
-                arm_far ? &far_hooks : nullptr);
-
-  std::vector<StokesletSource> sources(n);
-  for (std::size_t t = 0; t < n; ++t) sources[t] = {pos[t], forces[perm[t]]};
-  std::vector<StokesletAccum> near(n);
-
-  const SdcHooks p2p_hooks{&det, pending.gpu_batch, pending.gpu_batch_seed,
-                           &res.sdc};
-  const bool arm_p2p =
-      det.p2p_checks || det.p2p_verify_stride > 0 || pending.gpu_batch;
-  res.gpu = run_p2p(tree, lists.p2p, kernel_,
-                    std::span<const StokesletSource>(sources), perm,
-                    node_.gpus(), std::span<StokesletAccum>(near),
-                    &node_.health(), arm_p2p ? &p2p_hooks : nullptr);
+  std::vector<StokesletAccum> near;
+  run(tree, rhs, sources, res, far_out, near);
 
   res.velocity.assign(n, Vec3{});
   for (std::size_t t = 0; t < n; ++t) {
@@ -429,18 +388,6 @@ StokesletResult StokesletSolver::solve(const AdaptiveOctree& tree,
         combine_harmonic_passes(pos[t], phi, grad_phi, far_out[3][t].gradient);
     res.velocity[perm[t]] = u_far + near[t].u;
   }
-
-  res.times = node_.simulate_far_field(far_.context(), tree, lists, 4);
-  if (res.gpu.cpu_fallback)
-    res.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(res.gpu.total_interactions);
-  else
-    res.times.gpu_seconds = res.gpu.max_kernel_seconds;
-  res.times.transfer_retries = res.gpu.timeline.retries;
-  if (node_.overlap_enabled())
-    res.dag = node_.overlap_step(far_.context(), tree, lists, res.gpu, 4,
-                                 res.times);
-  res.stats = make_stats(tree, lists);
-  res.real_timings = std::move(timers);
   return res;
 }
 

@@ -6,6 +6,9 @@
 // parent -- exactly the recursive pattern of the paper's Section III.B --
 // and returns potential + gradient per body for each rhs.
 //
+// FmmSolver<Kernel> runs the one solve pipeline around it; the two solvers
+// derive from it and differ only in their inputs and field assembly:
+//
 // GravitySolver   : 1 rhs (masses); acceleration = G * gradient.
 // StokesletSolver : 4 rhs (f_x, f_y, f_z, y.f); velocities assembled via the
 //                   harmonic identity in kernels/stokeslet.hpp. This is the
@@ -81,9 +84,10 @@ class HarmonicFarField {
   ExpansionContext ctx_;
 };
 
-struct GravityResult {
-  std::vector<double> potential;  // phi = sum q/r, original body order
-  std::vector<Vec3> gradient;     // grad phi; acceleration = G * gradient
+// What every solve hands back besides its field: the machine-model
+// observation the balancer digests, plus what observability emission needs.
+// The engine's problems return exactly this slice of their typed results.
+struct SolveOutcome {
   ObservedStepTimes times;
   GpuRunResult gpu;
   SolveStats stats;
@@ -92,25 +96,21 @@ struct GravityResult {
   // SDC activity inside this solve (injections, detections, repairs).
   SdcReport sdc;
   // Executed overlap schedule (null unless the node's overlap executor ran);
-  // purely observational -- the numerics above never depend on it.
+  // purely observational -- the numerics never depend on it.
   std::shared_ptr<const DagSchedule> dag;
 };
 
-class GravitySolver {
+// The solve pipeline both kernels share: list lookup, the far field over the
+// kernel's harmonic right-hand sides, the near field on the simulated GPUs,
+// and the machine model's virtual times. A derived solver only prepares the
+// tree-ordered inputs and assembles its field from the two halves.
+template <class Kernel>
+class FmmSolver {
  public:
-  GravitySolver(const FmmConfig& config, NodeSimulator node,
-                GravityKernel kernel = GravityKernel{});
-
-  // Solve on a prepared tree. `positions` / `charges` are in ORIGINAL body
-  // order; the tree must have been built (or rebinned) from `positions`.
-  GravityResult solve(const AdaptiveOctree& tree,
-                      std::span<const Vec3> positions,
-                      std::span<const double> charges) const;
-
   const HarmonicFarField& far_field() const { return far_; }
   NodeSimulator& node() { return node_; }
   const NodeSimulator& node() const { return node_; }
-  const GravityKernel& kernel() const { return kernel_; }
+  const Kernel& kernel() const { return kernel_; }
 
   // Share an external interaction-list cache (e.g. with the load balancer so
   // its dry runs and the next solve reuse one traversal); nullptr returns to
@@ -120,48 +120,60 @@ class GravitySolver {
     return external_cache_ ? *external_cache_ : own_cache_;
   }
 
+ protected:
+  using Source = typename Kernel::Source;
+  using Accum = typename Kernel::Accum;
+
+  FmmSolver(const FmmConfig& config, NodeSimulator node, Kernel kernel);
+
+  // Runs the pipeline on tree-ordered inputs: `rhs` are the far field's
+  // charge vectors (one M2L pass each), `sources` the near field's. Fills
+  // `out`, the far field per rhs and body in `far`, and the near field per
+  // body in `near`.
+  void run(const AdaptiveOctree& tree, std::span<const std::vector<double>> rhs,
+           std::span<const Source> sources, SolveOutcome& out,
+           std::vector<std::vector<PointValue>>& far,
+           std::vector<Accum>& near) const;
+
  private:
   HarmonicFarField far_;
   NodeSimulator node_;
-  GravityKernel kernel_;
+  Kernel kernel_;
   mutable InteractionListCache own_cache_;
   InteractionListCache* external_cache_ = nullptr;
 };
 
-struct StokesletResult {
-  std::vector<Vec3> velocity;  // original body order, before 1/(8 pi mu)
-  ObservedStepTimes times;
-  GpuRunResult gpu;
-  SolveStats stats;
-  std::shared_ptr<OpTimers> real_timings;
-  SdcReport sdc;
-  std::shared_ptr<const DagSchedule> dag;  // see GravityResult::dag
+extern template class FmmSolver<GravityKernel>;
+extern template class FmmSolver<StokesletKernel>;
+
+struct GravityResult : SolveOutcome {
+  std::vector<double> potential;  // phi = sum q/r, original body order
+  std::vector<Vec3> gradient;     // grad phi; acceleration = G * gradient
 };
 
-class StokesletSolver {
+class GravitySolver : public FmmSolver<GravityKernel> {
+ public:
+  GravitySolver(const FmmConfig& config, NodeSimulator node,
+                GravityKernel kernel = GravityKernel{});
+
+  // Solve on a prepared tree. `positions` / `charges` are in ORIGINAL body
+  // order; the tree must have been built (or rebinned) from `positions`.
+  GravityResult solve(const AdaptiveOctree& tree,
+                      std::span<const Vec3> positions,
+                      std::span<const double> charges) const;
+};
+
+struct StokesletResult : SolveOutcome {
+  std::vector<Vec3> velocity;  // original body order, before 1/(8 pi mu)
+};
+
+class StokesletSolver : public FmmSolver<StokesletKernel> {
  public:
   StokesletSolver(const FmmConfig& config, NodeSimulator node, double epsilon);
 
   StokesletResult solve(const AdaptiveOctree& tree,
                         std::span<const Vec3> positions,
                         std::span<const Vec3> forces) const;
-
-  const HarmonicFarField& far_field() const { return far_; }
-  NodeSimulator& node() { return node_; }
-  const NodeSimulator& node() const { return node_; }
-
-  // See GravitySolver::set_list_cache.
-  void set_list_cache(InteractionListCache* cache) { external_cache_ = cache; }
-  const InteractionListCache& list_cache() const {
-    return external_cache_ ? *external_cache_ : own_cache_;
-  }
-
- private:
-  HarmonicFarField far_;
-  NodeSimulator node_;
-  StokesletKernel kernel_;
-  mutable InteractionListCache own_cache_;
-  InteractionListCache* external_cache_ = nullptr;
 };
 
 SolveStats make_stats(const AdaptiveOctree& tree,

@@ -26,8 +26,7 @@ SolveOutcome GravityProblem::initial_solve(const AdaptiveOctree& tree) {
     accel_[i] = grav_const_ * res.gradient[i];
   potential_ = std::move(res.potential);
   refresh_state_checksum();
-  return {res.times, res.gpu, res.stats, res.real_timings, res.sdc,
-          res.dag};
+  return res;
 }
 
 void GravityProblem::pre_solve(double dt) {
@@ -39,8 +38,7 @@ void GravityProblem::pre_solve(double dt) {
 
 SolveOutcome GravityProblem::solve(const AdaptiveOctree& tree) {
   pending_ = solver_->solve(tree, bodies_.positions, bodies_.masses);
-  return {pending_->times, pending_->gpu, pending_->stats,
-          pending_->real_timings, pending_->sdc, pending_->dag};
+  return *pending_;
 }
 
 void GravityProblem::post_solve(double dt) {
@@ -164,8 +162,7 @@ SolveOutcome StokesProblem::run_solver(const AdaptiveOctree& tree) {
   // positions_ away from it, and the sampled direct-sum audit must compare
   // velocities against THESE positions/forces.
   last_solve_positions_ = positions_;
-  return {pending_->times, pending_->gpu, pending_->stats,
-          pending_->real_timings, pending_->sdc, pending_->dag};
+  return *pending_;
 }
 
 SolveOutcome StokesProblem::initial_solve(const AdaptiveOctree& tree) {

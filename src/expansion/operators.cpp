@@ -64,18 +64,6 @@ void ExpansionContext::p2m(const Vec3& center, const Vec3* pos,
   }
 }
 
-void ExpansionContext::p2l(const Vec3& center, const Vec3* pos,
-                           const double* charge, int count, double* L) const {
-  const int n = ncoef();
-  thread_local std::vector<double> T;
-  T.resize(set_q_.size());
-  for (int i = 0; i < count; ++i) {
-    derivs_.evaluate(center - pos[i], T.data());
-    const double q = charge[i];
-    for (int b = 0; b < n; ++b) L[b] += q * T[lift_[b]];
-  }
-}
-
 PointValue ExpansionContext::l2p(const Vec3& center, const double* L,
                                  const Vec3& x) const {
   const int n = ncoef();

@@ -1,5 +1,5 @@
 // The six FMM translation/evaluation operators on Cartesian Taylor
-// expansions, plus the optional M2P / P2L operators used as an extension.
+// expansions, plus the M2P point evaluation the Barnes-Hut baseline uses.
 //
 // Conventions (see DESIGN.md):
 //   * Multipole coefficients about a center c:
@@ -50,14 +50,11 @@ class ExpansionContext {
   void p2m(const Vec3& center, const Vec3* pos, const double* charge,
            int count, double* M) const;
 
-  // L_b += sum_i q_i D^b G(center - x_i)      (extension operator)
-  void p2l(const Vec3& center, const Vec3* pos, const double* charge,
-           int count, double* L) const;
-
   // Evaluate the local expansion (and its gradient) at x.
   PointValue l2p(const Vec3& center, const double* L, const Vec3& x) const;
 
-  // Evaluate a multipole expansion directly at a distant point (extension).
+  // Evaluate a multipole expansion directly at a distant point (the
+  // treecode's cell-body interaction, core/barnes_hut.hpp).
   PointValue m2p(const Vec3& center, const double* M, const Vec3& x) const;
 
   // --- expansion <-> expansion ------------------------------------------
@@ -112,18 +109,10 @@ class ExpansionContext {
   double flops_l2l() const { return flops_m2m(); }
   double flops_m2l() const {
     // Derivative tensor build + the dense (alpha, beta) contraction.
-    return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0 +
-           2.0 * static_cast<double>(m2l_rows_.size());
+    return flops_deriv_tensor() + 2.0 * static_cast<double>(m2l_rows_.size());
   }
   double flops_deriv_tensor() const {
     return 4.0 * set_q_.size() * (set_q_.max_order() + 1) / 2.0;
-  }
-  // Extension operators: both pay a derivative-tensor evaluation per body.
-  double flops_m2p_per_body() const {
-    return flops_deriv_tensor() + 8.0 * ncoef();
-  }
-  double flops_p2l_per_body() const {
-    return flops_deriv_tensor() + 2.0 * ncoef();
   }
 
  private:

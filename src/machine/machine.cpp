@@ -61,7 +61,6 @@ struct FarFieldBreakdown {
   double up_makespan = 0.0;
   double down_makespan = 0.0;
   double t_p2m = 0.0, t_m2m = 0.0, t_m2l = 0.0, t_l2l = 0.0, t_l2p = 0.0;
-  double t_m2p = 0.0, t_p2l = 0.0;
 };
 
 // Per-operation flops of one node's sweep tasks. up()/down() sum their
@@ -69,10 +68,10 @@ struct FarFieldBreakdown {
 // task durations stay bitwise identical across the serialized and overlap
 // builders.
 struct NodeSweepFlops {
-  double p2m = 0.0, m2m = 0.0;                                    // up-sweep
-  double m2l = 0.0, l2l = 0.0, l2p = 0.0, m2p = 0.0, p2l = 0.0;  // down-sweep
+  double p2m = 0.0, m2m = 0.0;             // up-sweep
+  double m2l = 0.0, l2l = 0.0, l2p = 0.0;  // down-sweep
   double up() const { return p2m + m2m; }
-  double down() const { return l2p + m2l + m2p + p2l + l2l; }
+  double down() const { return l2p + m2l + l2l; }
 };
 
 NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
@@ -87,22 +86,6 @@ NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
   }
   const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
   if (m2l_count > 0) f.m2l = passes * ctx.flops_m2l() * m2l_count;
-  // Extension operators, when the traversal emitted them.
-  if (!lists.m2p_offset.empty()) {
-    const auto m2p_count = lists.m2p_offset[id + 1] - lists.m2p_offset[id];
-    if (m2p_count > 0)
-      f.m2p = passes * ctx.flops_m2p_per_body() *
-              static_cast<double>(m2p_count) * n.count;
-  }
-  if (!lists.p2l_offset.empty()) {
-    std::uint64_t p2l_bodies = 0;
-    for (std::uint32_t e = lists.p2l_offset[id]; e < lists.p2l_offset[id + 1];
-         ++e)
-      p2l_bodies += tree.node(lists.p2l_sources[e]).count;
-    if (p2l_bodies > 0)
-      f.p2l =
-          passes * ctx.flops_p2l_per_body() * static_cast<double>(p2l_bodies);
-  }
   if (n.parent >= 0) {
     // M2M into the parent is charged on the child task (it runs after the
     // child subtree completes); L2L from the parent on the child as well.
@@ -136,8 +119,6 @@ FarFieldBreakdown build_and_schedule(const ExpansionContext& ctx,
     out.t_p2m += cpu.task_seconds(f.p2m, p);
     out.t_l2p += cpu.task_seconds(f.l2p, p);
     out.t_m2l += cpu.task_seconds(f.m2l, p);
-    out.t_m2p += cpu.task_seconds(f.m2p, p);
-    out.t_p2l += cpu.task_seconds(f.p2l, p);
     out.t_m2m += cpu.task_seconds(f.m2m, p);
     out.t_l2l += cpu.task_seconds(f.l2l, p);
 
@@ -176,8 +157,6 @@ ObservedStepTimes NodeSimulator::simulate_far_field(
   t.t_m2l = bd.t_m2l;
   t.t_l2l = bd.t_l2l;
   t.t_l2p = bd.t_l2p;
-  t.t_m2p = bd.t_m2p;
-  t.t_p2l = bd.t_p2l;
   return t;
 }
 
@@ -292,9 +271,8 @@ std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
 
   // Merged far field: same per-node task durations as build_and_schedule,
   // but one graph. Up edges child -> parent, down edges parent -> child,
-  // and a cross edge from each M2L/M2P source's up task into the consumer's
+  // and a cross edge from each M2L source's up task into the consumer's
   // down task (the source multipole must be complete before translation).
-  // P2L reads source bodies directly, so it needs no up-sweep edge.
   // All up tasks take lower ids than any down task: equal-readiness ties
   // break toward the up sweep, whose results unlock the M2L-gated down
   // tasks (a list-scheduling priority, not a barrier -- a ready down task
@@ -332,13 +310,6 @@ std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
          ++e) {
       const int src = lists.m2l_sources[e];
       if (up_id[src] >= 0) dag.add_dependency(up_id[src], down_id[id]);
-    }
-    if (!lists.m2p_offset.empty()) {
-      for (std::uint32_t e = lists.m2p_offset[id];
-           e < lists.m2p_offset[id + 1]; ++e) {
-        const int src = lists.m2p_sources[e];
-        if (up_id[src] >= 0) dag.add_dependency(up_id[src], down_id[id]);
-      }
     }
   }
 

@@ -16,7 +16,7 @@
 // max(CPU, GPU) model above keeps the far field and the GPU near field on
 // opposite sides of a barrier. With OverlapMode::kOn (or AFMM_OVERLAP=1) the
 // node instead schedules ONE merged task DAG -- per-node P2M->M2M edges up,
-// cross edges from each M2L/M2P source's up task into the consumer's down
+// cross edges from each M2L source's up task into the consumer's down
 // task, L2L->L2P down, and per-GPU upload->kernel->download lanes hanging
 // off the non-blocking launch -- on P CPU workers plus the GPU lanes, and
 // the step's Compute Time becomes that event-driven makespan. Only virtual
@@ -75,7 +75,7 @@ OverlapMode resolved_overlap_mode(OverlapMode mode);
 // One task of the executed overlap schedule, for observability timelines.
 enum class DagTaskKind : std::uint8_t {
   kUp = 0,       // P2M + M2M of one tree node           (CPU pool)
-  kDown = 1,     // M2L + L2L + L2P (+M2P/P2L) of a node (CPU pool)
+  kDown = 1,     // M2L + L2L + L2P of a node            (CPU pool)
   kLaunch = 2,   // host-side non-blocking GPU launch    (CPU pool)
   kCpuP2p = 3,   // near-field share, all-GPUs-lost path (CPU pool)
   kUpload = 4,   // body + work-list upload              (GPU lane)
@@ -144,9 +144,6 @@ struct ObservedStepTimes {
   double t_m2l = 0.0;
   double t_l2l = 0.0;
   double t_l2p = 0.0;
-  // Extension operators (zero unless the traversal emitted M2P/P2L work).
-  double t_m2p = 0.0;
-  double t_p2l = 0.0;
 };
 
 class NodeSimulator {

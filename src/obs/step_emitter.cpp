@@ -67,8 +67,7 @@ void emit_trace(TraceRecorder& tr, const StepObsInput& in) {
   };
   const OpShare ops[] = {{"P2M", t.t_p2m}, {"M2M", t.t_m2m},
                          {"M2L", t.t_m2l}, {"L2L", t.t_l2l},
-                         {"L2P", t.t_l2p}, {"M2P", t.t_m2p},
-                         {"P2L", t.t_p2l}};
+                         {"L2P", t.t_l2p}};
   double cursor = t_solve;
   for (const auto& op : ops) {
     if (op.seconds <= 0.0) continue;

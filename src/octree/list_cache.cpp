@@ -10,8 +10,7 @@ bool InteractionListCache::usable(const AdaptiveOctree& tree,
   if (content_version_ == tree.content_version()) return true;
 
   // Bodies were rebinned inside the same structure. The walk is count-blind
-  // except for empty-box pruning and the extension thresholds.
-  if (config.use_m2p_p2l) return false;
+  // except for empty-box pruning.
   for (int i = 0; i < tree.num_nodes(); ++i)
     if (empty_at_build_[i] != (tree.node(i).count == 0)) return false;
   return true;

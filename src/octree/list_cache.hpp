@@ -12,12 +12,10 @@
 // A rebin() (content_version bump with the structure unchanged) does NOT
 // re-traverse. Instead the cached P2P interaction counts are refreshed in
 // O(pairs) from the current node counts, so GPU partitioning and cost
-// prediction keep seeing accurate Interactions(t). Two rebin effects do
-// force a full rebuild, because they change the traversal itself:
-//   * a node flipping between empty and non-empty (the walk prunes empty
-//     boxes), detected by an O(nodes) emptiness comparison, and
-//   * any M2P/P2L extension config, whose classification thresholds compare
-//     against body counts.
+// prediction keep seeing accurate Interactions(t). One rebin effect does
+// force a full rebuild, because it changes the traversal itself: a node
+// flipping between empty and non-empty (the walk prunes empty boxes),
+// detected by an O(nodes) emptiness comparison.
 //
 // Not thread-safe: one cache serves one solver/balancer pipeline.
 #pragma once

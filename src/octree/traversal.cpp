@@ -25,7 +25,7 @@ bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
 // buffers which are concatenated in child order afterwards, so the merged
 // streams are bit-identical to the serial depth-first walk.
 struct PairBufs {
-  std::vector<std::pair<int, int>> m2l, p2p, m2p, p2l;
+  std::vector<std::pair<int, int>> m2l, p2p;
 
   void append(PairBufs&& o) {
     auto cat = [](std::vector<std::pair<int, int>>& dst,
@@ -37,8 +37,6 @@ struct PairBufs {
     };
     cat(m2l, o.m2l);
     cat(p2p, o.p2p);
-    cat(m2p, o.m2p);
-    cat(p2l, o.p2l);
   }
 };
 
@@ -48,18 +46,6 @@ void dual_walk(const AdaptiveOctree& tree, const TraversalConfig& config,
   const OctreeNode& b = tree.node(sb);
   if (a.count == 0 || b.count == 0) return;
   if (well_separated(a, b, config.theta)) {
-    if (config.use_m2p_p2l) {
-      if (tree.is_effective_leaf(ta) &&
-          a.count <= static_cast<std::uint32_t>(config.m2p_target_max)) {
-        out.m2p.emplace_back(ta, sb);
-        return;
-      }
-      if (tree.is_effective_leaf(sb) &&
-          b.count <= static_cast<std::uint32_t>(config.p2l_source_max)) {
-        out.p2l.emplace_back(ta, sb);
-        return;
-      }
-    }
     out.m2l.emplace_back(ta, sb);
     return;
   }
@@ -128,8 +114,6 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
   }
   auto& m2l_pairs = bufs.m2l;
   auto& p2p_pairs = bufs.p2p;
-  auto& m2p_pairs = bufs.m2p;
-  auto& p2l_pairs = bufs.p2l;
 
   // Group pair streams into CSR by target.
   auto to_csr = [n](const std::vector<std::pair<int, int>>& pairs,
@@ -143,11 +127,7 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
     for (const auto& [t, s] : pairs) sources[cursor[t]++] = s;
   };
   to_csr(m2l_pairs, out.m2l_offset, out.m2l_sources);
-  to_csr(m2p_pairs, out.m2p_offset, out.m2p_sources);
-  to_csr(p2l_pairs, out.p2l_offset, out.p2l_sources);
   out.total_m2l_pairs = m2l_pairs.size();
-  out.total_m2p_pairs = m2p_pairs.size();
-  out.total_p2l_pairs = p2l_pairs.size();
 
   // Group P2P pairs into per-target work items.
   std::vector<int> work_of(n, -1);
@@ -192,21 +172,6 @@ OpCounts count_operations(const AdaptiveOctree& tree,
   c.m2l = lists.total_m2l_pairs;
   c.p2p_interactions = lists.total_p2p_interactions;
   for (const auto& w : lists.p2p) c.p2p_node_pairs += w.sources.size();
-
-  c.m2p = lists.total_m2p_pairs;
-  c.p2l = lists.total_p2l_pairs;
-  if (!lists.m2p_offset.empty()) {
-    for (int t = 0; t < tree.num_nodes(); ++t) {
-      const auto pairs = lists.m2p_offset[t + 1] - lists.m2p_offset[t];
-      c.m2p_bodies += static_cast<std::uint64_t>(pairs) * tree.node(t).count;
-    }
-  }
-  if (!lists.p2l_offset.empty()) {
-    for (int t = 0; t < tree.num_nodes(); ++t)
-      for (std::uint32_t e = lists.p2l_offset[t]; e < lists.p2l_offset[t + 1];
-           ++e)
-        c.p2l_bodies += tree.node(lists.p2l_sources[e]).count;
-  }
   return c;
 }
 
@@ -222,10 +187,6 @@ void for_each_field(OpCounts& a, const OpCounts& b, Op op) {
   op(a.l2p_bodies, b.l2p_bodies);
   op(a.p2p_interactions, b.p2p_interactions);
   op(a.p2p_node_pairs, b.p2p_node_pairs);
-  op(a.m2p, b.m2p);
-  op(a.m2p_bodies, b.m2p_bodies);
-  op(a.p2l, b.p2l);
-  op(a.p2l_bodies, b.p2l_bodies);
 }
 }  // namespace
 
@@ -293,22 +254,7 @@ OpCounts count_operations_touching(const AdaptiveOctree& tree,
     if (a.count == 0 || b.count == 0) return;
     const bool touch = ain || bin;
     if (well_separated(a, b, config.theta)) {
-      if (!touch) return;
-      if (config.use_m2p_p2l) {
-        if (tree.is_effective_leaf(ta) &&
-            a.count <= static_cast<std::uint32_t>(config.m2p_target_max)) {
-          ++c.m2p;
-          c.m2p_bodies += a.count;
-          return;
-        }
-        if (tree.is_effective_leaf(sb) &&
-            b.count <= static_cast<std::uint32_t>(config.p2l_source_max)) {
-          ++c.p2l;
-          c.p2l_bodies += b.count;
-          return;
-        }
-      }
-      ++c.m2l;
+      if (touch) ++c.m2l;
       return;
     }
     const bool la = tree.is_effective_leaf(ta);

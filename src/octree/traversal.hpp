@@ -9,8 +9,7 @@
 // circumscribed-sphere radius of a box. Otherwise, two effective leaves
 // interact directly (P2P) and any other pair recurses into the larger box.
 // This covers every ordered body pair exactly once and only ever uses the
-// operators of the paper (Section I.C); the optional M2P/P2L shortcuts are a
-// separate extension (see core/fmm_solver.hpp).
+// operators of the paper (Section I.C).
 #pragma once
 
 #include <cstdint>
@@ -26,16 +25,6 @@ struct TraversalConfig {
   // expensive. The Taylor truncation error scales like theta^(p+1).
   double theta = 0.55;
 
-  // Extension (paper Section VIII.E mentions moving more work classes):
-  // for a well-separated pair, a tiny TARGET leaf can evaluate the source
-  // multipole directly at its bodies (M2P) and a tiny SOURCE leaf can be
-  // accumulated directly into the target's local expansion (P2L), both
-  // cheaper than a full M2L when the body count is below the thresholds.
-  // Truncation error is of the same class as M2L. Disabled by default.
-  bool use_m2p_p2l = false;
-  int m2p_target_max = 4;  // max bodies in a target leaf for M2P
-  int p2l_source_max = 4;  // max bodies in a source leaf for P2L
-
   // Build the lists with OpenMP tasks (per-task pair buffers merged in child
   // order, so the output is bit-identical to the serial walk). Disable to
   // force the serial reference walk.
@@ -44,9 +33,7 @@ struct TraversalConfig {
   // True when `o` produces the same lists on the same structure; the
   // `parallel` flag does not affect the output and is ignored.
   bool same_lists_as(const TraversalConfig& o) const {
-    return theta == o.theta && use_m2p_p2l == o.use_m2p_p2l &&
-           m2p_target_max == o.m2p_target_max &&
-           p2l_source_max == o.p2l_source_max;
+    return theta == o.theta;
   }
 };
 
@@ -68,18 +55,8 @@ struct InteractionLists {
   std::vector<int> m2l_sources;
   std::vector<P2PWork> p2p;
 
-  // Extension lists (empty unless TraversalConfig::use_m2p_p2l):
-  // CSR of M2P source nodes per target leaf, and P2L source leaves per
-  // target node, in the same layout as the M2L list.
-  std::vector<std::uint32_t> m2p_offset;
-  std::vector<int> m2p_sources;
-  std::vector<std::uint32_t> p2l_offset;
-  std::vector<int> p2l_sources;
-
   std::uint64_t total_m2l_pairs = 0;
   std::uint64_t total_p2p_interactions = 0;
-  std::uint64_t total_m2p_pairs = 0;
-  std::uint64_t total_p2l_pairs = 0;
 };
 
 // Runs the dual traversal; lists index nodes of `tree` (effective view).
@@ -99,11 +76,6 @@ struct OpCounts {
   std::uint64_t l2p_bodies = 0;
   std::uint64_t p2p_interactions = 0;  // body pairs
   std::uint64_t p2p_node_pairs = 0;
-  // Extension operators (zero unless the traversal emitted them).
-  std::uint64_t m2p = 0;        // pair applications
-  std::uint64_t m2p_bodies = 0; // target-body evaluations
-  std::uint64_t p2l = 0;
-  std::uint64_t p2l_bodies = 0; // source-body accumulations
 };
 
 OpCounts count_operations(const AdaptiveOctree& tree,

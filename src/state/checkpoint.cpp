@@ -98,10 +98,6 @@ void put_op_counts(ByteWriter& w, const OpCounts& c) {
   w.u64(c.l2p_bodies);
   w.u64(c.p2p_interactions);
   w.u64(c.p2p_node_pairs);
-  w.u64(c.m2p);
-  w.u64(c.m2p_bodies);
-  w.u64(c.p2l);
-  w.u64(c.p2l_bodies);
 }
 
 OpCounts get_op_counts(ByteReader& r) {
@@ -115,10 +111,6 @@ OpCounts get_op_counts(ByteReader& r) {
   c.l2p_bodies = r.u64();
   c.p2p_interactions = r.u64();
   c.p2p_node_pairs = r.u64();
-  c.m2p = r.u64();
-  c.m2p_bodies = r.u64();
-  c.p2l = r.u64();
-  c.p2l_bodies = r.u64();
   return c;
 }
 
@@ -133,8 +125,6 @@ void put_observed(ByteWriter& w, const ObservedStepTimes& t) {
   w.f64(t.t_m2l);
   w.f64(t.t_l2l);
   w.f64(t.t_l2p);
-  w.f64(t.t_m2p);
-  w.f64(t.t_p2l);
   w.f64(t.cpu_up_seconds);
   w.f64(t.cpu_down_seconds);
   w.f64(t.overlap_seconds);
@@ -154,8 +144,6 @@ ObservedStepTimes get_observed(ByteReader& r) {
   t.t_m2l = r.f64();
   t.t_l2l = r.f64();
   t.t_l2p = r.f64();
-  t.t_m2p = r.f64();
-  t.t_p2l = r.f64();
   t.cpu_up_seconds = r.f64();
   t.cpu_down_seconds = r.f64();
   t.overlap_seconds = r.f64();

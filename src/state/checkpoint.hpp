@@ -60,7 +60,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // balancer section gains the per-sweep / overlap efficiencies, the near
 // overhead coefficient, and the overlap observation count.
 // v6: tree section drops the build-strategy byte (one tree builder remains).
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// v7: observed section drops the M2P/P2L op counts and times (the extension
+// operators are gone).
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 

@@ -371,11 +371,60 @@ int step_of_manifest(const std::string& path, const std::string& owner) {
   return std::atoi(name.substr(at, 10).c_str());
 }
 
+std::string manifest_path(const std::string& dir, const std::string& owner,
+                          int step) {
+  char name[32];
+  std::snprintf(name, sizeof name, "manifest_%010d.afms", step);
+  return (fs::path(dir) / owned_name(owner, name)).string();
+}
+
 std::string shard_path(const std::string& dir, const std::string& owner,
                        int step, int k) {
   char name[48];
   std::snprintf(name, sizeof name, "shard_%010d_%04d.afms", step, k);
   return (fs::path(dir) / owned_name(owner, name)).string();
+}
+
+// The coordinated set whose manifest is `path`, if the manifest AND every
+// shard file validate; otherwise nullopt with `error` describing why.
+std::optional<ShardedCheckpoint> load_set(const std::string& dir,
+                                          const std::string& owner,
+                                          const std::string& path,
+                                          std::string& error) {
+  const auto bytes = read_file(path);
+  if (!bytes) {
+    error = path + ": unreadable";
+    return std::nullopt;
+  }
+  auto m = decode_manifest(*bytes);
+  if (!m) {
+    error = path + ": corrupt manifest";
+    return std::nullopt;
+  }
+  // Size the arrays the shard files fill in.
+  SimCheckpoint& g = m->ckpt.global;
+  const auto total = static_cast<std::size_t>(m->total_bodies);
+  g.tree.perm.resize(total);
+  g.tree.sorted_pos.resize(total);
+  g.bodies.positions.resize(total);
+  if (m->flags.velocities) g.bodies.velocities.resize(total);
+  if (m->flags.masses) g.bodies.masses.resize(total);
+  if (m->flags.accel) g.accel.resize(total);
+  if (m->flags.potential) g.potential.resize(total);
+
+  for (std::size_t k = 0; k < m->entries.size(); ++k) {
+    const auto shard_bytes =
+        read_file(shard_path(dir, owner, g.step, static_cast<int>(k)));
+    if (!shard_bytes || shard_bytes->size() != m->entries[k].file_size ||
+        crc32(*shard_bytes) != m->entries[k].file_crc ||
+        !decode_shard_file(*shard_bytes, static_cast<int>(k), m->entries[k],
+                           static_cast<std::uint32_t>(total), m->flags, g.step,
+                           g)) {
+      error = path + ": shard " + std::to_string(k) + " invalid";
+      return std::nullopt;
+    }
+  }
+  return std::move(m->ckpt);
 }
 
 }  // namespace
@@ -431,20 +480,25 @@ bool ShardStore::save(const ShardedCheckpoint& ckpt, std::string* error) {
             error))
       return false;
   }
-  char name[32];
-  std::snprintf(name, sizeof name, "manifest_%010d.afms", g.step);
-  if (!write_file_atomic((fs::path(dir_) / owned_name(owner_, name)).string(),
-                         encode_manifest(ckpt, flags, entries), error))
+  const std::string written = manifest_path(dir_, owner_, g.step);
+  if (!write_file_atomic(written, encode_manifest(ckpt, flags, entries), error))
     return false;
 
-  // Prune OUR coordinated sets beyond the keep budget (manifest + shards);
-  // another owner's sets in the same directory are invisible to manifests()
-  // and therefore never rotated away from under it.
-  const auto all = manifests();
-  for (std::size_t i = static_cast<std::size_t>(keep_); i < all.size(); ++i) {
-    const int step = step_of_manifest(all[i], owner_);
+  // Prune OUR coordinated sets beyond the keep budget (manifest + shards):
+  // the set just written plus the newest others, so stale higher-step sets
+  // left by an earlier run can never rotate the new one away. Another
+  // owner's sets in the same directory are invisible to manifests() and
+  // therefore never rotated away from under it.
+  int kept = 1;  // the set just written
+  for (const auto& path : manifests()) {
+    if (path == written) continue;
+    if (kept < keep_) {
+      ++kept;
+      continue;
+    }
+    const int step = step_of_manifest(path, owner_);
     std::error_code ec;
-    fs::remove(all[i], ec);
+    fs::remove(path, ec);
     for (int k = 0;; ++k) {
       const std::string p = shard_path(dir_, owner_, step, k);
       if (!fs::exists(p, ec)) break;
@@ -454,46 +508,19 @@ bool ShardStore::save(const ShardedCheckpoint& ckpt, std::string* error) {
   return true;
 }
 
+std::optional<ShardedCheckpoint> ShardStore::load(int step,
+                                                  std::string* error) const {
+  std::string e;
+  auto ckpt = load_set(dir_, owner_, manifest_path(dir_, owner_, step), e);
+  if (!ckpt) set_error(error, e);
+  return ckpt;
+}
+
 std::optional<ShardedCheckpoint> ShardStore::load_latest(
     std::string* error) const {
   std::string last_error = "no shard manifests in " + dir_;
-  for (const auto& path : manifests()) {
-    const auto bytes = read_file(path);
-    if (!bytes) {
-      last_error = path + ": unreadable";
-      continue;
-    }
-    auto m = decode_manifest(*bytes);
-    if (!m) {
-      last_error = path + ": corrupt manifest";
-      continue;
-    }
-    // Size the arrays the shard files fill in.
-    SimCheckpoint& g = m->ckpt.global;
-    const auto total = static_cast<std::size_t>(m->total_bodies);
-    g.tree.perm.resize(total);
-    g.tree.sorted_pos.resize(total);
-    g.bodies.positions.resize(total);
-    if (m->flags.velocities) g.bodies.velocities.resize(total);
-    if (m->flags.masses) g.bodies.masses.resize(total);
-    if (m->flags.accel) g.accel.resize(total);
-    if (m->flags.potential) g.potential.resize(total);
-
-    bool ok = true;
-    for (std::size_t k = 0; k < m->entries.size() && ok; ++k) {
-      const auto shard_bytes =
-          read_file(shard_path(dir_, owner_, g.step, static_cast<int>(k)));
-      if (!shard_bytes || shard_bytes->size() != m->entries[k].file_size ||
-          crc32(*shard_bytes) != m->entries[k].file_crc ||
-          !decode_shard_file(*shard_bytes, static_cast<int>(k), m->entries[k],
-                             static_cast<std::uint32_t>(total), m->flags,
-                             g.step, g)) {
-        last_error = path + ": shard " + std::to_string(k) + " invalid";
-        ok = false;
-      }
-    }
-    if (ok) return std::move(m->ckpt);
-  }
+  for (const auto& path : manifests())
+    if (auto ckpt = load_set(dir_, owner_, path, last_error)) return ckpt;
   set_error(error, last_error);
   return std::nullopt;
 }

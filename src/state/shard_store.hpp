@@ -44,7 +44,9 @@ inline constexpr std::uint32_t kShardMagic = 0x534D4641;  // "AFMS"
 // fields, changing the wire layout of the control file.
 // v3: the shared tree encoder (checkpoint v6) dropped the build-strategy
 // byte.
-inline constexpr std::uint32_t kShardVersion = 3;
+// v4: the shared observed encoder (checkpoint v7) dropped the M2P/P2L
+// fields.
+inline constexpr std::uint32_t kShardVersion = 4;
 
 // What a coordinated save captures: the full single-engine checkpoint, the
 // cluster layer's opaque state blob (shard map, per-node health, failure
@@ -68,13 +70,18 @@ class ShardStore {
   explicit ShardStore(std::string dir, int keep = 2, std::string owner = "");
 
   // Writes shard files then the manifest (the commit point) and prunes sets
-  // beyond the keep budget, oldest first.
+  // beyond the keep budget, oldest first. The set just written always
+  // survives the pruning, whatever higher steps the directory already holds.
   bool save(const ShardedCheckpoint& ckpt, std::string* error = nullptr);
 
   // Newest coordinated set whose manifest AND every shard file validate;
   // corrupt or torn sets are skipped wholesale.
   std::optional<ShardedCheckpoint> load_latest(
       std::string* error = nullptr) const;
+  // The coordinated set of exactly `step`: what save() wrote for it, never a
+  // neighbouring step.
+  std::optional<ShardedCheckpoint> load(int step,
+                                        std::string* error = nullptr) const;
 
   // Manifest paths OF THIS OWNER, newest (highest step) first.
   std::vector<std::string> manifests() const;

@@ -14,17 +14,9 @@
 // A trip never kills anything by itself: the simulation reacts by rolling
 // back to the last good checkpoint and re-entering Search (see
 // core/simulation.hpp). Zero limits disable the respective budget.
-//
-// The WALL budget (and only the wall budget) is scaled by the
-// AFMM_WATCHDOG_SLACK environment variable at watchdog construction: a float
-// multiplier (default 1.0) that sanitizer CI legs raise so instrumentation
-// overhead (ASan/UBSan/TSan run 2-20x slower) cannot trip a budget tuned for
-// uninstrumented builds. The VIRTUAL budget is deterministic simulated time
-// and is never scaled -- slack must not change which steps trip in tests.
 #pragma once
 
 #include <chrono>
-#include <cstdlib>
 
 namespace afmm {
 
@@ -37,24 +29,10 @@ struct WatchdogConfig {
   }
 };
 
-// AFMM_WATCHDOG_SLACK as a multiplier, re-read on every call (tests setenv
-// between constructions). Unset, empty, non-numeric or non-positive values
-// all mean 1.0 -- a malformed override must never disable the watchdog.
-inline double watchdog_wall_slack() {
-  const char* env = std::getenv("AFMM_WATCHDOG_SLACK");
-  if (!env || !*env) return 1.0;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || !(v > 0.0)) return 1.0;
-  return v;
-}
-
 class StepWatchdog {
  public:
   StepWatchdog() = default;
-  explicit StepWatchdog(const WatchdogConfig& config) : config_(config) {
-    config_.wall_limit_seconds *= watchdog_wall_slack();
-  }
+  explicit StepWatchdog(const WatchdogConfig& config) : config_(config) {}
 
   void arm() { start_ = Clock::now(); }
 

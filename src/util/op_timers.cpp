@@ -11,8 +11,6 @@ const char* to_string(FmmOp op) {
     case FmmOp::kM2L: return "M2L";
     case FmmOp::kL2L: return "L2L";
     case FmmOp::kL2P: return "L2P";
-    case FmmOp::kM2P: return "M2P";
-    case FmmOp::kP2L: return "P2L";
     case FmmOp::kCount: break;
   }
   return "?";

@@ -32,8 +32,6 @@ enum class FmmOp : int {
   kM2L,
   kL2L,
   kL2P,
-  kM2P,
-  kP2L,
   kCount
 };
 

@@ -288,36 +288,5 @@ TEST(Recovery, ResilienceDoesNotPerturbHealthyTrajectory) {
     EXPECT_EQ(plain.bodies().positions[i], resilient.bodies().positions[i]);
 }
 
-// AFMM_WATCHDOG_SLACK scales the WALL budget at watchdog construction so
-// sanitizer CI legs can widen real-time limits without touching the
-// deterministic virtual budget.
-TEST(Watchdog, SlackEnvScalesWallBudgetOnly) {
-  WatchdogConfig cfg;
-  cfg.wall_limit_seconds = 2.0;
-  cfg.virtual_limit_seconds = 1.5;
-
-  unsetenv("AFMM_WATCHDOG_SLACK");
-  EXPECT_DOUBLE_EQ(watchdog_wall_slack(), 1.0);
-  EXPECT_DOUBLE_EQ(StepWatchdog(cfg).config().wall_limit_seconds, 2.0);
-
-  setenv("AFMM_WATCHDOG_SLACK", "4.5", 1);
-  EXPECT_DOUBLE_EQ(watchdog_wall_slack(), 4.5);
-  {
-    const StepWatchdog dog(cfg);
-    EXPECT_DOUBLE_EQ(dog.config().wall_limit_seconds, 9.0);
-    // The virtual budget is deterministic simulated time: never scaled.
-    EXPECT_DOUBLE_EQ(dog.config().virtual_limit_seconds, 1.5);
-    EXPECT_TRUE(dog.tripped(1.6));   // virtual limit unaffected by slack
-    EXPECT_FALSE(dog.tripped(1.4));
-  }
-
-  // Malformed or non-positive overrides must never disable the watchdog.
-  for (const char* bad : {"", "abc", "0", "-3", "nan"}) {
-    setenv("AFMM_WATCHDOG_SLACK", bad, 1);
-    EXPECT_DOUBLE_EQ(watchdog_wall_slack(), 1.0) << "value: " << bad;
-  }
-  unsetenv("AFMM_WATCHDOG_SLACK");
-}
-
 }  // namespace
 }  // namespace afmm

@@ -9,6 +9,7 @@
 #include "core/simulation.hpp"
 #include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
+#include "omp_threads.hpp"
 #include "state/serial.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
@@ -96,6 +97,17 @@ void check_restore_determinism(SimulationConfig cfg, int k) {
   EXPECT_EQ(straight.balancer().current_S(), resumed.balancer().current_S());
 }
 
+// The straight-versus-resumed checks at 1 and at 4 OpenMP threads: a resumed
+// run must reproduce the straight one whatever the thread count.
+class CheckpointReplay : public ::testing::TestWithParam<int> {
+ protected:
+  OmpThreads threads_{GetParam()};
+};
+INSTANTIATE_TEST_SUITE_P(Threads, CheckpointReplay, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
+
 TEST(Serial, WriterReaderRoundTrip) {
   ByteWriter w;
   w.u8(7);
@@ -172,11 +184,11 @@ TEST(Checkpoint, RngStateSurvivesRoundTrip) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(restored.next_u64(), rng.next_u64());
 }
 
-TEST(Checkpoint, RestoredRunIsBitIdentical) {
+TEST_P(CheckpointReplay, RestoredRunIsBitIdentical) {
   check_restore_determinism(base_config(), 10);
 }
 
-TEST(Checkpoint, RestoredRunIsBitIdenticalUnderFaults) {
+TEST_P(CheckpointReplay, RestoredRunIsBitIdenticalUnderFaults) {
   auto cfg = base_config();
   // Faults on both sides of the checkpoint at step 10, plus a transfer-fault
   // window STRADDLING it -- the replay cursor and the per-step transfer seed
@@ -188,7 +200,7 @@ TEST(Checkpoint, RestoredRunIsBitIdenticalUnderFaults) {
   check_restore_determinism(cfg, 10);
 }
 
-TEST(Checkpoint, RestoredRunIsBitIdenticalWithResilienceEnabled) {
+TEST_P(CheckpointReplay, RestoredRunIsBitIdenticalWithResilienceEnabled) {
   auto cfg = base_config();
   cfg.resilience.audit.interval = 3;
   cfg.resilience.checkpoint_interval = 5;
@@ -325,7 +337,7 @@ TEST(Checkpoint, KindMismatchThrows) {
   EXPECT_THROW(sim.restore(ckpt), std::invalid_argument);
 }
 
-TEST(Checkpoint, StokesRestoredRunIsBitIdentical) {
+TEST_P(CheckpointReplay, StokesRestoredRunIsBitIdentical) {
   Rng rng(95);
   std::vector<Vec3> pos;
   for (int i = 0; i < 900; ++i)

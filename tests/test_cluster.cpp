@@ -256,12 +256,13 @@ TEST(Cluster, OverlapExecutionKeepsFgoOnTheEffectiveTree) {
                      cluster.engine().problem().bodies());
 }
 
-// Kill one node mid-run: the heartbeat detector declares it dead, the global
-// rebalancer migrates its range to the survivor, the lost state restores from
-// the coordinated shard checkpoints, the invariant auditor passes every
+// Kill node 1 at step 5 of a 2-node run that checkpoints every 3 steps into
+// `dir`: the heartbeat detector declares it dead, the global rebalancer
+// migrates its range to the survivor, the lost state restores from the
+// coordinated shard checkpoints, the invariant auditor passes every
 // subsequent step, and the final state is bit-identical to the fault-free
 // cluster run.
-TEST(Cluster, NodeLossRecoversToBitIdenticalState) {
+void expect_node_loss_recovers(const std::string& dir) {
   const EngineConfig cfg = base_config();
   const ParticleSet set = test_bodies();
   const int total_steps = 12;
@@ -275,7 +276,7 @@ TEST(Cluster, NodeLossRecoversToBitIdenticalState) {
   cc.num_nodes = 2;
   cc.heartbeat_miss_threshold = 2;
   cc.checkpoint_interval = 3;
-  cc.checkpoint_dir = fresh_dir("cluster_node_loss");
+  cc.checkpoint_dir = dir;
   cc.faults.node_crash(5, 1);
   ClusterEngine<GravityProblem> cluster(cfg, cc, make_problem(cfg, set));
 
@@ -308,6 +309,29 @@ TEST(Cluster, NodeLossRecoversToBitIdenticalState) {
 
   expect_same_bodies(reference.engine().problem().bodies(),
                      cluster.engine().problem().bodies());
+}
+
+TEST(Cluster, NodeLossRecoversToBitIdenticalState) {
+  expect_node_loss_recovers(fresh_dir("cluster_node_loss"));
+}
+
+// A rerun into a used directory: an earlier, longer run of a different
+// problem left higher-step shard sets there. Recovery must restore this
+// run's own set, and its saves must not be rotated away by the stale ones.
+TEST(Cluster, NodeLossIgnoresAnEarlierRunsShardSets) {
+  const std::string dir = fresh_dir("cluster_node_loss_reused");
+  {
+    const EngineConfig cfg = base_config();
+    ClusterConfig cc;
+    cc.num_nodes = 2;
+    cc.checkpoint_interval = 3;
+    cc.checkpoint_dir = dir;
+    ClusterEngine<GravityProblem> earlier(
+        cfg, cc, GravityProblem(cfg.fmm, 2.0, 1e-3, default_node(),
+                                test_bodies()));
+    earlier.run(20);
+  }
+  expect_node_loss_recovers(dir);
 }
 
 // Replay determinism: resuming from the coordinated shard checkpoint must

@@ -377,36 +377,6 @@ TEST(Fmm, AccuracyHoldsAcrossThetaRange) {
   EXPECT_LT(prev_err, 1e-5);  // theta = 0.35, p = 5
 }
 
-TEST(Fmm, M2pP2lExtensionMatchesClassicPath) {
-  // The extension operators reroute tiny-leaf far work; the answer must stay
-  // within the same truncation-error class as the classic six-operator path.
-  Rng rng(40);
-  const int n = 1200;
-  auto set = uniform_cube(n, rng, {0.5, 0.5, 0.5}, 0.5);
-  AdaptiveOctree tree;
-  tree.build(set.positions, unit_config(6));  // tiny leaves everywhere
-
-  FmmConfig base;
-  base.order = 6;
-  FmmConfig ext = base;
-  ext.traversal.use_m2p_p2l = true;
-  GravitySolver a(base, default_node());
-  GravitySolver b(ext, default_node());
-  const auto ra = a.solve(tree, set.positions, set.masses);
-  const auto rb = b.solve(tree, set.positions, set.masses);
-  EXPECT_GT(rb.times.t_m2p + rb.times.t_p2l, 0.0);
-
-  const auto ref = gravity_direct_all(GravityKernel{}, set.positions,
-                                      set.masses);
-  std::vector<double> fa, fb, fr;
-  flatten(ra, ref, fa, fr);
-  flatten(rb, ref, fb, fr);
-  const double ea = rel_l2_error(fa, fr);
-  const double eb = rel_l2_error(fb, fr);
-  EXPECT_LT(eb, 5.0 * ea + 1e-12);  // same error class
-  EXPECT_LT(eb, 1e-4);
-}
-
 TEST(Fmm, DeterministicAcrossRuns) {
   Rng rng(39);
   auto set = uniform_cube(800, rng, {0.5, 0.5, 0.5}, 0.5);

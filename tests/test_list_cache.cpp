@@ -23,10 +23,6 @@ TreeConfig unit_config(int S) {
 void expect_lists_equal(const InteractionLists& a, const InteractionLists& b) {
   EXPECT_EQ(a.m2l_offset, b.m2l_offset);
   EXPECT_EQ(a.m2l_sources, b.m2l_sources);
-  EXPECT_EQ(a.m2p_offset, b.m2p_offset);
-  EXPECT_EQ(a.m2p_sources, b.m2p_sources);
-  EXPECT_EQ(a.p2l_offset, b.p2l_offset);
-  EXPECT_EQ(a.p2l_sources, b.p2l_sources);
   ASSERT_EQ(a.p2p.size(), b.p2p.size());
   for (std::size_t i = 0; i < a.p2p.size(); ++i) {
     EXPECT_EQ(a.p2p[i].target, b.p2p[i].target) << "work item " << i;
@@ -35,8 +31,6 @@ void expect_lists_equal(const InteractionLists& a, const InteractionLists& b) {
   }
   EXPECT_EQ(a.total_m2l_pairs, b.total_m2l_pairs);
   EXPECT_EQ(a.total_p2p_interactions, b.total_p2p_interactions);
-  EXPECT_EQ(a.total_m2p_pairs, b.total_m2p_pairs);
-  EXPECT_EQ(a.total_p2l_pairs, b.total_p2l_pairs);
 }
 
 void expect_counts_equal(const OpCounts& a, const OpCounts& b) {
@@ -49,10 +43,6 @@ void expect_counts_equal(const OpCounts& a, const OpCounts& b) {
   EXPECT_EQ(a.l2p_bodies, b.l2p_bodies);
   EXPECT_EQ(a.p2p_interactions, b.p2p_interactions);
   EXPECT_EQ(a.p2p_node_pairs, b.p2p_node_pairs);
-  EXPECT_EQ(a.m2p, b.m2p);
-  EXPECT_EQ(a.m2p_bodies, b.m2p_bodies);
-  EXPECT_EQ(a.p2l, b.p2l);
-  EXPECT_EQ(a.p2l_bodies, b.p2l_bodies);
 }
 
 // A few bottom parents (every child an effective leaf): the collapse
@@ -77,7 +67,6 @@ struct WalkCase {
   int n;
   int S;
   bool plummer;
-  bool extension;
 };
 
 class ParallelWalk : public ::testing::TestWithParam<WalkCase> {};
@@ -103,7 +92,6 @@ TEST_P(ParallelWalk, MatchesSerialWalkBitForBit) {
 
   TraversalConfig serial;
   serial.parallel = false;
-  serial.use_m2p_p2l = wc.extension;
   TraversalConfig parallel = serial;
   parallel.parallel = true;
 
@@ -114,12 +102,12 @@ TEST_P(ParallelWalk, MatchesSerialWalkBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(
     Distributions, ParallelWalk,
-    ::testing::Values(WalkCase{"uniform_fine", 20000, 16, false, false},
-                      WalkCase{"uniform_coarse", 20000, 128, false, false},
-                      WalkCase{"plummer_fine", 20000, 16, true, false},
-                      WalkCase{"plummer_coarse", 20000, 128, true, false},
-                      WalkCase{"uniform_ext", 12000, 8, false, true},
-                      WalkCase{"plummer_ext", 12000, 8, true, true}),
+    ::testing::Values(WalkCase{"uniform_fine", 20000, 16, false},
+                      WalkCase{"uniform_coarse", 20000, 128, false},
+                      WalkCase{"plummer_fine", 20000, 16, true},
+                      WalkCase{"plummer_coarse", 20000, 128, true},
+                      WalkCase{"uniform_s8", 12000, 8, false},
+                      WalkCase{"plummer_s8", 12000, 8, true}),
     [](const auto& info) { return info.param.name; });
 
 // ------------------------------------------------------------- the cache ----
@@ -312,26 +300,6 @@ TEST(ListCache, TouchingRecountMatchesFullRecount) {
   // And back: push the same nodes down again (the revert direction).
   before = count_operations_touching(tree, batch, cfg);
   for (int id : batch) ASSERT_TRUE(tree.push_down(id));
-  counts += count_operations_touching(tree, batch, cfg);
-  counts -= before;
-  expect_counts_equal(counts,
-                      count_operations(tree, build_interaction_lists(tree, cfg)));
-}
-
-TEST(ListCache, TouchingRecountMatchesFullRecountWithExtension) {
-  Rng rng(27);
-  auto set = uniform_cube(6000, rng, {0.5, 0.5, 0.5}, 0.5);
-  AdaptiveOctree tree;
-  tree.build(set.positions, unit_config(8));
-
-  TraversalConfig cfg;
-  cfg.use_m2p_p2l = true;
-  OpCounts counts = count_operations(tree, build_interaction_lists(tree, cfg));
-
-  const auto batch = bottom_parents(tree, 6);
-  ASSERT_GT(batch.size(), 0u);
-  const OpCounts before = count_operations_touching(tree, batch, cfg);
-  for (int id : batch) tree.collapse(id);
   counts += count_operations_touching(tree, batch, cfg);
   counts -= before;
   expect_counts_equal(counts,

@@ -127,26 +127,6 @@ TEST_F(MachineFixture, StokesletPassesScaleFarFieldTimes) {
   EXPECT_GT(t4.cpu_seconds, 2.5 * t1.cpu_seconds);
 }
 
-TEST_F(MachineFixture, ExtensionOpsAreChargedWhenPresent) {
-  ExpansionContext ctx(4);
-  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
-
-  TraversalConfig ext;
-  ext.use_m2p_p2l = true;
-  // Rebuild the lists with tiny leaves so the extension actually fires.
-  AdaptiveOctree fine;
-  fine.build(pts_, unit_config(4));
-  const auto lists = build_interaction_lists(fine, ext);
-  const auto t = node.simulate_far_field(ctx, fine, lists);
-  ASSERT_GT(t.counts.m2p + t.counts.p2l, 0u);
-  EXPECT_GT(t.t_m2p + t.t_p2l, 0.0);
-  // Classic path charges nothing for them.
-  const auto base_lists = build_interaction_lists(fine);
-  const auto tb = node.simulate_far_field(ctx, fine, base_lists);
-  EXPECT_EQ(tb.t_m2p, 0.0);
-  EXPECT_EQ(tb.t_p2l, 0.0);
-}
-
 TEST_F(MachineFixture, OverlapModePinsBeatTheEnvironment) {
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
   node.set_overlap(OverlapMode::kOff);

@@ -28,8 +28,8 @@ TEST(OpTimers, AccumulatesSecondsAndCounts) {
 
 TEST(OpTimers, UnusedOpIsZero) {
   OpTimers t;
-  EXPECT_EQ(t.totals(FmmOp::kP2L).count, 0u);
-  EXPECT_DOUBLE_EQ(t.totals(FmmOp::kP2L).coefficient(), 0.0);
+  EXPECT_EQ(t.totals(FmmOp::kL2P).count, 0u);
+  EXPECT_DOUBLE_EQ(t.totals(FmmOp::kL2P).coefficient(), 0.0);
 }
 
 TEST(OpTimers, ResetClears) {
@@ -140,7 +140,7 @@ TEST(OpTimers, NestedScopesInParallelThreadsMatchSerialShape) {
     for (int i = 0; i < kIters; ++i) {
       {
         OpTimers::Scoped outer(&t, FmmOp::kM2L, 1);
-        OpTimers::Scoped inner(&t, FmmOp::kP2L, 1);
+        OpTimers::Scoped inner(&t, FmmOp::kL2P, 1);
         std::this_thread::sleep_for(std::chrono::duration<double>(kSleep));
       }
       done.fetch_add(1, std::memory_order_release);
@@ -154,13 +154,13 @@ TEST(OpTimers, NestedScopesInParallelThreadsMatchSerialShape) {
   const double floor = kIters * kSleep;
   for (const OpTimers* t : {&serial, &threaded}) {
     EXPECT_EQ(t->totals(FmmOp::kM2L).count, static_cast<std::uint64_t>(kIters));
-    EXPECT_EQ(t->totals(FmmOp::kP2L).count, static_cast<std::uint64_t>(kIters));
+    EXPECT_EQ(t->totals(FmmOp::kL2P).count, static_cast<std::uint64_t>(kIters));
     // The sleeps cannot compress, so inner carries at least the floor; the
     // double-count bug made outer ~= inner, so outer staying a small
     // fraction of inner is the regression check. Ratios (rather than tight
     // absolute bounds) keep this stable under sanitizers and 1-core
     // oversubscription, where scheduler delays inflate per-thread elapsed.
-    const double inner_s = t->totals(FmmOp::kP2L).seconds;
+    const double inner_s = t->totals(FmmOp::kL2P).seconds;
     const double outer_s = t->totals(FmmOp::kM2L).seconds;
     EXPECT_GE(inner_s, floor * 0.9);
     EXPECT_LT(outer_s, 0.5 * inner_s);
@@ -173,8 +173,6 @@ TEST(OpTimers, ToStringCoversOps) {
   EXPECT_STREQ(to_string(FmmOp::kM2L), "M2L");
   EXPECT_STREQ(to_string(FmmOp::kL2L), "L2L");
   EXPECT_STREQ(to_string(FmmOp::kL2P), "L2P");
-  EXPECT_STREQ(to_string(FmmOp::kM2P), "M2P");
-  EXPECT_STREQ(to_string(FmmOp::kP2L), "P2L");
 }
 
 TEST(OpTimers, SolverCollectsRealCoefficients) {

@@ -157,27 +157,6 @@ TEST_P(OperatorOrder, L2LPreservesLocalField) {
   }
 }
 
-TEST_P(OperatorOrder, P2LMatchesM2LPathInTheFarLimit) {
-  ExpansionContext ctx(p());
-  Rng rng(22);
-  const Vec3 src_center{0, 0, 0};
-  const Vec3 dst_center{4, 1, 0};
-  const auto c = make_cluster(rng, src_center, 0.3, 20);
-
-  std::vector<double> Lp2l(ctx.ncoef(), 0.0);
-  ctx.p2l(dst_center, c.pos.data(), c.q.data(), 20, Lp2l.data());
-
-  // P2L is exact (no source truncation); compare its evaluation to direct.
-  for (int trial = 0; trial < 10; ++trial) {
-    const Vec3 x = dst_center + Vec3{rng.uniform(-0.3, 0.3),
-                                     rng.uniform(-0.3, 0.3),
-                                     rng.uniform(-0.3, 0.3)};
-    const auto v = ctx.l2p(dst_center, Lp2l.data(), x);
-    const double exact = direct_potential(c, x);
-    EXPECT_NEAR(v.potential, exact, 2.0 * std::pow(0.2, p()) * std::abs(exact));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Orders, OperatorOrder, ::testing::Values(2, 3, 4, 6, 8));
 
 TEST(Operators, L2PGradientMatchesFiniteDifference) {

@@ -57,20 +57,6 @@ void check_pair_coverage(const AdaptiveOctree& tree,
         for (int bs : bodies_of(src))
           ++cover[static_cast<std::size_t>(bt) * n + bs];
 
-  // Extension relations (empty CSRs when the flag is off).
-  for (int t = 0; t < tree.num_nodes() && !lists.m2p_offset.empty(); ++t)
-    for (std::uint32_t e = lists.m2p_offset[t]; e < lists.m2p_offset[t + 1];
-         ++e)
-      for (int bt : bodies_of(t))
-        for (int bs : bodies_of(lists.m2p_sources[e]))
-          ++cover[static_cast<std::size_t>(bt) * n + bs];
-  for (int t = 0; t < tree.num_nodes() && !lists.p2l_offset.empty(); ++t)
-    for (std::uint32_t e = lists.p2l_offset[t]; e < lists.p2l_offset[t + 1];
-         ++e)
-      for (int bt : bodies_of(t))
-        for (int bs : bodies_of(lists.p2l_sources[e]))
-          ++cover[static_cast<std::size_t>(bt) * n + bs];
-
   for (int t = 0; t < n; ++t)
     for (int s = 0; s < n; ++s) {
       if (t == s) continue;  // self pairs live in the P2P self relation
@@ -125,36 +111,6 @@ TEST(Traversal, CoverageHoldsAfterCollapseAndPushDown) {
   }
   const auto lists = build_interaction_lists(tree);
   check_pair_coverage(tree, lists, n);
-}
-
-TEST(Traversal, CoverageHoldsWithM2pP2lExtension) {
-  Rng rng(78);
-  const int n = 300;
-  const auto pts = random_points(rng, n);
-  AdaptiveOctree tree;
-  tree.build(pts, unit_config(6));  // small leaves: extension fires often
-  TraversalConfig cfg;
-  cfg.use_m2p_p2l = true;
-  const auto lists = build_interaction_lists(tree, cfg);
-  EXPECT_GT(lists.total_m2p_pairs + lists.total_p2l_pairs, 0u);
-  check_pair_coverage(tree, lists, n);
-}
-
-TEST(Traversal, ExtensionAbsorbsM2LPairs) {
-  Rng rng(79);
-  const auto pts = random_points(rng, 4000);
-  AdaptiveOctree tree;
-  tree.build(pts, unit_config(8));
-  TraversalConfig base;
-  TraversalConfig ext;
-  ext.use_m2p_p2l = true;
-  const auto lb = build_interaction_lists(tree, base);
-  const auto le = build_interaction_lists(tree, ext);
-  EXPECT_LT(le.total_m2l_pairs, lb.total_m2l_pairs);
-  EXPECT_EQ(le.total_m2l_pairs + le.total_m2p_pairs + le.total_p2l_pairs,
-            lb.total_m2l_pairs);
-  // The near field is untouched by the extension.
-  EXPECT_EQ(le.total_p2p_interactions, lb.total_p2p_interactions);
 }
 
 TEST(Traversal, MacRespectedByM2LPairs) {
