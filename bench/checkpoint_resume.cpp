@@ -4,7 +4,7 @@
 //
 //   1. reference   -- one uninterrupted resilient run of --steps steps under
 //                     an active fault schedule (throttle, loss, recovery).
-//   2. kill+resume -- the same run killed dead at --kill (the simulation
+//   2. kill+resume -- the same run killed dead at --kill (the engine
 //                     object is destroyed, like a SIGKILL between steps),
 //                     then resumed from the newest on-disk snapshot. The
 //                     resumed trajectory must be BIT-IDENTICAL to the
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "util/rng.hpp"
 
 using namespace afmm;
@@ -53,21 +53,24 @@ int main(int argc, char** argv) {
   Rng rng(61);
   auto set = plummer(static_cast<std::size_t>(n), rng);
 
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = order;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
   cfg.balancer.initial_S = 64;
   cfg.dt = 1e-4;
-  cfg.softening = 1e-3;
   cfg.faults.gpu_throttle(steps / 4, 0, 0.4)
       .gpu_loss(steps / 2, 0)
       .gpu_recovery(3 * steps / 4, 0);
   cfg.resilience.checkpoint_interval = interval;
   cfg.resilience.audit.interval = interval;
 
-  auto node = [] {
-    return NodeSimulator(system_a_cpu(10), GpuSystemConfig::uniform(2));
+  // G = 1, softening 1e-3; a resume starts from no bodies.
+  auto problem = [&cfg](ParticleSet bodies) {
+    return GravityProblem(
+        cfg.fmm, 1.0, 1e-3,
+        NodeSimulator(system_a_cpu(10), GpuSystemConfig::uniform(2)),
+        std::move(bodies));
   };
 
   std::printf("Checkpoint/resume: %ld bodies, order %d, %d steps, "
@@ -78,7 +81,7 @@ int main(int argc, char** argv) {
   const std::string ref_dir = "checkpoint_resume_ref";
   reset_dir(ref_dir);
   cfg.resilience.checkpoint_dir = ref_dir;
-  GravitySimulation reference(cfg, node(), set);
+  GravityEngine reference(cfg, problem(set));
   const auto ref_records = reference.run(steps);
 
   // ---- act 2: kill at --kill, resume from the newest snapshot ------------
@@ -87,9 +90,9 @@ int main(int argc, char** argv) {
   cfg.resilience.checkpoint_dir = kill_dir;
   std::vector<StepRecord> resumed_records(static_cast<std::size_t>(steps));
   {
-    GravitySimulation doomed(cfg, node(), set);
+    GravityEngine doomed(cfg, problem(set));
     for (int i = 0; i < kill; ++i)
-      resumed_records[static_cast<std::size_t>(i)] = doomed.step();
+      resumed_records[static_cast<std::size_t>(i)] = doomed.step_once();
   }  // "SIGKILL": the process state is gone, only the store survives
 
   CheckpointStore store(kill_dir, cfg.resilience.checkpoint_keep);
@@ -100,10 +103,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const int resumed_from = snapshot->step;
-  GravitySimulation resumed(cfg, node(), *snapshot);
+  GravityEngine resumed(cfg, problem({}), *snapshot);
   while (resumed.steps_taken() < steps) {
     const std::size_t at = static_cast<std::size_t>(resumed.steps_taken());
-    resumed_records[at] = resumed.step();
+    resumed_records[at] = resumed.step_once();
   }
 
   // ---- compare -----------------------------------------------------------
@@ -130,10 +133,8 @@ int main(int argc, char** argv) {
   series.print("checkpoint resume | reference vs killed-and-resumed "
                "(full series in checkpoint_resume.csv)");
 
-  bool positions_identical = true;
-  for (std::size_t i = 0; i < set.size(); ++i)
-    if (!(reference.bodies().positions[i] == resumed.bodies().positions[i]))
-      positions_identical = false;
+  const bool positions_identical = reference.problem().bodies().positions ==
+                                  resumed.problem().bodies().positions;
 
   // ---- act 3a: torn write -> fallback to the previous snapshot -----------
   const auto files = store.files();
@@ -144,12 +145,12 @@ int main(int argc, char** argv) {
 
   // ---- act 3b: planted NaN force -> audit failure -> rollback ------------
   cfg.resilience.checkpoint_dir.clear();  // in-memory rollback only
-  GravitySimulation victim(cfg, node(), set);
+  GravityEngine victim(cfg, problem(set));
   victim.run(interval);  // establish a good checkpoint past step 0
-  victim.corrupt_force_for_test(set.size() / 2);
+  victim.problem().corrupt_force_for_test(set.size() / 2);
   StepRecord recovery;
   for (int i = 0; i < interval && !recovery.rolled_back; ++i)
-    recovery = victim.step();
+    recovery = victim.step_once();
 
   std::printf("\nrecovery summary:\n");
   std::printf("  resumed from snapshot of step %d (killed at %ld)\n",

@@ -23,7 +23,7 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -57,21 +57,22 @@ int main(int argc, char** argv) {
               "dynamics), replayed at %ld bodies for timing.\n",
               ntraj, steps, ntraj * upsample);
 
-  SimulationConfig sim_cfg;
+  EngineConfig sim_cfg;
   sim_cfg.fmm.order = 3;  // workload generation only
   sim_cfg.tree = tc;
   sim_cfg.dt = 0.05;
-  sim_cfg.softening = 0.05;
   sim_cfg.balancer.initial_S = 64;
   sim_cfg.balancer.strategy = LbStrategy::kEnforceOnly;  // keep tree sane
   NodeSimulator node(system_a_cpu(10), GpuSystemConfig::uniform(4));
-  GravitySimulation sim(sim_cfg, node, set);
+  // G = 1, softening 0.05.
+  GravityEngine sim(sim_cfg,
+                    GravityProblem(sim_cfg.fmm, 1.0, 0.05, node, set));
 
   std::vector<std::vector<Vec3>> trajectory;
-  trajectory.push_back(sim.bodies().positions);
+  trajectory.push_back(sim.problem().bodies().positions);
   for (long i = 0; i < steps; ++i) {
-    sim.step();
-    trajectory.push_back(sim.bodies().positions);
+    sim.step_once();
+    trajectory.push_back(sim.problem().bodies().positions);
   }
 
   auto rms_radius = [](const std::vector<Vec3>& pos) {

@@ -32,8 +32,6 @@
 
 #include "common.hpp"
 #include "core/problems.hpp"
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
 #include "service/service.hpp"
 #include "util/rng.hpp"
 
@@ -96,7 +94,7 @@ int main(int argc, char** argv) {
     p.arrival = i / 4 + static_cast<int>(rng.below(3));
     const std::size_t n = 48 + rng.below(49);         // 48..96 bodies
     if (p.stokes) {
-      StokesSimulationConfig cfg;
+      EngineConfig cfg;
       cfg.fmm.order = order;
       cfg.tree.root_center = {0, 0, 0};
       cfg.tree.root_half = 2.0;
@@ -107,16 +105,14 @@ int main(int argc, char** argv) {
                                          std::move(set.positions),
                                          constant_force({0, 0, -1}));
     } else {
-      SimulationConfig cfg;
+      EngineConfig cfg;
       cfg.fmm.order = order;
       cfg.tree.root_center = {0, 0, 0};
       cfg.tree.root_half = 16.0;
       cfg.balancer.initial_S = 16;
       cfg.dt = 1e-3;
-      cfg.grav_const = 1.0;
-      cfg.softening = 1e-2;
-      p.factory = gravity_session_factory(cfg, cfg.grav_const, cfg.softening,
-                                          node, plummer(n, rng));
+      p.factory = gravity_session_factory(cfg, 1.0, 1e-2, node,
+                                          plummer(n, rng));
     }
   }
 

@@ -20,8 +20,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "util/rng.hpp"
 
 using namespace afmm;
@@ -51,10 +50,10 @@ void configure_engine(EngineConfig& cfg, int order, int steps) {
   cfg.obs.metrics = true;
 }
 
-// Run, summarize and export; works on either facade (both expose the
-// engine's obs surface).
-template <class Sim>
-int run_and_export(Sim& sim, int steps, const std::string& out) {
+// Run, summarize and export; works on either problem's engine.
+template <class Problem>
+int run_and_export(SimulationEngine<Problem>& sim, int steps,
+                   const std::string& out) {
   const auto records = sim.run(steps);
 
   Table summary({"category", "events"});
@@ -101,10 +100,12 @@ int run_gravity(long n, int order, int steps, const std::string& out) {
   opt.max_radius = 8.0;
   auto set = plummer(static_cast<std::size_t>(n), rng, opt);
 
-  SimulationConfig cfg;
+  EngineConfig cfg;
   configure_engine(cfg, order, steps);
   NodeSimulator node(system_a_cpu(10), GpuSystemConfig::uniform(2));
-  GravitySimulation sim(cfg, std::move(node), std::move(set));
+  // G = 1, softening 1e-3.
+  GravityEngine sim(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
+                                        std::move(set)));
   return run_and_export(sim, steps, out);
 }
 
@@ -117,13 +118,13 @@ int run_stokes(long n, int order, int steps, const std::string& out) {
     if (norm2(p) <= 1.0) pos.push_back(Vec3{0, 0, 3} + 2.0 * p);
   }
 
-  StokesSimulationConfig cfg;
+  EngineConfig cfg;
   configure_engine(cfg, order, steps);
-  cfg.epsilon = 0.05;
-  cfg.viscosity = 1.0;
   NodeSimulator node(system_a_cpu(10), GpuSystemConfig::uniform(2));
-  StokesSimulation sim(cfg, std::move(node), std::move(pos),
-                       constant_force({0, 0, -1}));
+  // epsilon 0.05, viscosity 1.
+  StokesEngine sim(cfg, StokesProblem(cfg.fmm, 0.05, 1.0, std::move(node),
+                                      std::move(pos),
+                                      constant_force({0, 0, -1})));
   return run_and_export(sim, steps, out);
 }
 

@@ -18,8 +18,7 @@
 #include <string>
 
 #include "common.hpp"
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -115,7 +114,7 @@ int cmd_simulate(int argc, char** argv) {
   const long n = arg_or(argc, argv, "n", 20000);
   const long steps = arg_or(argc, argv, "steps", 50);
   const std::string dist = dist_flag(argc, argv);
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = static_cast<int>(arg_or(argc, argv, "order", 4));
   const std::string strat =
       arg_choice(argc, argv, "strategy", {"full", "static", "enforce"});
@@ -130,12 +129,13 @@ int cmd_simulate(int argc, char** argv) {
   cfg.tree = fit_cube(set.positions);
   cfg.tree.root_half *= 3.0;  // room to evolve
   cfg.dt = 0.01;
-  cfg.softening = 0.01;
 
-  GravitySimulation sim(cfg, std::move(node), set);
+  // G = 1, softening 0.01.
+  GravityEngine sim(cfg, GravityProblem(cfg.fmm, 1.0, 0.01, std::move(node),
+                                        std::move(set)));
   Table t({"step", "S", "state", "cpu_s", "gpu_s", "lb_s", "depth"});
   for (long s = 0; s < steps; ++s) {
-    const auto rec = sim.step();
+    const auto rec = sim.step_once();
     if (s % std::max<long>(1, steps / 20) == 0 || s + 1 == steps)
       t.add_row({Table::integer(rec.step), Table::integer(rec.S),
                  to_string(rec.state), Table::num(rec.cpu_seconds),

@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "util/rng.hpp"
 
 using namespace afmm;
@@ -24,28 +24,28 @@ int main(int argc, char** argv) {
                                       /*separation=*/4.0,
                                       /*approach_speed=*/0.8, opt);
 
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 12.0;
   cfg.dt = 0.02;
-  cfg.softening = 0.02;
   cfg.balancer.strategy = LbStrategy::kFull;
   cfg.balancer.initial_S = 64;
 
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(4));
-  GravitySimulation sim(cfg, node, bodies);
+  // G = 1, softening 0.02.
+  GravityEngine sim(cfg, GravityProblem(cfg.fmm, 1.0, 0.02, node, bodies));
 
   std::printf("colliding Plummer spheres: N=%d, %d steps, dt=%.3f\n"
               "step |    S | state        | cpu_s   gpu_s   lb_s    | "
               "depth | sep\n", n, steps, cfg.dt);
 
   for (int s = 0; s < steps; ++s) {
-    const auto rec = sim.step();
+    const auto rec = sim.step_once();
 
     // Separation of the two halves' centers of mass.
     Vec3 ca, cb;
-    const auto& pos = sim.bodies().positions;
+    const auto& pos = sim.problem().bodies().positions;
     const std::size_t half = pos.size() / 2;
     for (std::size_t i = 0; i < half; ++i) ca += pos[i];
     for (std::size_t i = half; i < pos.size(); ++i) cb += pos[i];
@@ -57,6 +57,6 @@ int main(int argc, char** argv) {
                   rec.step, rec.S, to_string(rec.state), rec.cpu_seconds,
                   rec.gpu_seconds, rec.lb_seconds, rec.stats.depth, sep);
   }
-  std::printf("final energy: %.6f\n", sim.total_energy());
+  std::printf("final energy: %.6f\n", sim.problem().total_energy());
   return 0;
 }

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "util/rng.hpp"
 
@@ -28,29 +28,29 @@ int main(int argc, char** argv) {
     if (norm2(p) <= 1.0) pos.push_back(p + Vec3{0, 0, 6});
   }
 
-  StokesSimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 10.0;
-  cfg.epsilon = 0.02;
-  cfg.viscosity = 1.0;
   cfg.dt = 2e-3;
   cfg.balancer.strategy = LbStrategy::kFull;
   cfg.balancer.initial_S = 48;
 
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  StokesSimulation sim(cfg, node, pos, constant_force({0, 0, -1}));
+  // epsilon 0.02, viscosity 1.
+  StokesEngine sim(cfg, StokesProblem(cfg.fmm, 0.02, 1.0, node, pos,
+                                      constant_force({0, 0, -1})));
 
   std::printf("sedimenting blob: N=%d Stokeslets, %d steps\n"
               "step |    S | state        | cpu_s   gpu_s   | z_com   extent\n",
               n, steps);
   for (int s = 0; s < steps; ++s) {
-    const auto rec = sim.step();
+    const auto rec = sim.step_once();
     Vec3 com;
-    for (const auto& p : sim.positions()) com += p;
+    for (const auto& p : sim.problem().position_vector()) com += p;
     com = com / static_cast<double>(n);
     double r2max = 0.0;
-    for (const auto& p : sim.positions())
+    for (const auto& p : sim.problem().position_vector())
       r2max = std::max(r2max, norm2(Vec3{p.x - com.x, p.y - com.y, 0}));
     if (s % 4 == 0 || s + 1 == steps)
       std::printf("%4d | %4d | %-12s | %.5f %.5f | %+.3f  %.3f\n", rec.step,

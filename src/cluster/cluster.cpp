@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sdc/sdc.hpp"
+#include "state/checkpoint_detail.hpp"
 #include "state/serial.hpp"
 
 namespace afmm {
@@ -436,11 +437,7 @@ std::vector<std::uint8_t> ClusterEngine<Problem>::encode_cluster_blob() const {
     w.i32(n.link_window_end);
     w.u64(n.sim.health().fault_epoch);
   }
-  const FaultInjectorSnapshot snap = injector_.snapshot();
-  w.u64(snap.next_event);
-  w.i32(snap.transfer_window_end);
-  w.u64(snap.num_events);
-  w.u64(snap.fired_mark);
+  ckpt::put_injector(w, injector_.snapshot());
   w.u64(cluster_health_.fault_epoch);
   return w.take();
 }
@@ -465,11 +462,7 @@ void ClusterEngine<Problem>::restore_cluster_blob(
       for (auto& g : h.gpus) g.alive = false;
     h.fault_epoch = r.u64();
   }
-  FaultInjectorSnapshot snap;
-  snap.next_event = r.u64();
-  snap.transfer_window_end = r.i32();
-  snap.num_events = r.u64();
-  snap.fired_mark = r.u64();
+  const FaultInjectorSnapshot snap = ckpt::get_injector(r);
   cluster_health_.fault_epoch = r.u64();
   if (!r.ok() || r.remaining() != 0)
     throw std::invalid_argument("cluster blob: truncated or oversized");

@@ -70,9 +70,8 @@ struct ObsConfig {
   bool enabled() const { return trace || metrics; }
 };
 
-// The problem-independent core every simulation config shares. Concrete
-// configs (SimulationConfig, StokesSimulationConfig) extend it with their
-// physics parameters.
+// Everything a run is configured with apart from its physics, which are
+// constructor arguments of the Problem (core/problems.hpp).
 struct EngineConfig {
   FmmConfig fmm;
   TreeConfig tree;               // leaf_capacity is overridden by the balancer

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "cpusched/task_sim.hpp"
 
@@ -20,17 +18,6 @@ const char* to_string(DagTaskKind kind) {
     case DagTaskKind::kDownload: return "download";
   }
   return "?";
-}
-
-OverlapMode resolved_overlap_mode(OverlapMode mode) {
-  if (mode != OverlapMode::kAuto) return mode;
-  static const OverlapMode from_env = [] {
-    const char* e = std::getenv("AFMM_OVERLAP");
-    return (e && (std::string(e) == "1" || std::string(e) == "on"))
-               ? OverlapMode::kOn
-               : OverlapMode::kOff;
-  }();
-  return from_env;
 }
 
 double CpuModelConfig::effective_rate(int p) const {

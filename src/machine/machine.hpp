@@ -14,8 +14,8 @@
 //
 // Overlap execution (DESIGN.md section 14): the bulk-synchronous
 // max(CPU, GPU) model above keeps the far field and the GPU near field on
-// opposite sides of a barrier. With OverlapMode::kOn (or AFMM_OVERLAP=1) the
-// node instead schedules ONE merged task DAG -- per-node P2M->M2M edges up,
+// opposite sides of a barrier. With OverlapMode::kOn (set_overlap) the node
+// instead schedules ONE merged task DAG -- per-node P2M->M2M edges up,
 // cross edges from each M2L source's up task into the consumer's down
 // task, L2L->L2P down, and per-GPU upload->kernel->download lanes hanging
 // off the non-blocking launch -- on P CPU workers plus the GPU lanes, and
@@ -67,10 +67,9 @@ struct CpuModelConfig {
   double task_seconds(double flops, int p) const;
 };
 
-// How a step's virtual timeline is computed. kAuto resolves once per process
-// from the AFMM_OVERLAP environment variable ("1" or "on" selects kOn).
-enum class OverlapMode : std::uint8_t { kAuto = 0, kOff = 1, kOn = 2 };
-OverlapMode resolved_overlap_mode(OverlapMode mode);
+// How a step's virtual timeline is computed: kOff charges the serialized
+// max(CPU, GPU) step, kOn the event-driven makespan of the step's task DAG.
+enum class OverlapMode : std::uint8_t { kOff = 1, kOn = 2 };
 
 // One task of the executed overlap schedule, for observability timelines.
 enum class DagTaskKind : std::uint8_t {
@@ -160,12 +159,10 @@ class NodeSimulator {
     health_.reset(gpus_.devices.size(), cores);
   }
 
-  // Overlap execution mode of this node (default kAuto: AFMM_OVERLAP env).
+  // Overlap execution mode of this node (default kOff).
   void set_overlap(OverlapMode mode) { overlap_ = mode; }
   OverlapMode overlap_mode() const { return overlap_; }
-  bool overlap_enabled() const {
-    return resolved_overlap_mode(overlap_) == OverlapMode::kOn;
-  }
+  bool overlap_enabled() const { return overlap_ == OverlapMode::kOn; }
 
   // Live health registry (written by the fault injector, read everywhere the
   // provisioned configuration used to be consulted).
@@ -234,7 +231,7 @@ class NodeSimulator {
   CpuModelConfig cpu_;
   GpuSystemConfig gpus_;
   MachineHealth health_;
-  OverlapMode overlap_ = OverlapMode::kAuto;
+  OverlapMode overlap_ = OverlapMode::kOff;
 };
 
 }  // namespace afmm

@@ -132,8 +132,7 @@ void AdaptiveOctree::build(std::span<const Vec3> positions,
     partition_range(begin, end, center, bucket);
 
     Subtree children[8];
-    const bool spawn =
-        config_.parallel_build && node.count > kTaskCutoff;
+    const bool spawn = node.count > kTaskCutoff;
     for (int o = 0; o < 8; ++o) {
       const Vec3 cc = child_box_center(center, half, o);
       if (spawn) {

@@ -40,7 +40,6 @@ struct TreeConfig {
   int max_depth = 20;       // hard depth cap; must lie in [0, 21]
   Vec3 root_center{0.5, 0.5, 0.5};
   double root_half = 0.5;   // simulation cube is center +- half in each dim
-  bool parallel_build = true;
   BuildStrategy build_strategy = BuildStrategy::kPointer;  // unread stub
 };
 

@@ -89,7 +89,7 @@ SessionFactory gravity_session_factory(EngineConfig config, double grav_const,
   f.restore =
       [=](const SimCheckpoint& ckpt) -> std::unique_ptr<SessionEngine> {
     // The checkpoint carries the bodies; the problem starts empty and
-    // load_state fills it (same recipe as GravitySimulation's restore).
+    // load_state fills it.
     return std::make_unique<TypedSessionEngine<GravityProblem>>(
         config,
         GravityProblem(config.fmm, grav_const, softening, node, ParticleSet{}),

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -16,7 +17,15 @@
 
 namespace afmm {
 
-// ---- field-level encoders/decoders (shared with state/shard_store.cpp) ----
+namespace {
+
+void set_error(std::string* error, const std::string& what) {
+  if (error) *error = what;
+}
+
+}  // namespace
+
+// ---- codecs and file layer (shared with shard_store.cpp and cluster/) -----
 
 namespace ckpt {
 
@@ -157,7 +166,6 @@ void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
   w.i32(t.config.max_depth);
   put_vec3(w, t.config.root_center);
   w.f64(t.config.root_half);
-  w.u8(t.config.parallel_build ? 1 : 0);
   w.u64(t.nodes.size());
   for (const auto& n : t.nodes) {
     put_vec3(w, n.center);
@@ -185,7 +193,6 @@ bool get_tree(ByteReader& r, OctreeSnapshot& t) {
   t.config.max_depth = r.i32();
   t.config.root_center = get_vec3(r);
   t.config.root_half = r.f64();
-  t.config.parallel_build = r.u8() != 0;
   const std::uint64_t num_nodes = r.u64();
   // Conservative lower bound on a serialized node keeps a corrupt count from
   // allocating unbounded memory.
@@ -309,6 +316,24 @@ bool get_health(ByteReader& r, MachineHealth& h) {
   return r.ok();
 }
 
+void put_injector(ByteWriter& w, const FaultInjectorSnapshot& s) {
+  w.u64(s.next_event);
+  w.i32(s.transfer_window_end);
+  w.u64(s.num_events);
+  w.u64(s.fired_mark);
+}
+
+FaultInjectorSnapshot get_injector(ByteReader& r) {
+  FaultInjectorSnapshot s;
+  s.next_event = r.u64();
+  s.transfer_window_end = r.i32();
+  s.num_events = r.u64();
+  s.fired_mark = r.u64();
+  return s;
+}
+
+namespace {
+
 // v3 seal: the CRC covers the section header (id, size) AND the payload, so
 // corruption anywhere in the section record is caught -- a payload-only CRC
 // let a flipped id byte reclassify a section as unknown (skipped "for forward
@@ -319,6 +344,102 @@ std::uint32_t section_crc(std::uint32_t id,
   hdr.u32(id);
   hdr.u64(payload.size());
   return crc32_extend(crc32(hdr.buffer()), payload);
+}
+
+}  // namespace
+
+void append_section(ByteWriter& out, std::uint32_t id,
+                    std::span<const std::uint8_t> payload) {
+  out.u32(id);
+  out.u64(payload.size());
+  out.u32(section_crc(id, payload));
+  out.bytes(payload.data(), payload.size());
+}
+
+bool read_sections(std::span<const std::uint8_t> data, std::uint32_t magic,
+                   std::uint32_t version, const SectionVisitor& visit,
+                   std::string* error) {
+  ByteReader r(data);
+  if (r.u32() != magic) {
+    set_error(error, "bad magic");
+    return false;
+  }
+  const std::uint32_t got = r.u32();
+  if (got != version) {
+    set_error(error, "format version " + std::to_string(got) +
+                         " (expected " + std::to_string(version) + ")");
+    return false;
+  }
+  const std::uint32_t sections = r.u32();
+  if (!r.ok()) {
+    set_error(error, "truncated header");
+    return false;
+  }
+  for (std::uint32_t s = 0; s < sections; ++s) {
+    const std::uint32_t id = r.u32();
+    const std::uint64_t size = r.u64();
+    const std::uint32_t crc = r.u32();
+    if (!r.ok() || size > r.remaining()) {
+      set_error(error, "truncated section " + std::to_string(id));
+      return false;
+    }
+    const auto payload = r.bytes(size);
+    if (section_crc(id, payload) != crc) {
+      set_error(error, "CRC mismatch in section " + std::to_string(id));
+      return false;
+    }
+    if (!visit(id, payload)) {
+      set_error(error, "malformed section " + std::to_string(id));
+      return false;
+    }
+  }
+  // Bytes past the declared sections mean the count itself is corrupt (a
+  // flipped count byte would otherwise silently drop trailing sections).
+  if (r.remaining() != 0) {
+    set_error(error, "trailing bytes after last section");
+    return false;
+  }
+  return true;
+}
+
+bool write_file_atomic(const std::string& path,
+                       std::span<const std::uint8_t> bytes,
+                       std::string* error) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (!f) {
+    set_error(error, "cannot open " + tmp);
+    return false;
+  }
+  const bool wrote =
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
+      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+  std::fclose(f);
+  if (!wrote) {
+    set_error(error, "short write to " + tmp);
+    std::remove(tmp.c_str());
+    return false;
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);  // atomic on POSIX
+  if (ec) {
+    set_error(error, "rename failed: " + ec.message());
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return std::nullopt;
+  std::vector<std::uint8_t> bytes;
+  std::uint8_t buf[1 << 16];
+  std::size_t got;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
+    bytes.insert(bytes.end(), buf, buf + got);
+  std::fclose(f);
+  return bytes;
 }
 
 }  // namespace ckpt
@@ -341,16 +462,8 @@ enum class SectionId : std::uint32_t {
   kRng = 9,
 };
 
-void set_error(std::string* error, const std::string& what) {
-  if (error) *error = what;
-}
-
-void append_section(ByteWriter& out, SectionId id, ByteWriter&& payload) {
-  const auto& bytes = payload.buffer();
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(bytes.size());
-  out.u32(section_crc(static_cast<std::uint32_t>(id), bytes));
-  out.bytes(bytes.data(), bytes.size());
+void append(ByteWriter& out, SectionId id, const ByteWriter& payload) {
+  append_section(out, static_cast<std::uint32_t>(id), payload.buffer());
 }
 
 }  // namespace
@@ -365,149 +478,90 @@ std::vector<std::uint8_t> encode_checkpoint(const SimCheckpoint& ckpt) {
   meta.u32(static_cast<std::uint32_t>(ckpt.kind));
   meta.i64(ckpt.step);
   meta.u64(ckpt.bodies.size());
-  append_section(out, SectionId::kMeta, std::move(meta));
+  append(out, SectionId::kMeta, meta);
 
   ByteWriter bodies;
   put_vec3s(bodies, ckpt.bodies.positions);
   put_vec3s(bodies, ckpt.bodies.velocities);
   put_f64s(bodies, ckpt.bodies.masses);
-  append_section(out, SectionId::kBodies, std::move(bodies));
+  append(out, SectionId::kBodies, bodies);
 
   ByteWriter derived;
   put_vec3s(derived, ckpt.accel);
   put_f64s(derived, ckpt.potential);
-  append_section(out, SectionId::kDerived, std::move(derived));
+  append(out, SectionId::kDerived, derived);
 
   ByteWriter observed;
   observed.u8(ckpt.has_observed ? 1 : 0);
   put_observed(observed, ckpt.observed);
-  append_section(out, SectionId::kObserved, std::move(observed));
+  append(out, SectionId::kObserved, observed);
 
   ByteWriter tree;
   put_tree(tree, ckpt.tree);
-  append_section(out, SectionId::kTree, std::move(tree));
+  append(out, SectionId::kTree, tree);
 
   ByteWriter balancer;
   put_balancer(balancer, ckpt.balancer);
-  append_section(out, SectionId::kBalancer, std::move(balancer));
+  append(out, SectionId::kBalancer, balancer);
 
   ByteWriter health;
   put_health(health, ckpt.health);
-  append_section(out, SectionId::kHealth, std::move(health));
+  append(out, SectionId::kHealth, health);
 
   ByteWriter injector;
-  injector.u64(ckpt.injector.next_event);
-  injector.i32(ckpt.injector.transfer_window_end);
-  injector.u64(ckpt.injector.num_events);
-  injector.u64(ckpt.injector.fired_mark);
-  append_section(out, SectionId::kInjector, std::move(injector));
+  put_injector(injector, ckpt.injector);
+  append(out, SectionId::kInjector, injector);
 
   ByteWriter rng;
   put_u64s(rng, ckpt.rng_words);
-  append_section(out, SectionId::kRng, std::move(rng));
+  append(out, SectionId::kRng, rng);
 
   return out.take();
 }
 
 std::optional<SimCheckpoint> decode_checkpoint(
     std::span<const std::uint8_t> data, std::string* error) {
-  ByteReader header(data);
-  if (header.u32() != kCheckpointMagic) {
-    set_error(error, "bad magic (not a checkpoint file)");
-    return std::nullopt;
-  }
-  const std::uint32_t version = header.u32();
-  if (version != kCheckpointVersion) {
-    set_error(error, "format version " + std::to_string(version) +
-                         " (expected " + std::to_string(kCheckpointVersion) +
-                         ")");
-    return std::nullopt;
-  }
-  const std::uint32_t sections = header.u32();
-  if (!header.ok()) {
-    set_error(error, "truncated header");
-    return std::nullopt;
-  }
-
   SimCheckpoint ckpt;
   bool have_meta = false, have_bodies = false, have_tree = false,
        have_balancer = false, have_health = false, have_injector = false;
-  for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::uint32_t id = header.u32();
-    const std::uint64_t size = header.u64();
-    const std::uint32_t crc = header.u32();
-    if (!header.ok() || size > header.remaining()) {
-      set_error(error, "truncated section " + std::to_string(id));
-      return std::nullopt;
-    }
-    const auto payload = header.bytes(size);
-    if (section_crc(id, payload) != crc) {
-      set_error(error, "CRC mismatch in section " + std::to_string(id));
-      return std::nullopt;
-    }
+  const auto visit = [&](std::uint32_t id,
+                         std::span<const std::uint8_t> payload) {
     ByteReader r(payload);
-    bool ok = true;
     switch (static_cast<SectionId>(id)) {
       case SectionId::kMeta: {
         const std::uint32_t kind = r.u32();
-        if (kind > static_cast<std::uint32_t>(SimKind::kStokes)) ok = false;
         ckpt.kind = static_cast<SimKind>(kind);
         ckpt.step = static_cast<int>(r.i64());
         r.u64();  // body count: informational
-        have_meta = r.ok() && ok;
-        break;
+        const auto max_kind = static_cast<std::uint32_t>(SimKind::kStokes);
+        return have_meta = r.ok() && kind <= max_kind;
       }
       case SectionId::kBodies:
-        ok = get_vec3s(r, ckpt.bodies.positions) &&
-             get_vec3s(r, ckpt.bodies.velocities) &&
-             get_f64s(r, ckpt.bodies.masses);
-        have_bodies = ok;
-        break;
+        return have_bodies = get_vec3s(r, ckpt.bodies.positions) &&
+                             get_vec3s(r, ckpt.bodies.velocities) &&
+                             get_f64s(r, ckpt.bodies.masses);
       case SectionId::kDerived:
-        ok = get_vec3s(r, ckpt.accel) && get_f64s(r, ckpt.potential);
-        break;
+        return get_vec3s(r, ckpt.accel) && get_f64s(r, ckpt.potential);
       case SectionId::kObserved:
         ckpt.has_observed = r.u8() != 0;
         ckpt.observed = get_observed(r);
-        ok = r.ok();
-        break;
+        return r.ok();
       case SectionId::kTree:
-        ok = get_tree(r, ckpt.tree);
-        have_tree = ok;
-        break;
+        return have_tree = get_tree(r, ckpt.tree);
       case SectionId::kBalancer:
-        ok = get_balancer(r, ckpt.balancer);
-        have_balancer = ok;
-        break;
+        return have_balancer = get_balancer(r, ckpt.balancer);
       case SectionId::kHealth:
-        ok = get_health(r, ckpt.health);
-        have_health = ok;
-        break;
+        return have_health = get_health(r, ckpt.health);
       case SectionId::kInjector:
-        ckpt.injector.next_event = r.u64();
-        ckpt.injector.transfer_window_end = r.i32();
-        ckpt.injector.num_events = r.u64();
-        ckpt.injector.fired_mark = r.u64();
-        ok = r.ok();
-        have_injector = ok;
-        break;
+        ckpt.injector = get_injector(r);
+        return have_injector = r.ok();
       case SectionId::kRng:
-        ok = get_u64s(r, ckpt.rng_words);
-        break;
-      default:
-        break;  // unknown section: skip (forward compatibility)
+        return get_u64s(r, ckpt.rng_words);
     }
-    if (!ok) {
-      set_error(error, "malformed section " + std::to_string(id));
-      return std::nullopt;
-    }
-  }
-  // Bytes past the declared sections mean the count itself is corrupt (a
-  // flipped count byte would otherwise silently drop trailing sections).
-  if (header.remaining() != 0) {
-    set_error(error, "trailing bytes after last section");
+    return true;  // unknown section: skip (forward compatibility)
+  };
+  if (!read_sections(data, kCheckpointMagic, kCheckpointVersion, visit, error))
     return std::nullopt;
-  }
   if (!have_meta || !have_bodies || !have_tree || !have_balancer ||
       !have_health || !have_injector) {
     set_error(error, "missing required section");
@@ -518,46 +572,17 @@ std::optional<SimCheckpoint> decode_checkpoint(
 
 bool save_checkpoint_file(const std::string& path, const SimCheckpoint& ckpt,
                           std::string* error) {
-  const auto bytes = encode_checkpoint(ckpt);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    set_error(error, "cannot open " + tmp);
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!wrote) {
-    set_error(error, "short write to " + tmp);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);  // atomic on POSIX
-  if (ec) {
-    set_error(error, "rename failed: " + ec.message());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return write_file_atomic(path, encode_checkpoint(ckpt), error);
 }
 
 std::optional<SimCheckpoint> load_checkpoint_file(const std::string& path,
                                                   std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
+  const auto bytes = read_file(path);
+  if (!bytes) {
     set_error(error, "cannot open " + path);
     return std::nullopt;
   }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + got);
-  std::fclose(f);
-  return decode_checkpoint(bytes, error);
+  return decode_checkpoint(*bytes, error);
 }
 
 bool valid_store_owner(const std::string& owner) {
@@ -569,39 +594,72 @@ bool valid_store_owner(const std::string& owner) {
   return true;
 }
 
-bool match_owned_snapshot(const std::string& name, const std::string& owner,
-                          const std::string& stem,
-                          std::initializer_list<int> digit_groups,
-                          const std::string& suffix) {
-  const std::string prefix = owner.empty() ? stem : owner + "_" + stem;
-  if (name.rfind(prefix, 0) != 0) return false;
-  std::size_t pos = prefix.size();
-  bool first = true;
-  for (int width : digit_groups) {
-    if (!first) {
-      if (pos >= name.size() || name[pos] != '_') return false;
-      ++pos;
+SnapshotFiles::SnapshotFiles(std::string dir, int keep, std::string owner,
+                             std::string stem, std::string suffix)
+    : dir_(std::move(dir)),
+      keep_(std::max(1, keep)),
+      owner_(std::move(owner)),
+      prefix_(owner_.empty() ? stem : owner_ + "_" + stem),
+      suffix_(std::move(suffix)) {
+  if (!valid_store_owner(owner_))
+    throw std::invalid_argument(
+        "store owner '" + owner_ +
+        "' invalid: only [A-Za-z0-9.-] allowed (no '_', which would make the "
+        "name parse as another owner's)");
+  std::error_code ec;
+  fs::create_directories(dir_, ec);
+}
+
+std::string SnapshotFiles::path(int step) const {
+  char digits[16];
+  std::snprintf(digits, sizeof digits, "%010d", step);
+  return (fs::path(dir_) / (prefix_ + digits + suffix_)).string();
+}
+
+std::vector<int> SnapshotFiles::steps() const {
+  constexpr std::size_t kDigits = 10;
+  std::vector<int> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() != prefix_.size() + kDigits + suffix_.size() ||
+        name.compare(0, prefix_.size(), prefix_) != 0 ||
+        name.compare(prefix_.size() + kDigits, suffix_.size(), suffix_) != 0)
+      continue;
+    long long step = 0;
+    bool digits = true;
+    for (std::size_t i = prefix_.size(); i < prefix_.size() + kDigits; ++i) {
+      digits = digits && name[i] >= '0' && name[i] <= '9';
+      step = step * 10 + (name[i] - '0');
     }
-    first = false;
-    if (name.size() < pos + static_cast<std::size_t>(width)) return false;
-    for (int i = 0; i < width; ++i) {
-      const char c = name[pos + static_cast<std::size_t>(i)];
-      if (c < '0' || c > '9') return false;
-    }
-    pos += static_cast<std::size_t>(width);
+    // An int step never prints wider; anything else is not ours.
+    if (digits && step <= std::numeric_limits<int>::max())
+      out.push_back(static_cast<int>(step));
   }
-  return name.compare(pos, std::string::npos, suffix) == 0;
+  std::sort(out.rbegin(), out.rend());
+  return out;
+}
+
+std::vector<std::string> SnapshotFiles::list() const {
+  std::vector<std::string> out;
+  for (int step : steps()) out.push_back(path(step));
+  return out;
+}
+
+std::vector<int> SnapshotFiles::excess(int written) const {
+  std::vector<int> out;
+  int kept = 1;  // the snapshot just written
+  for (int step : steps()) {
+    if (step == written) continue;
+    if (kept < keep_)
+      ++kept;
+    else
+      out.push_back(step);
+  }
+  return out;
 }
 
 namespace {
-
-void require_valid_owner(const std::string& owner) {
-  if (!valid_store_owner(owner))
-    throw std::invalid_argument(
-        "store owner '" + owner +
-        "' invalid: only [A-Za-z0-9.-] allowed (no '_', which would make the "
-        "name parse as another owner's)");
-}
 
 // Per-process registry backing CheckpointOwnerClaim. Keyed by the directory
 // string exactly as the engine configured it -- the point is disambiguating
@@ -650,57 +708,25 @@ void CheckpointOwnerClaim::release() {
 }
 
 CheckpointStore::CheckpointStore(std::string dir, int keep, std::string owner)
-    : dir_(std::move(dir)), keep_(std::max(1, keep)), owner_(std::move(owner)) {
-  require_valid_owner(owner_);
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-}
-
-std::vector<std::string> CheckpointStore::files() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (match_owned_snapshot(name, owner_, "ckpt_", {10}, ".afmm"))
-      out.push_back(entry.path().string());
-  }
-  // Step numbers are zero-padded, so lexicographic descending = newest first.
-  std::sort(out.rbegin(), out.rend());
-  return out;
-}
-
-std::string CheckpointStore::file_for(int step) const {
-  char name[32];
-  std::snprintf(name, sizeof name, "ckpt_%010d.afmm", step);
-  const std::string file =
-      owner_.empty() ? std::string(name) : owner_ + "_" + name;
-  return (fs::path(dir_) / file).string();
-}
+    : files_(std::move(dir), keep, std::move(owner), "ckpt_", ".afmm") {}
 
 bool CheckpointStore::save(const SimCheckpoint& ckpt, std::string* error) {
-  const std::string written = file_for(ckpt.step);
-  if (!save_checkpoint_file(written, ckpt, error)) return false;
-  int kept = 1;  // the file just written
-  for (const auto& file : files()) {
-    if (file == written) continue;
-    if (kept < keep_) {
-      ++kept;
-    } else {
-      std::error_code ec;
-      fs::remove(file, ec);
-    }
+  if (!save_checkpoint_file(files_.path(ckpt.step), ckpt, error)) return false;
+  for (int step : files_.excess(ckpt.step)) {
+    std::error_code ec;
+    fs::remove(files_.path(step), ec);
   }
   return true;
 }
 
 std::optional<SimCheckpoint> CheckpointStore::load(int step,
                                                    std::string* error) const {
-  return load_checkpoint_file(file_for(step), error);
+  return load_checkpoint_file(files_.path(step), error);
 }
 
 std::optional<SimCheckpoint> CheckpointStore::load_latest(
     std::string* error) const {
-  std::string last_error = "no snapshots in " + dir_;
+  std::string last_error = "no snapshots in " + dir();
   for (const auto& path : files()) {
     std::string file_error;
     if (auto ckpt = load_checkpoint_file(path, &file_error)) return ckpt;

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -62,7 +61,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // v6: tree section drops the build-strategy byte (one tree builder remains).
 // v7: observed section drops the M2P/P2L op counts and times (the extension
 // operators are gone).
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+// v8: tree section drops the parallel-build byte (the build always runs its
+// parallel region).
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 
@@ -110,16 +111,38 @@ std::optional<SimCheckpoint> load_checkpoint_file(const std::string& path,
 // std::invalid_argument at construction.
 bool valid_store_owner(const std::string& owner);
 
-// Strict snapshot-filename matcher shared by CheckpointStore and ShardStore:
-// true iff `name` is EXACTLY `[<owner>_]<stem>` followed by '_'-separated
-// fixed-width digit groups and then `suffix`. Unlike a prefix test this
-// rejects look-alikes such as `ckpt_ckpt_0000000042.afmm` (an owner named
-// "ckpt" under the old loose rules) or padded/garbled step fields, so a
-// store can never adopt -- or rotate away -- a file it did not write.
-bool match_owned_snapshot(const std::string& name, const std::string& owner,
-                          const std::string& stem,
-                          std::initializer_list<int> digit_groups,
-                          const std::string& suffix);
+// The snapshot files of one owner in one directory, shared by
+// CheckpointStore and ShardStore: `dir/[<owner>_]<stem><step><suffix>`, the
+// step zero-padded to 10 digits. Listing matches names EXACTLY, so
+// look-alikes such as `ckpt_ckpt_0000000042.afmm` (an owner named "ckpt") or
+// padded/garbled step fields are never listed: a store can never adopt -- or
+// rotate away -- a file it did not write. The constructor creates `dir`.
+class SnapshotFiles {
+ public:
+  SnapshotFiles(std::string dir, int keep, std::string owner,
+                std::string stem, std::string suffix);
+
+  std::string path(int step) const;
+  // This owner's snapshot paths, newest (highest step) first.
+  std::vector<std::string> list() const;
+  // The steps to prune once `written` is saved: all but it and the newest
+  // keep - 1 others, so stale higher-step files left by an earlier run can
+  // never rotate the new one away.
+  std::vector<int> excess(int written) const;
+
+  const std::string& dir() const { return dir_; }
+  int keep() const { return keep_; }
+  const std::string& owner() const { return owner_; }
+
+ private:
+  std::vector<int> steps() const;  // newest first
+
+  std::string dir_;
+  int keep_;
+  std::string owner_;
+  std::string prefix_;  // [<owner>_]<stem>
+  std::string suffix_;
+};
 
 // Rotating on-disk snapshot store: `dir/[<owner>_]ckpt_<step>.afmm`, `keep`
 // files retained: the one save() just wrote plus the newest others, so stale
@@ -140,17 +163,13 @@ class CheckpointStore {
                                     std::string* error = nullptr) const;
 
   // Snapshot paths OF THIS OWNER, newest (highest step) first.
-  std::vector<std::string> files() const;
-  const std::string& dir() const { return dir_; }
-  int keep() const { return keep_; }
-  const std::string& owner() const { return owner_; }
+  std::vector<std::string> files() const { return files_.list(); }
+  const std::string& dir() const { return files_.dir(); }
+  int keep() const { return files_.keep(); }
+  const std::string& owner() const { return files_.owner(); }
 
  private:
-  std::string file_for(int step) const;
-
-  std::string dir_;
-  int keep_;
-  std::string owner_;
+  SnapshotFiles files_;
 };
 
 // Process-wide default-owner disambiguation for engines that configure a

@@ -32,11 +32,6 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
-  // Overwrite previously written bytes (for back-patching headers).
-  void patch(std::size_t at, const void* data, std::size_t n) {
-    std::memcpy(buf_.data() + at, data, n);
-  }
-
  private:
   void raw(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);

@@ -1,11 +1,7 @@
 #include "state/shard_store.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <stdexcept>
 
 #include "state/checkpoint_detail.hpp"
 #include "state/serial.hpp"
@@ -19,11 +15,10 @@ namespace {
 namespace fs = std::filesystem;
 
 enum class ShardSection : std::uint32_t {
-  kControl = 1,
-  kTree = 2,
-  kCluster = 3,
-  kShardTable = 4,
-  kShardData = 5,
+  kGlobal = 1,
+  kCluster = 2,
+  kShardTable = 3,
+  kShardData = 4,
 };
 
 struct ShardFileEntry {
@@ -34,7 +29,7 @@ struct ShardFileEntry {
 };
 
 // Which per-body arrays the checkpoint carries (gravity has all of them,
-// Stokes has no masses and no derived fields). The manifest records the
+// Stokes has no masses and no derived fields). The shard table records the
 // flags; every shard file must then carry matching slices.
 struct BodyArrayFlags {
   bool velocities = false;
@@ -47,52 +42,9 @@ void set_error(std::string* error, const std::string& what) {
   if (error) *error = what;
 }
 
-void append_section(ByteWriter& out, ShardSection id, ByteWriter&& payload) {
-  const auto& bytes = payload.buffer();
-  out.u32(static_cast<std::uint32_t>(id));
-  out.u64(bytes.size());
-  out.u32(section_crc(static_cast<std::uint32_t>(id), bytes));
-  out.bytes(bytes.data(), bytes.size());
-}
-
-bool write_file_atomic(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes,
-                       std::string* error) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    set_error(error, "cannot open " + tmp);
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!wrote) {
-    set_error(error, "short write to " + tmp);
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);  // atomic on POSIX
-  if (ec) {
-    set_error(error, "rename failed: " + ec.message());
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0)
-    bytes.insert(bytes.end(), buf, buf + got);
-  std::fclose(f);
-  return bytes;
+void append(ByteWriter& out, ShardSection id,
+            std::span<const std::uint8_t> payload) {
+  append_section(out, static_cast<std::uint32_t>(id), payload);
 }
 
 // ---- shard file ------------------------------------------------------------
@@ -139,65 +91,60 @@ std::vector<std::uint8_t> encode_shard_file(const ShardedCheckpoint& ckpt,
   out.u32(kShardMagic);
   out.u32(kShardVersion);
   out.u32(1);
-  append_section(out, ShardSection::kShardData, std::move(payload));
+  append(out, ShardSection::kShardData, payload.buffer());
   return out.take();
 }
 
-// Validates + merges one shard file's slices into the global checkpoint
-// being reassembled. `total` is the body count the manifest declared.
+// Validates one shard file and merges its slices into the global checkpoint
+// being reassembled, whose arrays are already sized to the manifest's N.
 bool decode_shard_file(std::span<const std::uint8_t> data, int k,
-                       const ShardFileEntry& entry, std::uint32_t total,
-                       const BodyArrayFlags& flags, std::int64_t step,
-                       SimCheckpoint& g) {
-  ByteReader header(data);
-  if (header.u32() != kShardMagic || header.u32() != kShardVersion)
-    return false;
-  if (header.u32() != 1) return false;
-  const std::uint32_t id = header.u32();
-  const std::uint64_t size = header.u64();
-  const std::uint32_t crc = header.u32();
-  if (!header.ok() || size > header.remaining()) return false;
-  const auto payload = header.bytes(size);
-  if (section_crc(id, payload) != crc) return false;
-  if (header.remaining() != 0) return false;
-  if (static_cast<ShardSection>(id) != ShardSection::kShardData) return false;
+                       const ShardFileEntry& entry,
+                       const BodyArrayFlags& flags, SimCheckpoint& g) {
+  const auto total = static_cast<std::uint32_t>(g.tree.perm.size());
+  bool have_data = false;
+  const auto visit = [&](std::uint32_t id,
+                         std::span<const std::uint8_t> payload) {
+    if (have_data ||
+        id != static_cast<std::uint32_t>(ShardSection::kShardData))
+      return false;
+    ByteReader r(payload);
+    if (r.u32() != static_cast<std::uint32_t>(k)) return false;
+    const std::uint32_t begin = r.u32();
+    const std::uint32_t end = r.u32();
+    if (begin != entry.begin || end != entry.end || r.i64() != g.step)
+      return false;
+    const std::uint32_t n = end - begin;
 
-  ByteReader r(payload);
-  if (r.u32() != static_cast<std::uint32_t>(k)) return false;
-  const std::uint32_t begin = r.u32();
-  const std::uint32_t end = r.u32();
-  if (begin != entry.begin || end != entry.end || r.i64() != step)
-    return false;
-  const std::uint32_t n = end - begin;
+    std::vector<std::uint32_t> perm_slice;
+    std::vector<Vec3> sorted_slice, pos, vel, acc;
+    std::vector<double> mass, pot;
+    if (!get_u32s(r, perm_slice) || !get_vec3s(r, sorted_slice) ||
+        !get_vec3s(r, pos) || !get_vec3s(r, vel) || !get_f64s(r, mass) ||
+        !get_vec3s(r, acc) || !get_f64s(r, pot))
+      return false;
+    if (perm_slice.size() != n || sorted_slice.size() != n ||
+        pos.size() != n || vel.size() != (flags.velocities ? n : 0) ||
+        mass.size() != (flags.masses ? n : 0) ||
+        acc.size() != (flags.accel ? n : 0) ||
+        pot.size() != (flags.potential ? n : 0))
+      return false;
 
-  std::vector<std::uint32_t> perm_slice;
-  std::vector<Vec3> sorted_slice, pos, vel, acc;
-  std::vector<double> mass, pot;
-  if (!get_u32s(r, perm_slice) || !get_vec3s(r, sorted_slice) ||
-      !get_vec3s(r, pos) || !get_vec3s(r, vel) || !get_f64s(r, mass) ||
-      !get_vec3s(r, acc) || !get_f64s(r, pot) || !r.ok())
-    return false;
-  if (perm_slice.size() != n || sorted_slice.size() != n || pos.size() != n)
-    return false;
-  if (vel.size() != (flags.velocities ? n : 0) ||
-      mass.size() != (flags.masses ? n : 0) ||
-      acc.size() != (flags.accel ? n : 0) ||
-      pot.size() != (flags.potential ? n : 0))
-    return false;
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t orig = perm_slice[i];
-    if (orig >= total) return false;  // corrupt permutation entry
-    const std::uint32_t t = begin + i;
-    g.tree.perm[t] = orig;
-    g.tree.sorted_pos[t] = sorted_slice[i];
-    g.bodies.positions[orig] = pos[i];
-    if (flags.velocities) g.bodies.velocities[orig] = vel[i];
-    if (flags.masses) g.bodies.masses[orig] = mass[i];
-    if (flags.accel) g.accel[orig] = acc[i];
-    if (flags.potential) g.potential[orig] = pot[i];
-  }
-  return true;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t orig = perm_slice[i];
+      if (orig >= total) return false;  // corrupt permutation entry
+      const std::uint32_t t = begin + i;
+      g.tree.perm[t] = orig;
+      g.tree.sorted_pos[t] = sorted_slice[i];
+      g.bodies.positions[orig] = pos[i];
+      if (flags.velocities) g.bodies.velocities[orig] = vel[i];
+      if (flags.masses) g.bodies.masses[orig] = mass[i];
+      if (flags.accel) g.accel[orig] = acc[i];
+      if (flags.potential) g.potential[orig] = pot[i];
+    }
+    return have_data = true;
+  };
+  return read_sections(data, kShardMagic, kShardVersion, visit, nullptr) &&
+         have_data;
 }
 
 // ---- manifest --------------------------------------------------------------
@@ -205,38 +152,20 @@ bool decode_shard_file(std::span<const std::uint8_t> data, int k,
 std::vector<std::uint8_t> encode_manifest(
     const ShardedCheckpoint& ckpt, const BodyArrayFlags& flags,
     const std::vector<ShardFileEntry>& entries) {
-  const SimCheckpoint& g = ckpt.global;
-
-  ByteWriter control;
-  control.u32(static_cast<std::uint32_t>(g.kind));
-  control.i64(g.step);
-  control.u64(g.bodies.size());
-  control.u8(g.has_observed ? 1 : 0);
-  put_observed(control, g.observed);
-  put_balancer(control, g.balancer);
-  put_health(control, g.health);
-  control.u64(g.injector.next_event);
-  control.i32(g.injector.transfer_window_end);
-  control.u64(g.injector.num_events);
-  put_u64s(control, g.rng_words);
-  control.u8(flags.velocities ? 1 : 0);
-  control.u8(flags.masses ? 1 : 0);
-  control.u8(flags.accel ? 1 : 0);
-  control.u8(flags.potential ? 1 : 0);
-
-  // The tree's control skeleton only; the O(N) body arrays live in the
-  // shard files.
-  OctreeSnapshot skeleton = g.tree;
-  skeleton.sorted_pos.clear();
-  skeleton.perm.clear();
-  ByteWriter tree;
-  put_tree(tree, skeleton);
-
-  ByteWriter cluster;
-  cluster.u64(ckpt.cluster_blob.size());
-  cluster.bytes(ckpt.cluster_blob.data(), ckpt.cluster_blob.size());
+  // The whole global checkpoint, through the checkpoint codec, minus the
+  // O(N) per-body arrays: those live in the shard files.
+  SimCheckpoint control = ckpt.global;
+  control.bodies = {};
+  control.accel.clear();
+  control.potential.clear();
+  control.tree.sorted_pos.clear();
+  control.tree.perm.clear();
 
   ByteWriter table;
+  table.u8(flags.velocities ? 1 : 0);
+  table.u8(flags.masses ? 1 : 0);
+  table.u8(flags.accel ? 1 : 0);
+  table.u8(flags.potential ? 1 : 0);
   table.u64(entries.size());
   for (const auto& e : entries) {
     table.u32(e.begin);
@@ -248,87 +177,47 @@ std::vector<std::uint8_t> encode_manifest(
   ByteWriter out;
   out.u32(kShardMagic);
   out.u32(kShardVersion);
-  out.u32(4);
-  append_section(out, ShardSection::kControl, std::move(control));
-  append_section(out, ShardSection::kTree, std::move(tree));
-  append_section(out, ShardSection::kCluster, std::move(cluster));
-  append_section(out, ShardSection::kShardTable, std::move(table));
+  out.u32(3);
+  append(out, ShardSection::kGlobal, encode_checkpoint(control));
+  append(out, ShardSection::kCluster, ckpt.cluster_blob);
+  append(out, ShardSection::kShardTable, table.buffer());
   return out.take();
 }
 
 struct ManifestData {
-  ShardedCheckpoint ckpt;  // bodies/tree arrays sized but unfilled
+  ShardedCheckpoint ckpt;  // per-body arrays still empty
   BodyArrayFlags flags;
-  std::uint64_t total_bodies = 0;
   std::vector<ShardFileEntry> entries;
 };
 
 std::optional<ManifestData> decode_manifest(
-    std::span<const std::uint8_t> data) {
-  ByteReader header(data);
-  if (header.u32() != kShardMagic || header.u32() != kShardVersion)
-    return std::nullopt;
-  const std::uint32_t sections = header.u32();
-  if (!header.ok()) return std::nullopt;
-
+    std::span<const std::uint8_t> data, std::string* error) {
   ManifestData m;
-  bool have_control = false, have_tree = false, have_table = false;
-  for (std::uint32_t s = 0; s < sections; ++s) {
-    const std::uint32_t id = header.u32();
-    const std::uint64_t size = header.u64();
-    const std::uint32_t crc = header.u32();
-    if (!header.ok() || size > header.remaining()) return std::nullopt;
-    const auto payload = header.bytes(size);
-    if (section_crc(id, payload) != crc) return std::nullopt;
-    ByteReader r(payload);
-    bool ok = true;
+  bool have_global = false, have_table = false;
+  const auto visit = [&](std::uint32_t id,
+                         std::span<const std::uint8_t> payload) {
     switch (static_cast<ShardSection>(id)) {
-      case ShardSection::kControl: {
-        SimCheckpoint& g = m.ckpt.global;
-        const std::uint32_t kind = r.u32();
-        if (kind > static_cast<std::uint32_t>(SimKind::kStokes)) ok = false;
-        g.kind = static_cast<SimKind>(kind);
-        g.step = static_cast<int>(r.i64());
-        m.total_bodies = r.u64();
-        g.has_observed = r.u8() != 0;
-        g.observed = get_observed(r);
-        ok = ok && get_balancer(r, g.balancer) && get_health(r, g.health);
-        g.injector.next_event = r.u64();
-        g.injector.transfer_window_end = r.i32();
-        g.injector.num_events = r.u64();
-        ok = ok && get_u64s(r, g.rng_words);
+      case ShardSection::kGlobal: {
+        auto g = decode_checkpoint(payload);
+        if (!g || !g->bodies.positions.empty() ||
+            !g->bodies.velocities.empty() || !g->bodies.masses.empty() ||
+            !g->accel.empty() || !g->potential.empty() ||
+            !g->tree.sorted_pos.empty() || !g->tree.perm.empty())
+          return false;
+        m.ckpt.global = std::move(*g);
+        return have_global = true;
+      }
+      case ShardSection::kCluster:
+        m.ckpt.cluster_blob.assign(payload.begin(), payload.end());
+        return true;
+      case ShardSection::kShardTable: {
+        ByteReader r(payload);
         m.flags.velocities = r.u8() != 0;
         m.flags.masses = r.u8() != 0;
         m.flags.accel = r.u8() != 0;
         m.flags.potential = r.u8() != 0;
-        have_control = ok && r.ok();
-        break;
-      }
-      case ShardSection::kTree:
-        ok = get_tree(r, m.ckpt.global.tree);
-        // The skeleton must arrive with empty body arrays (they are
-        // reassembled from the shard files).
-        ok = ok && m.ckpt.global.tree.sorted_pos.empty() &&
-             m.ckpt.global.tree.perm.empty();
-        have_tree = ok;
-        break;
-      case ShardSection::kCluster: {
-        const std::uint64_t len = r.u64();
-        if (len > r.remaining()) {
-          ok = false;
-          break;
-        }
-        const auto raw = r.bytes(len);
-        m.ckpt.cluster_blob.assign(raw.begin(), raw.end());
-        ok = r.ok();
-        break;
-      }
-      case ShardSection::kShardTable: {
         const std::uint64_t num = r.u64();
-        if (num * 20 > r.remaining()) {
-          ok = false;
-          break;
-        }
+        if (num * 20 > r.remaining()) return false;
         m.entries.resize(num);
         for (auto& e : m.entries) {
           e.begin = r.u32();
@@ -336,74 +225,63 @@ std::optional<ManifestData> decode_manifest(
           e.file_size = r.u64();
           e.file_crc = r.u32();
         }
-        ok = r.ok();
-        have_table = ok;
-        break;
+        return have_table = r.ok();
       }
-      default:
-        break;  // unknown section: skip (forward compatibility)
+      case ShardSection::kShardData:
+        return false;  // belongs in a shard file, never in a manifest
     }
-    if (!ok) return std::nullopt;
+    return true;  // unknown section: skip (forward compatibility)
+  };
+  if (!read_sections(data, kShardMagic, kShardVersion, visit, error))
+    return std::nullopt;
+  if (!have_global || !have_table) {
+    set_error(error, "missing required section");
+    return std::nullopt;
   }
-  if (header.remaining() != 0) return std::nullopt;
-  if (!have_control || !have_tree || !have_table) return std::nullopt;
-
-  // Structural cross-checks: contiguous ranges covering the declared count.
+  // The ranges are contiguous from 0; where they end is the body count.
   std::uint32_t cursor = 0;
   for (const auto& e : m.entries) {
-    if (e.begin != cursor || e.end < e.begin) return std::nullopt;
+    if (e.begin != cursor || e.end < e.begin) {
+      set_error(error, "shard ranges not contiguous");
+      return std::nullopt;
+    }
     cursor = e.end;
-  }
-  if (cursor != m.total_bodies) return std::nullopt;
-  for (const auto& e : m.entries)
     m.ckpt.ranges.emplace_back(e.begin, e.end);
+  }
   return m;
 }
 
-std::string owned_name(const std::string& owner, const char* bare) {
-  return owner.empty() ? std::string(bare) : owner + "_" + bare;
-}
+}  // namespace
 
-int step_of_manifest(const std::string& path, const std::string& owner) {
-  // [<owner>_]manifest_<step>.afms
-  const std::string name = fs::path(path).filename().string();
-  const std::size_t at = owned_name(owner, "manifest_").size();
-  return std::atoi(name.substr(at, 10).c_str());
-}
+ShardStore::ShardStore(std::string dir, int keep, std::string owner)
+    : manifests_(std::move(dir), keep, std::move(owner), "manifest_",
+                 ".afms") {}
 
-std::string manifest_path(const std::string& dir, const std::string& owner,
-                          int step) {
+std::string ShardStore::shard_path(int step, int k) const {
   char name[32];
-  std::snprintf(name, sizeof name, "manifest_%010d.afms", step);
-  return (fs::path(dir) / owned_name(owner, name)).string();
-}
-
-std::string shard_path(const std::string& dir, const std::string& owner,
-                       int step, int k) {
-  char name[48];
   std::snprintf(name, sizeof name, "shard_%010d_%04d.afms", step, k);
-  return (fs::path(dir) / owned_name(owner, name)).string();
+  const std::string file = owner().empty() ? name : owner() + "_" + name;
+  return (fs::path(dir()) / file).string();
 }
 
 // The coordinated set whose manifest is `path`, if the manifest AND every
 // shard file validate; otherwise nullopt with `error` describing why.
-std::optional<ShardedCheckpoint> load_set(const std::string& dir,
-                                          const std::string& owner,
-                                          const std::string& path,
-                                          std::string& error) {
+std::optional<ShardedCheckpoint> ShardStore::load_set(
+    const std::string& path, std::string& error) const {
   const auto bytes = read_file(path);
   if (!bytes) {
     error = path + ": unreadable";
     return std::nullopt;
   }
-  auto m = decode_manifest(*bytes);
+  std::string why;
+  auto m = decode_manifest(*bytes, &why);
   if (!m) {
-    error = path + ": corrupt manifest";
+    error = path + ": " + why;
     return std::nullopt;
   }
   // Size the arrays the shard files fill in.
   SimCheckpoint& g = m->ckpt.global;
-  const auto total = static_cast<std::size_t>(m->total_bodies);
+  const std::size_t total = m->entries.empty() ? 0 : m->entries.back().end;
   g.tree.perm.resize(total);
   g.tree.sorted_pos.resize(total);
   g.bodies.positions.resize(total);
@@ -413,43 +291,16 @@ std::optional<ShardedCheckpoint> load_set(const std::string& dir,
   if (m->flags.potential) g.potential.resize(total);
 
   for (std::size_t k = 0; k < m->entries.size(); ++k) {
-    const auto shard_bytes =
-        read_file(shard_path(dir, owner, g.step, static_cast<int>(k)));
-    if (!shard_bytes || shard_bytes->size() != m->entries[k].file_size ||
-        crc32(*shard_bytes) != m->entries[k].file_crc ||
-        !decode_shard_file(*shard_bytes, static_cast<int>(k), m->entries[k],
-                           static_cast<std::uint32_t>(total), m->flags, g.step,
-                           g)) {
+    const auto& entry = m->entries[k];
+    const auto shard = read_file(shard_path(g.step, static_cast<int>(k)));
+    if (!shard || shard->size() != entry.file_size ||
+        crc32(*shard) != entry.file_crc ||
+        !decode_shard_file(*shard, static_cast<int>(k), entry, m->flags, g)) {
       error = path + ": shard " + std::to_string(k) + " invalid";
       return std::nullopt;
     }
   }
   return std::move(m->ckpt);
-}
-
-}  // namespace
-
-ShardStore::ShardStore(std::string dir, int keep, std::string owner)
-    : dir_(std::move(dir)), keep_(std::max(1, keep)), owner_(std::move(owner)) {
-  if (!valid_store_owner(owner_))
-    throw std::invalid_argument(
-        "store owner '" + owner_ +
-        "' invalid: only [A-Za-z0-9.-] allowed (no '_', which would make the "
-        "name parse as another owner's)");
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-}
-
-std::vector<std::string> ShardStore::manifests() const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (match_owned_snapshot(name, owner_, "manifest_", {10}, ".afms"))
-      out.push_back(entry.path().string());
-  }
-  std::sort(out.rbegin(), out.rend());  // zero-padded steps: newest first
-  return out;
 }
 
 bool ShardStore::save(const ShardedCheckpoint& ckpt, std::string* error) {
@@ -475,32 +326,22 @@ bool ShardStore::save(const ShardedCheckpoint& ckpt, std::string* error) {
     entries[k].end = ckpt.ranges[k].second;
     entries[k].file_size = bytes.size();
     entries[k].file_crc = crc32(bytes);
-    if (!write_file_atomic(
-            shard_path(dir_, owner_, g.step, static_cast<int>(k)), bytes,
-            error))
+    if (!write_file_atomic(shard_path(g.step, static_cast<int>(k)), bytes,
+                           error))
       return false;
   }
-  const std::string written = manifest_path(dir_, owner_, g.step);
-  if (!write_file_atomic(written, encode_manifest(ckpt, flags, entries), error))
+  if (!write_file_atomic(manifests_.path(g.step),
+                         encode_manifest(ckpt, flags, entries), error))
     return false;
 
-  // Prune OUR coordinated sets beyond the keep budget (manifest + shards):
-  // the set just written plus the newest others, so stale higher-step sets
-  // left by an earlier run can never rotate the new one away. Another
-  // owner's sets in the same directory are invisible to manifests() and
-  // therefore never rotated away from under it.
-  int kept = 1;  // the set just written
-  for (const auto& path : manifests()) {
-    if (path == written) continue;
-    if (kept < keep_) {
-      ++kept;
-      continue;
-    }
-    const int step = step_of_manifest(path, owner_);
+  // Prune OUR coordinated sets beyond the keep budget, manifest and shards.
+  // Another owner's sets in the same directory are invisible to manifests_
+  // and therefore never rotated away from under it.
+  for (int step : manifests_.excess(g.step)) {
     std::error_code ec;
-    fs::remove(path, ec);
+    fs::remove(manifests_.path(step), ec);
     for (int k = 0;; ++k) {
-      const std::string p = shard_path(dir_, owner_, step, k);
+      const std::string p = shard_path(step, k);
       if (!fs::exists(p, ec)) break;
       fs::remove(p, ec);
     }
@@ -511,16 +352,16 @@ bool ShardStore::save(const ShardedCheckpoint& ckpt, std::string* error) {
 std::optional<ShardedCheckpoint> ShardStore::load(int step,
                                                   std::string* error) const {
   std::string e;
-  auto ckpt = load_set(dir_, owner_, manifest_path(dir_, owner_, step), e);
+  auto ckpt = load_set(manifests_.path(step), e);
   if (!ckpt) set_error(error, e);
   return ckpt;
 }
 
 std::optional<ShardedCheckpoint> ShardStore::load_latest(
     std::string* error) const {
-  std::string last_error = "no shard manifests in " + dir_;
+  std::string last_error = "no shard manifests in " + dir();
   for (const auto& path : manifests())
-    if (auto ckpt = load_set(dir_, owner_, path, last_error)) return ckpt;
+    if (auto ckpt = load_set(path, last_error)) return ckpt;
   set_error(error, last_error);
   return std::nullopt;
 }

@@ -4,12 +4,13 @@
 // Layout on disk (all little-endian, same section seal as state/checkpoint):
 //
 //   manifest_<step>.afms   u32 magic 'AFMS' | u32 version | u32 section_count
-//                          sections: control state (kind, step, observed,
-//                          balancer, health, injector, rng), the tree
-//                          WITHOUT its body arrays, the opaque cluster-layer
-//                          blob, and the shard table -- per shard its body
-//                          range plus the size and whole-file CRC of its
-//                          shard file.
+//                          sections: the global checkpoint in the
+//                          checkpoint format (state/checkpoint.hpp, with its
+//                          own version) WITHOUT its per-body arrays, the
+//                          opaque cluster-layer blob, and the shard table --
+//                          which body arrays the set carries, then per shard
+//                          its body range plus the size and whole-file CRC
+//                          of its shard file. The ranges define N.
 //   shard_<step>_<k>.afms  u32 magic | u32 version | shard header + that
 //                          range's slice of the permutation, the tree-order
 //                          positions, and every per-body array (positions,
@@ -46,7 +47,10 @@ inline constexpr std::uint32_t kShardMagic = 0x534D4641;  // "AFMS"
 // byte.
 // v4: the shared observed encoder (checkpoint v7) dropped the M2P/P2L
 // fields.
-inline constexpr std::uint32_t kShardVersion = 4;
+// v5: the manifest nests the global checkpoint in the checkpoint format
+// (which carries the injector's fired mark v4 dropped) instead of its own
+// control and tree sections; the shard table carries the body-array flags.
+inline constexpr std::uint32_t kShardVersion = 5;
 
 // What a coordinated save captures: the full single-engine checkpoint, the
 // cluster layer's opaque state blob (shard map, per-node health, failure
@@ -84,15 +88,17 @@ class ShardStore {
                                         std::string* error = nullptr) const;
 
   // Manifest paths OF THIS OWNER, newest (highest step) first.
-  std::vector<std::string> manifests() const;
-  const std::string& dir() const { return dir_; }
-  int keep() const { return keep_; }
-  const std::string& owner() const { return owner_; }
+  std::vector<std::string> manifests() const { return manifests_.list(); }
+  const std::string& dir() const { return manifests_.dir(); }
+  int keep() const { return manifests_.keep(); }
+  const std::string& owner() const { return manifests_.owner(); }
 
  private:
-  std::string dir_;
-  int keep_;
-  std::string owner_;
+  std::string shard_path(int step, int k) const;
+  std::optional<ShardedCheckpoint> load_set(const std::string& manifest,
+                                            std::string& error) const;
+
+  SnapshotFiles manifests_;
 };
 
 }  // namespace afmm

@@ -13,7 +13,7 @@
 //
 // A trip never kills anything by itself: the simulation reacts by rolling
 // back to the last good checkpoint and re-entering Search (see
-// core/simulation.hpp). Zero limits disable the respective budget.
+// core/engine.hpp). Zero limits disable the respective budget.
 #pragma once
 
 #include <chrono>

@@ -10,15 +10,15 @@
 // re-runs the scenario and requires byte equality, so the engine cannot
 // perturb trajectories, StepRecords, or trace output even by one ULP.
 //
-// Uses only the public GravitySimulation API on purpose: the same header
-// produced the golden file with the pre-refactor code.
+// Uses only the public GravityEngine API, so the scenario cannot reach into
+// engine internals the golden is meant to pin.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -28,8 +28,8 @@ namespace afmm::golden {
 
 inline constexpr int kGoldenSteps = 12;
 
-inline SimulationConfig golden_config() {
-  SimulationConfig cfg;
+inline EngineConfig golden_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0.5, 0.5, 0.5};
   cfg.tree.root_half = 0.5;
@@ -43,17 +43,14 @@ inline SimulationConfig golden_config() {
   return cfg;
 }
 
-inline GravitySimulation golden_simulation() {
+// G = 1, softening 1e-3, on a 2-GPU node charging the serialized timeline.
+inline GravityEngine golden_simulation() {
   Rng rng(2026);
   auto bodies = uniform_cube(400, rng, {0.5, 0.5, 0.5}, 0.5);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  // The golden dump encodes the serialized timeline; pin the overlap
-  // executor off so an ambient AFMM_OVERLAP=1 cannot change the *.seconds
-  // series this file fingerprints. (A separate test proves trajectories are
-  // bit-identical either way.)
-  node.set_overlap(OverlapMode::kOff);
-  return GravitySimulation(golden_config(), std::move(node),
-                           std::move(bodies));
+  const EngineConfig cfg = golden_config();
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
+                                           std::move(bodies)));
 }
 
 inline std::uint64_t fnv1a(const std::string& data) {
@@ -102,13 +99,13 @@ inline std::string dump_record(const StepRecord& r) {
 }
 
 // Runs the scenario and serializes it; the golden file holds this string as
-// produced by the pre-refactor GravitySimulation.
+// produced by the pre-refactor code.
 inline std::string golden_dump() {
-  GravitySimulation sim = golden_simulation();
+  GravityEngine sim = golden_simulation();
   std::string out = "golden gravity v1\n";
-  for (int i = 0; i < kGoldenSteps; ++i) out += dump_record(sim.step());
+  for (int i = 0; i < kGoldenSteps; ++i) out += dump_record(sim.step_once());
 
-  const auto& bodies = sim.bodies();
+  const auto& bodies = sim.problem().bodies();
   for (std::size_t i = 0; i < bodies.size(); ++i) {
     out += "pos " + std::to_string(i) + " " + hexf(bodies.positions[i].x) +
            " " + hexf(bodies.positions[i].y) + " " +

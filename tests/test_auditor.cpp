@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "kernels/gravity.hpp"
 #include "kernels/stokeslet.hpp"
@@ -13,20 +13,21 @@
 namespace afmm {
 namespace {
 
-SimulationConfig base_config() {
-  SimulationConfig cfg;
+EngineConfig base_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
   cfg.balancer.initial_S = 32;
   cfg.dt = 1e-4;
-  cfg.grav_const = 1.0;
-  cfg.softening = 1e-3;
   return cfg;
 }
 
-NodeSimulator default_node(int gpus = 2) {
-  return NodeSimulator(CpuModelConfig{}, GpuSystemConfig::uniform(gpus));
+// G = 1, softening 1e-3, on a 2-GPU node.
+GravityEngine make_sim(const EngineConfig& cfg, ParticleSet bodies) {
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
+                                           std::move(bodies)));
 }
 
 ParticleSet test_bodies(std::size_t n = 1500) {
@@ -38,7 +39,7 @@ ParticleSet test_bodies(std::size_t n = 1500) {
 }
 
 TEST(Auditor, HealthyRunPassesEveryAudit) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim(base_config(), test_bodies());
   sim.run(5);
   const auto report = sim.run_audit();
   EXPECT_TRUE(report.ok()) << report.summary();
@@ -46,7 +47,7 @@ TEST(Auditor, HealthyRunPassesEveryAudit) {
 }
 
 TEST(Auditor, TreeAuditCatchesBrokenParentLink) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim(base_config(), test_bodies());
   sim.run(2);
   ASSERT_TRUE(sim.run_audit().ok());
   sim.corrupt_tree_for_test();
@@ -57,9 +58,9 @@ TEST(Auditor, TreeAuditCatchesBrokenParentLink) {
 }
 
 TEST(Auditor, FiniteAuditCatchesNanForce) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim(base_config(), test_bodies());
   sim.run(2);
-  sim.corrupt_force_for_test(17);
+  sim.problem().corrupt_force_for_test(17);
   const auto report = sim.run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("accel"), std::string::npos)
@@ -82,7 +83,7 @@ TEST(Auditor, CostModelAuditCatchesPoisonedCoefficient) {
 }
 
 TEST(Auditor, TreeAuditCatchesOversizeLeaf) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim(base_config(), test_bodies());
   sim.run(1);
   // Judge the healthy tree against an S far below the one it was built with:
   // every leaf is now "oversize", exactly what a corrupted span or a
@@ -191,12 +192,12 @@ TEST(Auditor, SampledForceAuditCatchesCorruptedAcceleration) {
 TEST(Recovery, NanForceRollsBackAndReentersSearch) {
   auto cfg = base_config();
   cfg.resilience.audit.interval = 1;
-  GravitySimulation sim(cfg, default_node(), test_bodies());
+  GravityEngine sim = make_sim(cfg, test_bodies());
   sim.run(6);
   ASSERT_EQ(sim.rollbacks(), 0);
 
-  sim.corrupt_force_for_test(3);
-  const auto rec = sim.step();
+  sim.problem().corrupt_force_for_test(3);
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.audited);
   EXPECT_TRUE(rec.audit_failed);
   EXPECT_TRUE(rec.rolled_back);
@@ -217,11 +218,11 @@ TEST(Recovery, BrokenTreeLinkRollsBack) {
   auto cfg = base_config();
   cfg.resilience.audit.interval = 1;
   cfg.resilience.checkpoint_interval = 4;
-  GravitySimulation sim(cfg, default_node(), test_bodies());
+  GravityEngine sim = make_sim(cfg, test_bodies());
   sim.run(5);  // a checkpoint exists at step 4
 
   sim.corrupt_tree_for_test();
-  const auto rec = sim.step();
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.audit_failed);
   EXPECT_TRUE(rec.rolled_back);
   EXPECT_EQ(rec.restored_step, 4);
@@ -232,10 +233,10 @@ TEST(Recovery, RollbackDisabledOnlyRecords) {
   auto cfg = base_config();
   cfg.resilience.audit.interval = 1;
   cfg.resilience.rollback_on_failure = false;
-  GravitySimulation sim(cfg, default_node(), test_bodies());
+  GravityEngine sim = make_sim(cfg, test_bodies());
   sim.run(3);
-  sim.corrupt_force_for_test(3);
-  const auto rec = sim.step();
+  sim.problem().corrupt_force_for_test(3);
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.audit_failed);
   EXPECT_FALSE(rec.rolled_back);
   EXPECT_EQ(sim.rollbacks(), 0);
@@ -245,8 +246,8 @@ TEST(Recovery, WatchdogVirtualBudgetTripsAndRollsBack) {
   auto cfg = base_config();
   // Any step blows a sub-femtosecond virtual budget: deterministic trip.
   cfg.resilience.watchdog.virtual_limit_seconds = 1e-15;
-  GravitySimulation sim(cfg, default_node(), test_bodies());
-  const auto rec = sim.step();
+  GravityEngine sim = make_sim(cfg, test_bodies());
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.watchdog_tripped);
   EXPECT_TRUE(rec.rolled_back);
   EXPECT_EQ(rec.restored_step, 0);  // back to the seeded initial snapshot
@@ -257,7 +258,7 @@ TEST(Recovery, GenerousWatchdogNeverTrips) {
   auto cfg = base_config();
   cfg.resilience.watchdog.virtual_limit_seconds = 1e9;
   cfg.resilience.watchdog.wall_limit_seconds = 3600.0;
-  GravitySimulation sim(cfg, default_node(), test_bodies());
+  GravityEngine sim = make_sim(cfg, test_bodies());
   for (const auto& rec : sim.run(4)) {
     EXPECT_FALSE(rec.watchdog_tripped);
     EXPECT_FALSE(rec.rolled_back);
@@ -266,12 +267,12 @@ TEST(Recovery, GenerousWatchdogNeverTrips) {
 
 TEST(Recovery, ResilienceDoesNotPerturbHealthyTrajectory) {
   const auto set = test_bodies();
-  GravitySimulation plain(base_config(), default_node(), set);
+  GravityEngine plain = make_sim(base_config(), set);
   auto cfg = base_config();
   cfg.resilience.audit.interval = 1;  // audit EVERY step
   cfg.resilience.checkpoint_interval = 2;
   cfg.resilience.watchdog.virtual_limit_seconds = 1e9;
-  GravitySimulation resilient(cfg, default_node(), set);
+  GravityEngine resilient = make_sim(cfg, set);
 
   const auto a = plain.run(10);
   const auto b = resilient.run(10);
@@ -284,8 +285,9 @@ TEST(Recovery, ResilienceDoesNotPerturbHealthyTrajectory) {
     EXPECT_EQ(a[static_cast<std::size_t>(i)].state,
               b[static_cast<std::size_t>(i)].state);
   }
-  for (std::size_t i = 0; i < set.size(); ++i)
-    EXPECT_EQ(plain.bodies().positions[i], resilient.bodies().positions[i]);
+  const auto& pa = plain.problem().bodies().positions;
+  const auto& pb = resilient.problem().bodies().positions;
+  for (std::size_t i = 0; i < set.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
 }
 
 }  // namespace

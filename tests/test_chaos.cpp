@@ -7,7 +7,7 @@
 
 #include "balance/load_balancer.hpp"
 #include "core/fmm_solver.hpp"
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "faults/fault_injector.hpp"
 #include "util/rng.hpp"
@@ -121,15 +121,16 @@ TEST(Chaos, AllGpusLostForcesAreBitForBitIdentical) {
 
 TEST(Chaos, SimulationWiresFaultsIntoStepRecords) {
   Rng rng(5);
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.balancer.initial_S = 48;
   cfg.faults.gpu_loss(2, 0)
       .transfer_faults(4, 0.9, 2)
       .gpu_loss(7, 1);
 
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  GravitySimulation sim(cfg, node, uniform_cube(3000, rng, {0.5, 0.5, 0.5},
-                                                0.5));
+  GravityEngine sim(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, node,
+                                        uniform_cube(3000, rng,
+                                                     {0.5, 0.5, 0.5}, 0.5)));
   const auto records = sim.run(10);
 
   EXPECT_EQ(records[1].alive_gpus, 2);

@@ -6,10 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
-#include "omp_threads.hpp"
+#include "replay_axes.hpp"
 #include "state/serial.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
@@ -19,20 +18,28 @@ namespace {
 
 namespace fs = std::filesystem;
 
-SimulationConfig base_config() {
-  SimulationConfig cfg;
+EngineConfig base_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
   cfg.balancer.initial_S = 32;
   cfg.dt = 1e-4;
-  cfg.grav_const = 1.0;
-  cfg.softening = 1e-3;
   return cfg;
 }
 
-NodeSimulator default_node(int gpus = 2) {
-  return NodeSimulator(CpuModelConfig{}, GpuSystemConfig::uniform(gpus));
+NodeSimulator default_node(OverlapMode overlap = OverlapMode::kOff) {
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  node.set_overlap(overlap);
+  return node;
+}
+
+// G = 1, softening 1e-3.
+GravityEngine make_sim(const EngineConfig& cfg, ParticleSet bodies,
+                       OverlapMode overlap = OverlapMode::kOff) {
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3,
+                                           default_node(overlap),
+                                           std::move(bodies)));
 }
 
 ParticleSet test_bodies(std::size_t n = 1500) {
@@ -66,20 +73,23 @@ void expect_same_record(const StepRecord& a, const StepRecord& b) {
 
 // A straight 2k-step run and a run checkpointed at k (through a full binary
 // encode/decode) and resumed must produce bit-identical trajectories.
-void check_restore_determinism(SimulationConfig cfg, int k) {
+void check_restore_determinism(const EngineConfig& cfg, int k,
+                               OverlapMode overlap) {
   const auto set = test_bodies();
 
-  GravitySimulation straight(cfg, default_node(), set);
+  GravityEngine straight = make_sim(cfg, set, overlap);
   const auto ref = straight.run(2 * k);
 
-  GravitySimulation first_half(cfg, default_node(), set);
+  GravityEngine first_half = make_sim(cfg, set, overlap);
   const auto head = first_half.run(k);
   const auto bytes = encode_checkpoint(first_half.checkpoint());
   std::string error;
   const auto decoded = decode_checkpoint(bytes, &error);
   ASSERT_TRUE(decoded.has_value()) << error;
 
-  GravitySimulation resumed(cfg, default_node(), *decoded);
+  GravityEngine resumed(
+      cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(overlap), {}),
+      *decoded);
   ASSERT_EQ(resumed.steps_taken(), k);
   const auto tail = resumed.run(k);
 
@@ -89,24 +99,23 @@ void check_restore_determinism(SimulationConfig cfg, int k) {
     expect_same_record(ref[static_cast<std::size_t>(k + i)],
                        tail[static_cast<std::size_t>(i)]);
   }
+  const ParticleSet& a = straight.problem().bodies();
+  const ParticleSet& b = resumed.problem().bodies();
   for (std::size_t i = 0; i < set.size(); ++i) {
-    EXPECT_EQ(straight.bodies().positions[i], resumed.bodies().positions[i]);
-    EXPECT_EQ(straight.bodies().velocities[i], resumed.bodies().velocities[i]);
+    EXPECT_EQ(a.positions[i], b.positions[i]);
+    EXPECT_EQ(a.velocities[i], b.velocities[i]);
   }
   EXPECT_EQ(straight.balancer().state(), resumed.balancer().state());
   EXPECT_EQ(straight.balancer().current_S(), resumed.balancer().current_S());
 }
 
-// The straight-versus-resumed checks at 1 and at 4 OpenMP threads: a resumed
-// run must reproduce the straight one whatever the thread count.
-class CheckpointReplay : public ::testing::TestWithParam<int> {
- protected:
-  OmpThreads threads_{GetParam()};
-};
-INSTANTIATE_TEST_SUITE_P(Threads, CheckpointReplay, ::testing::Values(1, 4),
-                         [](const auto& info) {
-                           return std::to_string(info.param);
-                         });
+// The straight-versus-resumed checks at 1 and at 4 OpenMP threads, on the
+// serialized and on the overlap timeline: a resumed run must reproduce the
+// straight one whatever the thread count, and the overlap fields of the
+// observed step times must survive the round trip.
+class CheckpointReplay : public ReplayTest {};
+INSTANTIATE_TEST_SUITE_P(Replay, CheckpointReplay, replay_axes(),
+                         replay_axes_name);
 
 TEST(Serial, WriterReaderRoundTrip) {
   ByteWriter w;
@@ -138,7 +147,7 @@ TEST(Serial, Crc32MatchesKnownVector) {
 
 TEST(Checkpoint, EncodeDecodeRoundTrip) {
   const auto set = test_bodies(600);
-  GravitySimulation sim(base_config(), default_node(), set);
+  GravityEngine sim = make_sim(base_config(), set);
   sim.run(5);
 
   const auto ckpt = sim.checkpoint();
@@ -185,7 +194,7 @@ TEST(Checkpoint, RngStateSurvivesRoundTrip) {
 }
 
 TEST_P(CheckpointReplay, RestoredRunIsBitIdentical) {
-  check_restore_determinism(base_config(), 10);
+  check_restore_determinism(base_config(), 10, overlap());
 }
 
 TEST_P(CheckpointReplay, RestoredRunIsBitIdenticalUnderFaults) {
@@ -197,18 +206,18 @@ TEST_P(CheckpointReplay, RestoredRunIsBitIdenticalUnderFaults) {
       .transfer_faults(8, 0.5, 6)
       .gpu_loss(14, 0)
       .gpu_recovery(18, 1);
-  check_restore_determinism(cfg, 10);
+  check_restore_determinism(cfg, 10, overlap());
 }
 
 TEST_P(CheckpointReplay, RestoredRunIsBitIdenticalWithResilienceEnabled) {
   auto cfg = base_config();
   cfg.resilience.audit.interval = 3;
   cfg.resilience.checkpoint_interval = 5;
-  check_restore_determinism(cfg, 10);
+  check_restore_determinism(cfg, 10, overlap());
 }
 
 TEST(Checkpoint, VersionMismatchRejected) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   auto bytes = encode_checkpoint(sim.checkpoint());
   bytes[4] += 1;  // format version field sits right after the magic
   std::string error;
@@ -224,7 +233,7 @@ TEST(Checkpoint, BadMagicRejected) {
 }
 
 TEST(Checkpoint, CorruptByteRejectedByCrc) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   auto bytes = encode_checkpoint(sim.checkpoint());
   bytes[bytes.size() / 2] ^= 0x40;  // flip one bit mid-payload
   std::string error;
@@ -233,7 +242,7 @@ TEST(Checkpoint, CorruptByteRejectedByCrc) {
 }
 
 TEST(Checkpoint, TruncationRejected) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   const auto bytes = encode_checkpoint(sim.checkpoint());
   for (const std::size_t cut : {bytes.size() - 1, bytes.size() / 2,
                                 std::size_t{17}, std::size_t{3}}) {
@@ -245,9 +254,9 @@ TEST(Checkpoint, TruncationRejected) {
 TEST(CheckpointStore, SaveLoadAndPrune) {
   const std::string dir = fresh_dir("ckpt_store_prune");
   CheckpointStore store(dir, 2);
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   for (int i = 0; i < 4; ++i) {
-    sim.step();
+    sim.step_once();
     auto ckpt = sim.checkpoint();
     std::string error;
     ASSERT_TRUE(store.save(ckpt, &error)) << error;
@@ -261,8 +270,8 @@ TEST(CheckpointStore, SaveLoadAndPrune) {
 TEST(CheckpointStore, SaveKeepsTheFileJustWrittenAndLoadsExactStep) {
   const std::string dir = fresh_dir("ckpt_store_exact");
   CheckpointStore store(dir, 2);
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   auto ckpt = sim.checkpoint();
   // An earlier run left higher steps behind; they must not crowd out the
   // new, lower-step snapshot.
@@ -283,10 +292,10 @@ TEST(CheckpointStore, SaveKeepsTheFileJustWrittenAndLoadsExactStep) {
 TEST(CheckpointStore, TornWriteFallsBackToPreviousSnapshot) {
   const std::string dir = fresh_dir("ckpt_store_torn");
   CheckpointStore store(dir, 3);
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   ASSERT_TRUE(store.save(sim.checkpoint()));
-  sim.step();
+  sim.step_once();
   ASSERT_TRUE(store.save(sim.checkpoint()));
 
   // Kill mid-write: the newest snapshot is half there.
@@ -303,10 +312,10 @@ TEST(CheckpointStore, TornWriteFallsBackToPreviousSnapshot) {
 TEST(CheckpointStore, CorruptedNewestFallsBack) {
   const std::string dir = fresh_dir("ckpt_store_corrupt");
   CheckpointStore store(dir, 3);
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   ASSERT_TRUE(store.save(sim.checkpoint()));
-  sim.step();
+  sim.step_once();
   ASSERT_TRUE(store.save(sim.checkpoint()));
 
   // Bit rot in the newest file.
@@ -331,7 +340,7 @@ TEST(CheckpointStore, AllSnapshotsCorruptReportsError) {
 }
 
 TEST(Checkpoint, KindMismatchThrows) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   auto ckpt = sim.checkpoint();
   ckpt.kind = SimKind::kStokes;
   EXPECT_THROW(sim.restore(ckpt), std::invalid_argument);
@@ -344,32 +353,38 @@ TEST_P(CheckpointReplay, StokesRestoredRunIsBitIdentical) {
     pos.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1),
                    rng.uniform(2, 4)});
 
-  StokesSimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
-  cfg.epsilon = 0.05;
   cfg.dt = 1e-3;
   cfg.balancer.initial_S = 32;
   cfg.faults.gpu_loss(8, 0);  // active fault on the far side of the snapshot
   const auto force = constant_force({0, 0, -1});
+  // epsilon 0.05, viscosity 1.
+  auto problem = [&](std::vector<Vec3> p) {
+    return StokesProblem(cfg.fmm, 0.05, 1.0, default_node(overlap()),
+                         std::move(p), force);
+  };
 
-  StokesSimulation straight(cfg, default_node(), pos, force);
+  StokesEngine straight(cfg, problem(pos));
   const auto ref = straight.run(12);
 
-  StokesSimulation half(cfg, default_node(), pos, force);
+  StokesEngine half(cfg, problem(pos));
   half.run(6);
   const auto decoded = decode_checkpoint(encode_checkpoint(half.checkpoint()));
   ASSERT_TRUE(decoded.has_value());
-  StokesSimulation resumed(cfg, default_node(), *decoded, force);
+  StokesEngine resumed(cfg, problem({}), *decoded);
   const auto tail = resumed.run(6);
 
   for (int i = 0; i < 6; ++i)
     expect_same_record(ref[static_cast<std::size_t>(6 + i)],
                        tail[static_cast<std::size_t>(i)]);
+  const StokesProblem& a = straight.problem();
+  const StokesProblem& b = resumed.problem();
   for (std::size_t i = 0; i < pos.size(); ++i) {
-    EXPECT_EQ(straight.positions()[i], resumed.positions()[i]);
-    EXPECT_EQ(straight.velocities()[i], resumed.velocities()[i]);
+    EXPECT_EQ(a.position_vector()[i], b.position_vector()[i]);
+    EXPECT_EQ(a.velocities()[i], b.velocities()[i]);
   }
 }
 
@@ -379,9 +394,9 @@ TEST(CheckpointStore, OwnerPrefixesFilenames) {
   const std::string dir = fresh_dir("ckpt_owner_prefix");
   CheckpointStore store(dir, 3, "sA");
   EXPECT_EQ(store.owner(), "sA");
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
   for (int i = 0; i < 2; ++i) {
-    sim.step();
+    sim.step_once();
     ASSERT_TRUE(store.save(sim.checkpoint()));
   }
   const auto files = store.files();
@@ -400,12 +415,12 @@ TEST(CheckpointStore, OwnersAreIsolatedInOneDirectory) {
   CheckpointStore a(dir, 1, "a");
   CheckpointStore b(dir, 1, "b");
   CheckpointStore legacy(dir, 1);
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   ASSERT_TRUE(a.save(sim.checkpoint()));
   ASSERT_TRUE(b.save(sim.checkpoint()));
   ASSERT_TRUE(legacy.save(sim.checkpoint()));
-  sim.step();
+  sim.step_once();
   // a rotates (keep=1) without touching b's or the legacy store's snapshot.
   ASSERT_TRUE(a.save(sim.checkpoint()));
   EXPECT_EQ(a.files().size(), 1u);
@@ -423,8 +438,8 @@ TEST(CheckpointStore, StrictMatchingRejectsLookAlikeNames) {
   // matcher requires exactly one 10-digit group after the stem.
   const std::string dir = fresh_dir("ckpt_lookalike");
   CheckpointStore owned(dir, 3, "ckpt");
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   ASSERT_TRUE(owned.save(sim.checkpoint()));
   ASSERT_EQ(owned.files().size(), 1u);
 
@@ -474,8 +489,8 @@ TEST(CheckpointStore, EngineAutoClaimAvoidsSharedDirCollision) {
   cfg.resilience.checkpoint_interval = 1;
   cfg.resilience.checkpoint_dir = dir;
   cfg.resilience.checkpoint_keep = 3;
-  GravitySimulation sim1(cfg, default_node(), test_bodies(300));
-  GravitySimulation sim2(cfg, default_node(), test_bodies(400));
+  GravityEngine sim1 = make_sim(cfg, test_bodies(300));
+  GravityEngine sim2 = make_sim(cfg, test_bodies(400));
   sim1.run(2);
   sim2.run(3);
   ASSERT_NE(sim1.store(), nullptr);
@@ -487,8 +502,8 @@ TEST(CheckpointStore, EngineAutoClaimAvoidsSharedDirCollision) {
 
 TEST(ShardStore, OwnerPrefixesAndIsolation) {
   const std::string dir = fresh_dir("shard_owner");
-  GravitySimulation sim(base_config(), default_node(), test_bodies(300));
-  sim.step();
+  GravityEngine sim = make_sim(base_config(), test_bodies(300));
+  sim.step_once();
   ShardedCheckpoint ckpt;
   ckpt.global = sim.checkpoint();
   ckpt.cluster_blob = {1, 2, 3};
@@ -517,7 +532,7 @@ TEST(Checkpoint, SimulationStoreWritesOnCadence) {
   cfg.resilience.checkpoint_interval = 3;
   cfg.resilience.checkpoint_dir = dir;
   cfg.resilience.checkpoint_keep = 2;
-  GravitySimulation sim(cfg, default_node(), test_bodies(300));
+  GravityEngine sim = make_sim(cfg, test_bodies(300));
   const auto recs = sim.run(7);
   // Snapshots after steps 3 and 6 (plus the initial seed, pruned to keep=2).
   EXPECT_TRUE(recs[2].checkpointed);

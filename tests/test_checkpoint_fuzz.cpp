@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
@@ -28,8 +28,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-SimulationConfig base_config() {
-  SimulationConfig cfg;
+EngineConfig base_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
@@ -48,6 +48,13 @@ ParticleSet test_bodies(std::size_t n = 400) {
   opt.scale_radius = 0.2;
   opt.velocity_scale = 0.5;
   return plummer(n, rng, opt);
+}
+
+// G = 1, softening 1e-3.
+GravityEngine make_sim() {
+  const EngineConfig cfg = base_config();
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(),
+                                           test_bodies()));
 }
 
 std::string fresh_dir(const std::string& name) {
@@ -104,7 +111,7 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& b) {
 }
 
 SimCheckpoint make_checkpoint(int steps = 3) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim();
   sim.run(steps);
   return sim.checkpoint();
 }
@@ -172,7 +179,7 @@ TEST(CheckpointFuzz, AppendedTrailingBytesAreDetected) {
 }
 
 TEST(CheckpointFuzz, StoreFallsBackToPreviousGoodSnapshot) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim();
   CheckpointStore store(fresh_dir("fuzz_store"), /*keep=*/3);
   sim.run(2);
   const SimCheckpoint older = sim.checkpoint();

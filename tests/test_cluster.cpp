@@ -38,14 +38,10 @@ ParticleSet test_bodies(std::size_t n = 1200) {
 }
 
 GravityProblem make_problem(const EngineConfig& cfg,
-                            ParticleSet bodies = test_bodies()) {
-  return GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(), std::move(bodies));
-}
-
-GravityProblem make_overlap_problem(const EngineConfig& cfg,
-                                    ParticleSet bodies = test_bodies()) {
+                            ParticleSet bodies = test_bodies(),
+                            OverlapMode overlap = OverlapMode::kOff) {
   NodeSimulator node = default_node();
-  node.set_overlap(OverlapMode::kOn);
+  node.set_overlap(overlap);
   return GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
                         std::move(bodies));
 }
@@ -230,22 +226,22 @@ TEST(Cluster, FaultFreeRunMatchesSingleNodeBitForBit) {
 // and on this workload one of them put a collapsed parent and a hidden
 // collapsed child in the same batch -- the parent's push_down re-hid the
 // child, so the batch revert's collapse() threw "already an effective leaf".
-// Pin overlap ON here (instead of relying on the AFMM_OVERLAP CI leg) so
-// plain test runs regress that trajectory too. The cluster layer is
-// read-only over one inner engine, so the overlap-on cluster run must also
-// stay bit-identical to the overlap-on single-node run.
+// Overlap is on here so the test regresses that trajectory. The cluster
+// layer is read-only over one inner engine, so the overlap-on cluster run
+// must also stay bit-identical to the overlap-on single-node run.
 TEST(Cluster, OverlapExecutionKeepsFgoOnTheEffectiveTree) {
   const EngineConfig cfg = base_config();
   const ParticleSet set = test_bodies();
   const int steps = 16;
 
-  SimulationEngine<GravityProblem> solo(cfg, make_overlap_problem(cfg, set));
+  SimulationEngine<GravityProblem> solo(
+      cfg, make_problem(cfg, set, OverlapMode::kOn));
   const auto ref = solo.run(steps);
 
   ClusterConfig cc;
   cc.num_nodes = 2;
-  ClusterEngine<GravityProblem> cluster(cfg, cc,
-                                        make_overlap_problem(cfg, set));
+  ClusterEngine<GravityProblem> cluster(
+      cfg, cc, make_problem(cfg, set, OverlapMode::kOn));
   const auto recs = cluster.run(steps);
   ASSERT_EQ(recs.size(), static_cast<std::size_t>(steps));
   for (int i = 0; i < steps; ++i) {
@@ -262,14 +258,16 @@ TEST(Cluster, OverlapExecutionKeepsFgoOnTheEffectiveTree) {
 // coordinated shard checkpoints, the invariant auditor passes every
 // subsequent step, and the final state is bit-identical to the fault-free
 // cluster run.
-void expect_node_loss_recovers(const std::string& dir) {
+void expect_node_loss_recovers(const std::string& dir,
+                               OverlapMode overlap = OverlapMode::kOff) {
   const EngineConfig cfg = base_config();
   const ParticleSet set = test_bodies();
   const int total_steps = 12;
 
   ClusterConfig healthy;
   healthy.num_nodes = 2;
-  ClusterEngine<GravityProblem> reference(cfg, healthy, make_problem(cfg, set));
+  ClusterEngine<GravityProblem> reference(cfg, healthy,
+                                          make_problem(cfg, set, overlap));
   reference.run(total_steps);
 
   ClusterConfig cc;
@@ -278,7 +276,8 @@ void expect_node_loss_recovers(const std::string& dir) {
   cc.checkpoint_interval = 3;
   cc.checkpoint_dir = dir;
   cc.faults.node_crash(5, 1);
-  ClusterEngine<GravityProblem> cluster(cfg, cc, make_problem(cfg, set));
+  ClusterEngine<GravityProblem> cluster(cfg, cc,
+                                        make_problem(cfg, set, overlap));
 
   bool saw_recovery = false, saw_migration = false, saw_timeout = false;
   int guard = 10 * total_steps;
@@ -311,8 +310,12 @@ void expect_node_loss_recovers(const std::string& dir) {
                      cluster.engine().problem().bodies());
 }
 
+// On the serialized and on the overlap timeline.
 TEST(Cluster, NodeLossRecoversToBitIdenticalState) {
-  expect_node_loss_recovers(fresh_dir("cluster_node_loss"));
+  for (const OverlapMode mode : {OverlapMode::kOff, OverlapMode::kOn}) {
+    SCOPED_TRACE(mode == OverlapMode::kOn ? "overlap" : "serial");
+    expect_node_loss_recovers(fresh_dir("cluster_node_loss"), mode);
+  }
 }
 
 // A rerun into a used directory: an earlier, longer run of a different
@@ -419,7 +422,11 @@ TEST(ShardStore, RoundTripsCoordinatedState) {
   ClusterEngine<GravityProblem> cluster(cfg, cc, make_problem(cfg));
   cluster.run(4);
 
-  const ShardedCheckpoint out = cluster.make_checkpoint();
+  ShardedCheckpoint out = cluster.make_checkpoint();
+  // State a resume during post-rollback replay carries: an injector mark
+  // past its cursor, and a driver's RNG stream.
+  out.global.injector.fired_mark = out.global.injector.next_event + 5;
+  out.global.rng_words = {1, 2, 3, 4};
   ShardStore store(fresh_dir("shard_roundtrip"));
   std::string error;
   ASSERT_TRUE(store.save(out, &error)) << error;
@@ -444,6 +451,8 @@ TEST(ShardStore, RoundTripsCoordinatedState) {
   EXPECT_EQ(in->global.tree.nodes.size(), out.global.tree.nodes.size());
   EXPECT_EQ(in->global.balancer.S, out.global.balancer.S);
   EXPECT_EQ(in->global.health.fault_epoch, out.global.health.fault_epoch);
+  // Every field of the global checkpoint survives the set, byte for byte.
+  EXPECT_EQ(encode_checkpoint(in->global), encode_checkpoint(out.global));
 
   // Engines adopting the original and the reassembled state continue the
   // exact same trajectory.

@@ -2,7 +2,7 @@
 //
 //   * the committed golden dump proves the engine extraction left gravity
 //     trajectories, StepRecords, trace bytes and metric rows bit-identical
-//     to the pre-refactor GravitySimulation;
+//     to the pre-refactor gravity simulation;
 //   * Stokes runs the same resilience loop as gravity (audit failure and
 //     watchdog trips roll back to the last good checkpoint and re-enter
 //     Search);
@@ -20,8 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "golden_gravity.hpp"
 #include "util/rng.hpp"
@@ -85,25 +84,26 @@ std::vector<Vec3> blob(Rng& rng, int n, const Vec3& center, double radius) {
   return pos;
 }
 
-StokesSimulationConfig stokes_config() {
-  StokesSimulationConfig cfg;
+constexpr double kEpsilon = 0.05;
+constexpr double kViscosity = 1.0;
+
+EngineConfig stokes_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
-  cfg.epsilon = 0.05;
-  cfg.viscosity = 1.0;
   cfg.dt = 1e-3;
   cfg.balancer.initial_S = 32;
   return cfg;
 }
 
-StokesSimulation stokes_sim(const StokesSimulationConfig& cfg,
-                            unsigned seed = 93) {
+StokesEngine stokes_sim(const EngineConfig& cfg, unsigned seed = 93) {
   Rng rng(seed);
   auto pos = blob(rng, 500, {0, 0, 3}, 1.0);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  return StokesSimulation(cfg, std::move(node), std::move(pos),
-                          constant_force({0, 0, -1}));
+  return StokesEngine(cfg, StokesProblem(cfg.fmm, kEpsilon, kViscosity,
+                                         std::move(node), std::move(pos),
+                                         constant_force({0, 0, -1})));
 }
 
 TEST(Engine, OverlapExecutionIsTrajectoryInvariant) {
@@ -113,7 +113,7 @@ TEST(Engine, OverlapExecutionIsTrajectoryInvariant) {
   // the overlap-off trajectory bit for bit, while the *.seconds series
   // visibly changes.
   auto make = [](OverlapMode mode) {
-    SimulationConfig cfg = golden::golden_config();
+    EngineConfig cfg = golden::golden_config();
     cfg.balancer.strategy = LbStrategy::kStatic;
     cfg.balancer.min_S = cfg.balancer.initial_S;
     cfg.balancer.max_S = cfg.balancer.initial_S;
@@ -123,14 +123,16 @@ TEST(Engine, OverlapExecutionIsTrajectoryInvariant) {
     auto bodies = uniform_cube(400, rng, {0.5, 0.5, 0.5}, 0.5);
     NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
     node.set_overlap(mode);
-    return GravitySimulation(cfg, std::move(node), std::move(bodies));
+    return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3,
+                                             std::move(node),
+                                             std::move(bodies)));
   };
-  GravitySimulation off = make(OverlapMode::kOff);
-  GravitySimulation on = make(OverlapMode::kOn);
+  GravityEngine off = make(OverlapMode::kOff);
+  GravityEngine on = make(OverlapMode::kOn);
   bool compute_differed = false;
   for (int i = 0; i < golden::kGoldenSteps; ++i) {
-    const StepRecord a = off.step();
-    const StepRecord b = on.step();
+    const StepRecord a = off.step_once();
+    const StepRecord b = on.step_once();
     ASSERT_EQ(a.S, b.S) << "step " << i;
     ASSERT_EQ(a.cpu_fallback, b.cpu_fallback) << "step " << i;
     // The far-field makespan and GPU kernel time are schedule-independent.
@@ -140,16 +142,16 @@ TEST(Engine, OverlapExecutionIsTrajectoryInvariant) {
   }
   EXPECT_TRUE(compute_differed)
       << "overlap execution never changed the virtual step time";
-  const auto& pa = off.bodies().positions;
-  const auto& pb = on.bodies().positions;
+  const auto& pa = off.problem().bodies().positions;
+  const auto& pb = on.problem().bodies().positions;
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     ASSERT_EQ(pa[i].x, pb[i].x) << "body " << i;
     ASSERT_EQ(pa[i].y, pb[i].y) << "body " << i;
     ASSERT_EQ(pa[i].z, pb[i].z) << "body " << i;
   }
-  const auto& va = off.bodies().velocities;
-  const auto& vb = on.bodies().velocities;
+  const auto& va = off.problem().bodies().velocities;
+  const auto& vb = on.problem().bodies().velocities;
   for (std::size_t i = 0; i < va.size(); ++i) {
     ASSERT_EQ(va[i].x, vb[i].x) << "body " << i;
     ASSERT_EQ(va[i].y, vb[i].y) << "body " << i;
@@ -169,7 +171,7 @@ TEST(Engine, StokesAuditFailureRollsBackAndReSearches) {
   // Silent structural corruption: the solve still runs (nothing reads the
   // parent link), but the end-of-step audit catches it and recovers.
   sim.corrupt_tree_for_test();
-  const auto rec = sim.step();
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.audited);
   EXPECT_TRUE(rec.audit_failed);
   EXPECT_TRUE(rec.rolled_back);
@@ -200,7 +202,7 @@ TEST(Engine, StokesWatchdogTripRollsBack) {
   cfg.obs.trace = true;
   cfg.obs.metrics = true;
   auto sim = stokes_sim(cfg);
-  const auto rec = sim.step();
+  const auto rec = sim.step_once();
   EXPECT_TRUE(rec.watchdog_tripped);
   EXPECT_TRUE(rec.rolled_back);
   EXPECT_EQ(rec.restored_step, 0);
@@ -246,11 +248,13 @@ TEST(Engine, StokesObservabilityIsReadOnlyAndDeterministic) {
 
   // Observation never perturbs the run: positions and the balancer's S
   // series match the obs-off run bit-for-bit.
-  ASSERT_EQ(plain.positions().size(), obs_a.positions().size());
-  for (std::size_t i = 0; i < plain.positions().size(); ++i) {
-    EXPECT_EQ(plain.positions()[i].x, obs_a.positions()[i].x);
-    EXPECT_EQ(plain.positions()[i].y, obs_a.positions()[i].y);
-    EXPECT_EQ(plain.positions()[i].z, obs_a.positions()[i].z);
+  const auto& pp = plain.problem().position_vector();
+  const auto& pa = obs_a.problem().position_vector();
+  ASSERT_EQ(pp.size(), pa.size());
+  for (std::size_t i = 0; i < pp.size(); ++i) {
+    EXPECT_EQ(pp[i].x, pa[i].x);
+    EXPECT_EQ(pp[i].y, pa[i].y);
+    EXPECT_EQ(pp[i].z, pa[i].z);
   }
   for (int i = 0; i < kSteps; ++i) {
     EXPECT_EQ(rec_plain[i].S, rec_a[i].S);
@@ -282,7 +286,7 @@ TEST(Engine, DeferredPrepareIsBitIdenticalToEager) {
   // the eager constructor's trajectory bit for bit, and prepare() must be
   // idempotent.
   constexpr int kSteps = 6;
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 16.0;
@@ -325,7 +329,7 @@ TEST(Engine, DeferredPrepareIsBitIdenticalToEager) {
 }
 
 TEST(Engine, PredictedStepSecondsTracksCostModel) {
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 16.0;
@@ -361,8 +365,8 @@ TEST(Engine, ExternalObsMatchesOwnSinksByteForByte) {
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
   SimulationEngine<StokesProblem> ext(
       DeferredInit{}, ext_cfg,
-      StokesProblem(ext_cfg.fmm, ext_cfg.epsilon, ext_cfg.viscosity, node,
-                    pos, constant_force({0, 0, -1})));
+      StokesProblem(ext_cfg.fmm, kEpsilon, kViscosity, node, pos,
+                    constant_force({0, 0, -1})));
   TraceRecorder trace;
   MetricsRegistry metrics;
   ext.set_external_obs(&trace, &metrics);
@@ -387,7 +391,7 @@ TEST(Engine, TenantLabelPrefixesTracksAndMetrics) {
     NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
     return SimulationEngine<StokesProblem>(
         DeferredInit{}, cfg,
-        StokesProblem(cfg.fmm, cfg.epsilon, cfg.viscosity, node, pos,
+        StokesProblem(cfg.fmm, kEpsilon, kViscosity, node, pos,
                       constant_force({0, 0, -1})));
   };
   auto eng = sim_engine();
@@ -420,7 +424,7 @@ TEST(Engine, StepRecordParityAcrossProblems) {
   cadence.audit.interval = 2;
   cadence.audit.force_samples = 0;  // cadence parity, not physics
 
-  SimulationConfig gcfg;
+  EngineConfig gcfg;
   gcfg.fmm.order = 3;
   gcfg.tree.root_center = {0.5, 0.5, 0.5};
   gcfg.tree.root_half = 0.5;
@@ -429,7 +433,8 @@ TEST(Engine, StepRecordParityAcrossProblems) {
   Rng grng(2026);
   auto bodies = uniform_cube(400, grng, {0.5, 0.5, 0.5}, 0.5);
   NodeSimulator gnode(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  GravitySimulation grav(gcfg, std::move(gnode), std::move(bodies));
+  GravityEngine grav(gcfg, GravityProblem(gcfg.fmm, 1.0, 1e-3, std::move(gnode),
+                                          std::move(bodies)));
 
   auto scfg = stokes_config();
   scfg.resilience = cadence;

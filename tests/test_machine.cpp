@@ -127,12 +127,14 @@ TEST_F(MachineFixture, StokesletPassesScaleFarFieldTimes) {
   EXPECT_GT(t4.cpu_seconds, 2.5 * t1.cpu_seconds);
 }
 
-TEST_F(MachineFixture, OverlapModePinsBeatTheEnvironment) {
+TEST_F(MachineFixture, OverlapIsOffUntilSetAndSwitchesBothWays) {
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(1));
-  node.set_overlap(OverlapMode::kOff);
+  EXPECT_EQ(node.overlap_mode(), OverlapMode::kOff);
   EXPECT_FALSE(node.overlap_enabled());
   node.set_overlap(OverlapMode::kOn);
   EXPECT_TRUE(node.overlap_enabled());
+  node.set_overlap(OverlapMode::kOff);
+  EXPECT_FALSE(node.overlap_enabled());
 }
 
 TEST_F(MachineFixture, OverlapStepScheduleIsWellFormed) {

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,12 +29,8 @@ ParticleSet test_bodies() {
   return uniform_cube(1200, rng, {0.5, 0.5, 0.5}, 0.5);
 }
 
-NodeSimulator test_node() {
-  return NodeSimulator(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-}
-
-SimulationConfig obs_config(bool with_faults) {
-  SimulationConfig cfg;
+EngineConfig obs_config(bool with_faults) {
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0.5, 0.5, 0.5};
   cfg.tree.root_half = 0.5;
@@ -48,17 +44,24 @@ SimulationConfig obs_config(bool with_faults) {
   return cfg;
 }
 
+// G = 1, softening 1e-3, on a 2-GPU node.
+GravityEngine make_sim(const EngineConfig& cfg) {
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
+                                           test_bodies()));
+}
+
 std::string run_trace_json(bool with_faults, int steps) {
-  GravitySimulation sim(obs_config(with_faults), test_node(), test_bodies());
+  GravityEngine sim = make_sim(obs_config(with_faults));
   sim.run(steps);
   return sim.trace()->to_json();
 }
 
 TEST(Obs, DisabledIsNullSink) {
-  SimulationConfig cfg = obs_config(false);
+  EngineConfig cfg = obs_config(false);
   cfg.obs.trace = false;
   cfg.obs.metrics = false;
-  GravitySimulation sim(cfg, test_node(), test_bodies());
+  GravityEngine sim = make_sim(cfg);
   sim.run(3);
   EXPECT_EQ(sim.trace(), nullptr);
   EXPECT_EQ(sim.metrics(), nullptr);
@@ -82,7 +85,7 @@ TEST(Obs, TraceJsonDeterministicWithFaultSchedule) {
 }
 
 TEST(Obs, TraceCoversEventCategories) {
-  GravitySimulation sim(obs_config(true), test_node(), test_bodies());
+  GravityEngine sim = make_sim(obs_config(true));
   sim.run(12);
   const TraceRecorder& tr = *sim.trace();
   EXPECT_TRUE(tr.has_category("step"));
@@ -126,7 +129,7 @@ TEST(Obs, TraceJsonWellFormed) {
 }
 
 TEST(Obs, MetricsRowsMatchStepRecords) {
-  GravitySimulation sim(obs_config(true), test_node(), test_bodies());
+  GravityEngine sim = make_sim(obs_config(true));
   const auto records = sim.run(12);
   const MetricsRegistry& m = *sim.metrics();
   int cumulative_faults = 0;
@@ -161,13 +164,13 @@ TEST(Obs, MetricsRowsMatchStepRecords) {
 }
 
 TEST(Obs, ObservabilityLeavesTrajectoryBitIdentical) {
-  SimulationConfig on = obs_config(true);
-  SimulationConfig off = on;
+  EngineConfig on = obs_config(true);
+  EngineConfig off = on;
   off.obs.trace = false;
   off.obs.metrics = false;
 
-  GravitySimulation sim_on(on, test_node(), test_bodies());
-  GravitySimulation sim_off(off, test_node(), test_bodies());
+  GravityEngine sim_on = make_sim(on);
+  GravityEngine sim_off = make_sim(off);
   const auto rec_on = sim_on.run(12);
   const auto rec_off = sim_off.run(12);
 
@@ -178,8 +181,8 @@ TEST(Obs, ObservabilityLeavesTrajectoryBitIdentical) {
     EXPECT_EQ(rec_on[i].compute_seconds, rec_off[i].compute_seconds);
     EXPECT_EQ(rec_on[i].lb_seconds, rec_off[i].lb_seconds);
   }
-  const auto& pa = sim_on.bodies().positions;
-  const auto& pb = sim_off.bodies().positions;
+  const auto& pa = sim_on.problem().bodies().positions;
+  const auto& pb = sim_off.problem().bodies().positions;
   ASSERT_EQ(pa.size(), pb.size());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     EXPECT_EQ(pa[i].x, pb[i].x);
@@ -189,15 +192,15 @@ TEST(Obs, ObservabilityLeavesTrajectoryBitIdentical) {
 }
 
 TEST(Obs, WallOpsTrackOnlyWhenEnabled) {
-  SimulationConfig cfg = obs_config(false);
-  GravitySimulation plain(cfg, test_node(), test_bodies());
+  EngineConfig cfg = obs_config(false);
+  GravityEngine plain = make_sim(cfg);
   plain.run(2);
   for (const auto& e : plain.trace()->events())
     EXPECT_NE(e.pid, TraceRecorder::kWallPid);
 
   cfg.fmm.collect_real_timings = true;
   cfg.obs.wall_ops = true;
-  GravitySimulation wall(cfg, test_node(), test_bodies());
+  GravityEngine wall = make_sim(cfg);
   wall.run(2);
   bool saw_wall = false;
   for (const auto& e : wall.trace()->events())

@@ -7,6 +7,7 @@
 
 #include "dist/distributions.hpp"
 #include "octree/octree.hpp"
+#include "omp_threads.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -45,19 +46,18 @@ void expect_geometric_containment(const AdaptiveOctree& tree) {
 struct BuildCase {
   int n;
   int s;
-  bool parallel;
+  int threads;
 };
 
 class OctreeBuild : public ::testing::TestWithParam<BuildCase> {};
 
 TEST_P(OctreeBuild, InvariantsAndLeafCapacity) {
-  const auto [n, s, parallel] = GetParam();
+  const auto [n, s, threads] = GetParam();
+  OmpThreads team(threads);
   Rng rng(n * 31 + s);
   const auto pts = random_points(rng, n, {0.5, 0.5, 0.5}, 0.5);
   AdaptiveOctree tree;
-  auto tc = unit_config(s);
-  tc.parallel_build = parallel;
-  tree.build(pts, tc);
+  tree.build(pts, unit_config(s));
   tree.check_invariants();
 
   // Build subdivides while count > S, so every effective leaf is <= S (the
@@ -75,21 +75,24 @@ TEST_P(OctreeBuild, InvariantsAndLeafCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, OctreeBuild,
-    ::testing::Values(BuildCase{0, 8, false}, BuildCase{1, 8, false},
-                      BuildCase{7, 8, false}, BuildCase{100, 8, false},
-                      BuildCase{1000, 16, false}, BuildCase{5000, 16, false},
-                      BuildCase{5000, 64, false}, BuildCase{5000, 1, false},
-                      BuildCase{5000, 16, true}, BuildCase{20000, 32, true}));
+    ::testing::Values(BuildCase{0, 8, 1}, BuildCase{1, 8, 1},
+                      BuildCase{7, 8, 1}, BuildCase{100, 8, 1},
+                      BuildCase{1000, 16, 1}, BuildCase{5000, 16, 1},
+                      BuildCase{5000, 64, 1}, BuildCase{5000, 1, 1},
+                      BuildCase{5000, 16, 4}, BuildCase{20000, 32, 4}));
 
 TEST(Octree, ParallelAndSerialBuildsAgree) {
   Rng rng(5);
   const auto pts = random_points(rng, 8000, {0.5, 0.5, 0.5}, 0.5);
   AdaptiveOctree a, b;
-  auto tc = unit_config(24);
-  tc.parallel_build = false;
-  a.build(pts, tc);
-  tc.parallel_build = true;
-  b.build(pts, tc);
+  {
+    OmpThreads serial(1);
+    a.build(pts, unit_config(24));
+  }
+  {
+    OmpThreads parallel(4);
+    b.build(pts, unit_config(24));
+  }
   ASSERT_EQ(a.num_nodes(), b.num_nodes());
   for (int i = 0; i < a.num_nodes(); ++i) {
     EXPECT_EQ(a.node(i).begin, b.node(i).begin);

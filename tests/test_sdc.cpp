@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
+#include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "kernels/stokeslet.hpp"
 #include "omp_threads.hpp"
@@ -30,20 +29,31 @@ namespace {
 
 namespace fs = std::filesystem;
 
-SimulationConfig base_config() {
-  SimulationConfig cfg;
+EngineConfig base_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
   cfg.balancer.initial_S = 32;
   cfg.dt = 1e-4;
-  cfg.grav_const = 1.0;
-  cfg.softening = 1e-3;
   return cfg;
 }
 
 NodeSimulator default_node(int gpus = 2) {
   return NodeSimulator(CpuModelConfig{}, GpuSystemConfig::uniform(gpus));
+}
+
+// G = 1, softening 1e-3.
+GravityEngine make_sim(const EngineConfig& cfg, ParticleSet bodies,
+                       NodeSimulator node = default_node()) {
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, 1e-3, std::move(node),
+                                           std::move(bodies)));
+}
+
+// A sedimenting blob: epsilon 0.05, viscosity 1, unit downward force.
+StokesProblem sedimenting(const EngineConfig& cfg, std::vector<Vec3> pos) {
+  return StokesProblem(cfg.fmm, 0.05, 1.0, default_node(), std::move(pos),
+                       constant_force({0, 0, -1}));
 }
 
 ParticleSet test_bodies(std::size_t n = 1200) {
@@ -162,49 +172,49 @@ TEST(Sdc, MomentumAuditTripsOnViolatedThirdLaw) {
 
 TEST(Sdc, ExpansionCorruptionRepairedWithoutRollback) {
   const auto set = test_bodies();
-  GravitySimulation reference(base_config(), default_node(), set);
+  GravityEngine reference = make_sim(base_config(), set);
   reference.run(6);
 
   auto cfg = base_config();
   cfg.fmm.sdc.expansion_checks = true;
   cfg.faults.sdc_expansion(3);
   cfg.fault_seed = 7;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, set);
   SdcTally tally;
-  for (int i = 0; i < 6; ++i) tally.add(sim.step());
+  for (int i = 0; i < 6; ++i) tally.add(sim.step_once());
 
   EXPECT_EQ(tally.injected, 1);
   EXPECT_EQ(tally.detected, 1);
   EXPECT_EQ(tally.repaired, 1);
   EXPECT_EQ(tally.unrepaired, 0);
   EXPECT_EQ(sim.rollbacks(), 0);
-  expect_same_bodies(reference.bodies(), sim.bodies());
+  expect_same_bodies(reference.problem().bodies(), sim.problem().bodies());
 }
 
 TEST_P(SdcThreads, GpuBatchCorruptionRepairedWithoutRollback) {
   const auto set = test_bodies();
-  GravitySimulation reference(base_config(), default_node(), set);
+  GravityEngine reference = make_sim(base_config(), set);
   reference.run(6);
 
   auto cfg = base_config();
   cfg.fmm.sdc.p2p_checks = true;
   cfg.faults.sdc_gpu_batch(3);
   cfg.fault_seed = 7;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, set);
   SdcTally tally;
-  for (int i = 0; i < 6; ++i) tally.add(sim.step());
+  for (int i = 0; i < 6; ++i) tally.add(sim.step_once());
 
   EXPECT_EQ(tally.injected, 1);
   EXPECT_EQ(tally.detected, 1);
   EXPECT_EQ(tally.repaired, 1);
   EXPECT_EQ(tally.unrepaired, 0);
   EXPECT_EQ(sim.rollbacks(), 0);
-  expect_same_bodies(reference.bodies(), sim.bodies());
+  expect_same_bodies(reference.problem().bodies(), sim.problem().bodies());
 }
 
 TEST(Sdc, AccelBitFlipRepairedByReDerivation) {
   const auto set = test_bodies();
-  GravitySimulation reference(base_config(), default_node(), set);
+  GravityEngine reference = make_sim(base_config(), set);
   reference.run(6);
 
   // The flip lands AFTER the step's checksum refresh; the every-step audit
@@ -215,9 +225,9 @@ TEST(Sdc, AccelBitFlipRepairedByReDerivation) {
   cfg.fault_seed = 7;
   cfg.resilience.audit.interval = 1;
   cfg.resilience.sdc_repair = true;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, set);
   SdcTally tally;
-  for (int i = 0; i < 6; ++i) tally.add(sim.step());
+  for (int i = 0; i < 6; ++i) tally.add(sim.step_once());
 
   EXPECT_EQ(tally.injected, 1);
   EXPECT_EQ(tally.detected, 1);
@@ -225,16 +235,14 @@ TEST(Sdc, AccelBitFlipRepairedByReDerivation) {
   EXPECT_EQ(tally.unrepaired, 0);
   EXPECT_EQ(sim.rollbacks(), 0);
   EXPECT_EQ(sim.sdc_rollbacks(), 0);
-  expect_same_bodies(reference.bodies(), sim.bodies());
+  expect_same_bodies(reference.problem().bodies(), sim.problem().bodies());
 }
 
 TEST(Sdc, StokesBitFlipRepairedFromStoredSolve) {
-  StokesSimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
-  cfg.epsilon = 0.05;
-  cfg.viscosity = 1.0;
   cfg.dt = 1e-3;
   cfg.balancer.initial_S = 32;
 
@@ -245,8 +253,7 @@ TEST(Sdc, StokesBitFlipRepairedFromStoredSolve) {
     if (norm2(p) <= 1.0) pos.push_back(Vec3{0, 0, 4} + p);
   }
 
-  StokesSimulation reference(cfg, default_node(), pos,
-                             constant_force({0, 0, -1}));
+  StokesEngine reference(cfg, sedimenting(cfg, pos));
   reference.run(6);
 
   auto faulty_cfg = cfg;
@@ -254,33 +261,34 @@ TEST(Sdc, StokesBitFlipRepairedFromStoredSolve) {
   faulty_cfg.fault_seed = 7;
   faulty_cfg.resilience.audit.interval = 1;
   faulty_cfg.resilience.sdc_repair = true;
-  StokesSimulation sim(faulty_cfg, default_node(), pos,
-                       constant_force({0, 0, -1}));
+  StokesEngine sim(faulty_cfg, sedimenting(faulty_cfg, pos));
   SdcTally tally;
-  for (int i = 0; i < 6; ++i) tally.add(sim.step());
+  for (int i = 0; i < 6; ++i) tally.add(sim.step_once());
 
   EXPECT_EQ(tally.injected, 1);
   EXPECT_EQ(tally.detected, 1);
   EXPECT_EQ(tally.repaired, 1);
   EXPECT_EQ(tally.unrepaired, 0);
   EXPECT_EQ(sim.rollbacks(), 0);
-  ASSERT_EQ(reference.positions().size(), sim.positions().size());
-  for (std::size_t i = 0; i < sim.positions().size(); ++i) {
-    EXPECT_EQ(reference.positions()[i], sim.positions()[i]) << "body " << i;
-    EXPECT_EQ(reference.velocities()[i], sim.velocities()[i]) << "body " << i;
+  const StokesProblem& a = reference.problem();
+  const StokesProblem& b = sim.problem();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(a.position_vector()[i], b.position_vector()[i]) << "body " << i;
+    EXPECT_EQ(a.velocities()[i], b.velocities()[i]) << "body " << i;
   }
 }
 
 // ---- tripwires on primary state ------------------------------------------
 
 TEST(Sdc, PrimaryStateCorruptionDetectedWithinOneAudit) {
-  GravitySimulation sim(base_config(), default_node(), test_bodies());
+  GravityEngine sim = make_sim(base_config(), test_bodies());
   sim.run(3);
   ASSERT_TRUE(sim.run_audit().ok());
 
   // One flipped mantissa bit in one velocity component: numerically tiny,
   // structurally invisible, caught only by the state checksum.
-  sim.corrupt_velocity_for_test(7);
+  sim.problem().corrupt_velocity_for_test(7);
   const auto report = sim.run_audit();
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("state checksum mismatch"),
@@ -298,7 +306,7 @@ TEST(Sdc, PrimaryStateCorruptionDetectedWithinOneAudit) {
 // the state checksum, and the ladder escalates to exactly one rollback --
 // after which the replay (fired-mark: no re-fire) converges bit-identically.
 TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
-  SimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
@@ -315,7 +323,7 @@ TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
   cpu.cores_per_socket = 6;
   auto node = [&] { return NodeSimulator(cpu, GpuSystemConfig::uniform(2)); };
 
-  GravitySimulation reference(cfg, node(), set);
+  GravityEngine reference = make_sim(cfg, set, node());
   reference.run(8);
 
   auto esc = cfg;
@@ -327,13 +335,13 @@ TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
   esc.resilience.audit.momentum_rel_tol = 1e-4;
   esc.resilience.checkpoint_interval = 2;
   esc.resilience.sdc_repair = true;
-  GravitySimulation sim(esc, node(), set);
+  GravityEngine sim = make_sim(esc, set, node());
 
   SdcTally tally;
   int rolled_back_steps = 0;
   int guard = 32;
   while (sim.steps_taken() < 8 && guard-- > 0) {
-    const StepRecord rec = sim.step();
+    const StepRecord rec = sim.step_once();
     tally.add(rec);
     if (rec.rolled_back) ++rolled_back_steps;
   }
@@ -345,7 +353,7 @@ TEST(Sdc, EscalationLadderRollsBackOnceAndConverges) {
   EXPECT_TRUE(tally.escalated);
   EXPECT_EQ(rolled_back_steps, 1);
   EXPECT_EQ(sim.sdc_rollbacks(), 1);
-  expect_same_bodies(reference.bodies(), sim.bodies());
+  expect_same_bodies(reference.problem().bodies(), sim.problem().bodies());
 }
 
 // ---- fault-free bit-identity of detection itself -------------------------
@@ -361,7 +369,7 @@ TEST_P(SdcDetection, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   off.obs.metrics = true;
   off.resilience.audit.interval = 1;
   off.resilience.checkpoint_interval = 2;
-  GravitySimulation plain(off, default_node(), set);
+  GravityEngine plain = make_sim(off, set);
 
   auto on = off;
   on.fmm.sdc.expansion_checks = true;
@@ -370,7 +378,7 @@ TEST_P(SdcDetection, DetectionOnFaultFreeGravityRunIsBitIdentical) {
   on.fmm.sdc.p2p_verify_stride = verify_stride();
   on.resilience.audit.momentum_rel_tol = 1e-2;
   on.resilience.sdc_repair = true;
-  GravitySimulation armed(on, default_node(), set);
+  GravityEngine armed = make_sim(on, set);
 
   const auto a = plain.run(8);
   const auto b = armed.run(8);
@@ -380,7 +388,7 @@ TEST_P(SdcDetection, DetectionOnFaultFreeGravityRunIsBitIdentical) {
     EXPECT_EQ(a[i].S, b[i].S) << "step " << i;
     EXPECT_EQ(b[i].sdc_detected, 0) << "step " << i;
   }
-  expect_same_bodies(plain.bodies(), armed.bodies());
+  expect_same_bodies(plain.problem().bodies(), armed.problem().bodies());
 
   // Traces and metrics must also match byte for byte: detection adds no
   // events, no extra series values, no timing skew.
@@ -401,12 +409,10 @@ TEST_P(SdcDetection, DetectionOnFaultFreeGravityRunIsBitIdentical) {
 }
 
 TEST_P(SdcDetection, DetectionOnFaultFreeStokesRunIsBitIdentical) {
-  StokesSimulationConfig cfg;
+  EngineConfig cfg;
   cfg.fmm.order = 4;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 8.0;
-  cfg.epsilon = 0.05;
-  cfg.viscosity = 1.0;
   cfg.dt = 1e-3;
   cfg.balancer.initial_S = 32;
 
@@ -417,7 +423,7 @@ TEST_P(SdcDetection, DetectionOnFaultFreeStokesRunIsBitIdentical) {
     if (norm2(p) <= 1.0) pos.push_back(Vec3{0, 0, 4} + 0.5 * p);
   }
 
-  StokesSimulation plain(cfg, default_node(), pos, constant_force({0, 0, -1}));
+  StokesEngine plain(cfg, sedimenting(cfg, pos));
 
   auto on = cfg;
   on.fmm.sdc.expansion_checks = true;
@@ -426,7 +432,7 @@ TEST_P(SdcDetection, DetectionOnFaultFreeStokesRunIsBitIdentical) {
   on.resilience.audit.interval = 1;
   on.resilience.audit.force_samples = 4;
   on.resilience.sdc_repair = true;
-  StokesSimulation armed(on, default_node(), pos, constant_force({0, 0, -1}));
+  StokesEngine armed(on, sedimenting(on, pos));
 
   plain.run(6);
   const auto recs = armed.run(6);
@@ -434,10 +440,12 @@ TEST_P(SdcDetection, DetectionOnFaultFreeStokesRunIsBitIdentical) {
     EXPECT_FALSE(r.audit_failed);
     EXPECT_EQ(r.sdc_detected, 0);
   }
-  ASSERT_EQ(plain.positions().size(), armed.positions().size());
-  for (std::size_t i = 0; i < plain.positions().size(); ++i) {
-    EXPECT_EQ(plain.positions()[i], armed.positions()[i]) << "body " << i;
-    EXPECT_EQ(plain.velocities()[i], armed.velocities()[i]) << "body " << i;
+  const StokesProblem& a = plain.problem();
+  const StokesProblem& b = armed.problem();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.position_vector()[i], b.position_vector()[i]) << "body " << i;
+    EXPECT_EQ(a.velocities()[i], b.velocities()[i]) << "body " << i;
   }
 }
 

@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "core/problems.hpp"
-#include "core/simulation.hpp"
-#include "core/stokes_simulation.hpp"
 #include "dist/distributions.hpp"
+#include "replay_axes.hpp"
 #include "service/service.hpp"
 #include "util/rng.hpp"
 
@@ -40,15 +39,18 @@ std::string fresh_dir(const std::string& name) {
   return dir;
 }
 
-NodeSimulator small_node() {
+NodeSimulator small_node(OverlapMode overlap) {
   CpuModelConfig cpu;
   cpu.num_cores = 4;
-  return NodeSimulator(cpu, GpuSystemConfig::uniform(1));
+  NodeSimulator node(cpu, GpuSystemConfig::uniform(1));
+  node.set_overlap(overlap);
+  return node;
 }
 
 SessionFactory gravity_factory(unsigned seed, std::size_t n = 64,
-                               FaultSchedule faults = {}) {
-  SimulationConfig cfg;
+                               FaultSchedule faults = {},
+                               OverlapMode overlap = OverlapMode::kOff) {
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 16.0;
@@ -56,20 +58,21 @@ SessionFactory gravity_factory(unsigned seed, std::size_t n = 64,
   cfg.dt = 1e-3;
   cfg.faults = faults;
   Rng rng(seed);
-  return gravity_session_factory(cfg, 1.0, 1e-2, small_node(),
+  return gravity_session_factory(cfg, 1.0, 1e-2, small_node(overlap),
                                  plummer(n, rng));
 }
 
-SessionFactory stokes_factory(unsigned seed, std::size_t n = 64) {
-  StokesSimulationConfig cfg;
+SessionFactory stokes_factory(unsigned seed,
+                              OverlapMode overlap = OverlapMode::kOff) {
+  EngineConfig cfg;
   cfg.fmm.order = 3;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 2.0;
   cfg.balancer.initial_S = 16;
   cfg.dt = 1e-3;
   Rng rng(seed);
-  auto set = uniform_cube(n, rng, {0, 0, 0}, 1.0);
-  return stokes_session_factory(cfg, 0.05, 1.0, small_node(),
+  auto set = uniform_cube(64, rng, {0, 0, 0}, 1.0);
+  return stokes_session_factory(cfg, 0.05, 1.0, small_node(overlap),
                                 std::move(set.positions),
                                 constant_force({0, 0, -1}));
 }
@@ -156,20 +159,26 @@ void check_solo_identity(const std::string& tag, SessionFactory factory,
   }
 }
 
-TEST(Service, GravitySessionIsBitIdenticalToSoloAcrossEviction) {
-  check_solo_identity("grav", gravity_factory(11), 8,
+// Solo-replay identity at 1 and at 4 OpenMP threads, on the serialized and
+// on the overlap timeline.
+class ServiceReplay : public ReplayTest {};
+INSTANTIATE_TEST_SUITE_P(Replay, ServiceReplay, replay_axes(),
+                         replay_axes_name);
+
+TEST_P(ServiceReplay, GravitySessionIsBitIdenticalToSoloAcrossEviction) {
+  check_solo_identity("grav", gravity_factory(11, 64, {}, overlap()), 8,
                       fresh_dir("svc_identity_grav"));
 }
 
-TEST(Service, StokesSessionIsBitIdenticalToSoloAcrossEviction) {
-  check_solo_identity("stokes", stokes_factory(12), 8,
+TEST_P(ServiceReplay, StokesSessionIsBitIdenticalToSoloAcrossEviction) {
+  check_solo_identity("stokes", stokes_factory(12, overlap()), 8,
                       fresh_dir("svc_identity_stokes"));
 }
 
-TEST(Service, FaultedSessionIsBitIdenticalToSoloAcrossEviction) {
+TEST_P(ServiceReplay, FaultedSessionIsBitIdenticalToSoloAcrossEviction) {
   FaultSchedule faults;
   faults.gpu_throttle(2, 0, 0.5).gpu_loss(5, 0);
-  check_solo_identity("chaos", gravity_factory(13, 64, faults), 8,
+  check_solo_identity("chaos", gravity_factory(13, 64, faults, overlap()), 8,
                       fresh_dir("svc_identity_chaos"));
 }
 

@@ -3,26 +3,28 @@
 #include <cmath>
 #include <numbers>
 
-#include "core/simulation.hpp"
+#include "core/problems.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
 namespace {
 
-SimulationConfig base_config() {
-  SimulationConfig cfg;
+EngineConfig base_config() {
+  EngineConfig cfg;
   cfg.fmm.order = 5;
   cfg.tree.root_center = {0, 0, 0};
   cfg.tree.root_half = 4.0;
   cfg.balancer.initial_S = 32;
   cfg.dt = 1e-3;
-  cfg.grav_const = 1.0;
-  cfg.softening = 0.0;
   return cfg;
 }
 
-NodeSimulator default_node(int gpus = 2) {
-  return NodeSimulator(CpuModelConfig{}, GpuSystemConfig::uniform(gpus));
+// G = 1 on a 2-GPU node.
+GravityEngine make_sim(const EngineConfig& cfg, double softening,
+                       ParticleSet bodies) {
+  NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  return GravityEngine(cfg, GravityProblem(cfg.fmm, 1.0, softening,
+                                           std::move(node), std::move(bodies)));
 }
 
 // A two-body circular orbit: the tightest integrator + solver test we have.
@@ -41,15 +43,16 @@ ParticleSet circular_binary() {
 TEST(Simulation, BinaryOrbitConservesEnergyAndRadius) {
   auto cfg = base_config();
   cfg.dt = 2e-3;
-  GravitySimulation sim(cfg, default_node(), circular_binary());
-  const double e0 = sim.total_energy();
+  GravityEngine sim = make_sim(cfg, 0.0, circular_binary());
+  const double e0 = sim.problem().total_energy();
   // Orbit period T = 2 pi d^(3/2) / sqrt(G M) = 2 pi; integrate one period.
   const int steps = static_cast<int>(2 * std::numbers::pi_v<double> / cfg.dt);
   sim.run(steps);
-  const double e1 = sim.total_energy();
+  const double e1 = sim.problem().total_energy();
   EXPECT_NEAR(e1, e0, 1e-4 * std::abs(e0));
   // Separation must return near 1.
-  const double d = norm(sim.bodies().positions[1] - sim.bodies().positions[0]);
+  const auto& pos = sim.problem().bodies().positions;
+  const double d = norm(pos[1] - pos[0]);
   EXPECT_NEAR(d, 1.0, 5e-3);
 }
 
@@ -62,14 +65,14 @@ TEST(Simulation, MomentumConserved) {
 
   auto cfg = base_config();
   cfg.fmm.order = 6;
-  cfg.softening = 1e-3;
   cfg.dt = 1e-3;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, 1e-3, set);
+  const ParticleSet& bodies = sim.problem().bodies();
 
   auto momentum = [&]() {
     Vec3 p;
-    for (std::size_t i = 0; i < sim.bodies().size(); ++i)
-      p += sim.bodies().masses[i] * sim.bodies().velocities[i];
+    for (std::size_t i = 0; i < bodies.size(); ++i)
+      p += bodies.masses[i] * bodies.velocities[i];
     return p;
   };
   const Vec3 p0 = momentum();
@@ -78,8 +81,8 @@ TEST(Simulation, MomentumConserved) {
   // Total momentum change per unit momentum scale stays small (FMM forces
   // are not exactly antisymmetric, but nearly so).
   double scale = 0.0;
-  for (std::size_t i = 0; i < sim.bodies().size(); ++i)
-    scale += sim.bodies().masses[i] * norm(sim.bodies().velocities[i]);
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    scale += bodies.masses[i] * norm(bodies.velocities[i]);
   EXPECT_LT(norm(p1 - p0) / scale, 1e-3);
 }
 
@@ -92,12 +95,11 @@ TEST(Simulation, EnergyDriftBoundedOnWarmPlummer) {
 
   auto cfg = base_config();
   cfg.fmm.order = 6;
-  cfg.softening = 0.02;
   cfg.dt = 5e-4;
-  GravitySimulation sim(cfg, default_node(), set);
-  const double e0 = sim.total_energy();
+  GravityEngine sim = make_sim(cfg, 0.02, set);
+  const double e0 = sim.problem().total_energy();
   sim.run(40);
-  const double e1 = sim.total_energy();
+  const double e1 = sim.problem().total_energy();
   EXPECT_LT(std::abs(e1 - e0) / std::abs(e0), 0.02);
 }
 
@@ -106,12 +108,7 @@ TEST(Simulation, StepRecordsArePopulated) {
   auto set = uniform_cube(3000, rng, {0, 0, 0}, 0.5);
   for (auto& v : set.velocities) v = {0.01, -0.01, 0.02};
   auto cfg = base_config();
-  cfg.softening = 1e-3;
-  // This test pins the SERIALIZED record contract, so the executor must not
-  // follow AFMM_OVERLAP (the DAG makespan is intentionally different).
-  NodeSimulator node = default_node();
-  node.set_overlap(OverlapMode::kOff);
-  GravitySimulation sim(cfg, std::move(node), set);
+  GravityEngine sim = make_sim(cfg, 1e-3, set);
   const auto recs = sim.run(5);
   ASSERT_EQ(recs.size(), 5u);
   for (int i = 0; i < 5; ++i) {
@@ -131,22 +128,21 @@ TEST(Simulation, DeterministicForIdenticalInputs) {
   auto s1 = uniform_cube(1000, rng1, {0, 0, 0}, 0.5);
   auto s2 = uniform_cube(1000, rng2, {0, 0, 0}, 0.5);
   auto cfg = base_config();
-  cfg.softening = 1e-3;
-  GravitySimulation a(cfg, default_node(), s1);
-  GravitySimulation b(cfg, default_node(), s2);
+  GravityEngine a = make_sim(cfg, 1e-3, s1);
+  GravityEngine b = make_sim(cfg, 1e-3, s2);
   a.run(3);
   b.run(3);
-  for (std::size_t i = 0; i < a.bodies().size(); ++i)
-    EXPECT_EQ(a.bodies().positions[i], b.bodies().positions[i]);
+  const auto& pa = a.problem().bodies().positions;
+  const auto& pb = b.problem().bodies().positions;
+  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
 }
 
 TEST(Simulation, BalancerStateProgressesOverSteps) {
   Rng rng(75);
   auto set = uniform_cube(8000, rng, {0, 0, 0}, 0.5);
   auto cfg = base_config();
-  cfg.softening = 1e-3;
   cfg.dt = 1e-4;  // slow dynamics: workload is nearly static
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, 1e-3, set);
   const auto recs = sim.run(25);
   EXPECT_EQ(recs.back().state, LbState::kObservation);
 }
@@ -160,14 +156,13 @@ TEST(Simulation, StructureStableStepBuildsAtMostOneList) {
   auto set = uniform_cube(4000, rng, {0, 0, 0}, 0.5);
   for (auto& v : set.velocities) v = {0.01, -0.01, 0.02};
   auto cfg = base_config();
-  cfg.softening = 1e-3;
   cfg.dt = 1e-4;  // slow dynamics: the structure settles quickly
   cfg.balancer.strategy = LbStrategy::kStatic;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, 1e-3, set);
   ASSERT_EQ(sim.list_cache().builds(), 1u);  // the initial solve
   for (int i = 0; i < 12; ++i) {
     const std::uint64_t before = sim.list_cache().builds();
-    const auto rec = sim.step();
+    const auto rec = sim.step_once();
     const std::uint64_t delta = sim.list_cache().builds() - before;
     if (!rec.rebuilt && rec.enforce_ops == 0 && rec.fgo_ops == 0) {
       EXPECT_LE(delta, 1u) << "step " << i << " re-traversed a stable tree";
@@ -185,9 +180,8 @@ TEST(Simulation, ColdCollapseDriversEnforcement) {
   opt.velocity_scale = 0.1;
   auto set = plummer(5000, rng, opt);
   auto cfg = base_config();
-  cfg.softening = 5e-3;
   cfg.dt = 5e-3;
-  GravitySimulation sim(cfg, default_node(), set);
+  GravityEngine sim = make_sim(cfg, 5e-3, set);
   const auto recs = sim.run(60);
   int actions = 0;
   for (const auto& r : recs) actions += r.rebuilt + (r.enforce_ops > 0) + (r.fgo_ops > 0);
