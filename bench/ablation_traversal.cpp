@@ -2,7 +2,7 @@
 //
 // Two questions, one table each:
 //   1. What does the OpenMP task parallelization of the list build buy on
-//      real adaptive trees? (serial vs parallel wall time, identical output)
+//      real adaptive trees? (1 thread vs all threads, identical output)
 //   2. How often does the versioned cache avoid a traversal across a
 //      dynamic-simulation-style loop of balancer dry_run + solve cycles,
 //      where the structure changes only every `rebuild_every` steps?
@@ -25,13 +25,13 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Best-of-`reps` wall time of one full list build.
-double time_build(const AdaptiveOctree& tree, const TraversalConfig& config,
-                  int reps) {
+// Best-of-`reps` wall time of one full list build at the current OpenMP
+// thread count.
+double time_build(const AdaptiveOctree& tree, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto lists = build_interaction_lists(tree, config);
+    const auto lists = build_interaction_lists(tree);
     best = std::min(best, seconds_since(t0));
     // Keep the optimizer honest.
     if (lists.m2l_sources.empty() && lists.p2p.empty())
@@ -78,15 +78,13 @@ int main(int argc, char** argv) {
     AdaptiveOctree tree;
     tree.build(set.positions, tc);
 
-    TraversalConfig serial;
-    serial.parallel = false;
-    TraversalConfig parallel;
-    parallel.parallel = true;
-    const double ts = time_build(tree, serial, static_cast<int>(reps));
-    const double tp = time_build(tree, parallel, static_cast<int>(reps));
-    build_table.add_row({c.dist, Table::integer(c.S),
-                         Table::integer(omp_get_max_threads()), Table::num(ts),
-                         Table::num(tp), Table::num(ts / tp)});
+    const int threads = omp_get_max_threads();
+    omp_set_num_threads(1);
+    const double ts = time_build(tree, static_cast<int>(reps));
+    omp_set_num_threads(threads);
+    const double tp = time_build(tree, static_cast<int>(reps));
+    build_table.add_row({c.dist, Table::integer(c.S), Table::integer(threads),
+                         Table::num(ts), Table::num(tp), Table::num(ts / tp)});
   }
   build_table.print("Ablation | serial vs task-parallel list build");
 

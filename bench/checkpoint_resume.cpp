@@ -78,14 +78,14 @@ int main(int argc, char** argv) {
               n, order, steps, interval, kill);
 
   // ---- act 1: uninterrupted reference ------------------------------------
-  const std::string ref_dir = "checkpoint_resume_ref";
+  const std::string ref_dir = out + "/checkpoint_resume_ref";
   reset_dir(ref_dir);
   cfg.resilience.checkpoint_dir = ref_dir;
   GravityEngine reference(cfg, problem(set));
   const auto ref_records = reference.run(steps);
 
   // ---- act 2: kill at --kill, resume from the newest snapshot ------------
-  const std::string kill_dir = "checkpoint_resume_kill";
+  const std::string kill_dir = out + "/checkpoint_resume_kill";
   reset_dir(kill_dir);
   cfg.resilience.checkpoint_dir = kill_dir;
   std::vector<StepRecord> resumed_records(static_cast<std::size_t>(steps));

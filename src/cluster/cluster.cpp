@@ -16,6 +16,26 @@ namespace {
 // doubles), mass/charge (1) and the derived kick state (gradient, 3).
 constexpr std::uint64_t kMigrationBodyBytes = 80;
 
+// The cluster blob: u32 version, the per-node records, the node-fault
+// injector's cursor, then the cluster-wide fault epoch.
+// v2: the injector cursor gained the fired high-water mark.
+constexpr std::uint32_t kClusterBlobVersion = 2;
+
+// What the blob saves of one ClusterNodeState.
+struct NodeRecord {
+  bool crashed = false;
+  bool dead = false;
+  int missed_heartbeats = 0;
+  double link_fault_prob = 0.0;
+  int link_window_end = -1;
+  std::uint64_t health_epoch = 0;
+};
+
+void fields(auto& ar, ckpt::Is<NodeRecord> auto& n) {
+  ar(n.crashed, n.dead, n.missed_heartbeats, n.link_fault_prob,
+     n.link_window_end, n.health_epoch);
+}
+
 // Bodies whose owner differs between two contiguous partitions of [0, N):
 // walk the merged cut points; between consecutive cuts both owners are
 // constant.
@@ -288,7 +308,7 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   if (halo_pend.halo_payload && !plan.messages.empty()) {
     HaloMessage& victim =
         plan.messages[sdc_pick(halo_pend.halo_seed, plan.messages.size())];
-    victim.payload_check ^= 1ull << (sdc_mix(halo_pend.halo_seed >> 7) % 64);
+    victim.payload_check ^= 1ull << (splitmix64(halo_pend.halo_seed >> 7) % 64);
     ++rec.sdc_injected;
   }
   if (cluster_.sdc_halo_checks) {
@@ -426,19 +446,15 @@ std::vector<ClusterStepRecord> ClusterEngine<Problem>::run_to(
 
 template <class Problem>
 std::vector<std::uint8_t> ClusterEngine<Problem>::encode_cluster_blob() const {
+  std::vector<NodeRecord> records;
+  records.reserve(nodes_.size());
+  for (const auto& n : nodes_)
+    records.push_back({n.crashed, n.dead, n.missed_heartbeats,
+                       n.link_fault_prob, n.link_window_end,
+                       n.sim.health().fault_epoch});
   ByteWriter w;
-  w.u32(2);  // blob version (v2: injector fired high-water mark)
-  w.u64(nodes_.size());
-  for (const auto& n : nodes_) {
-    w.u8(n.crashed ? 1 : 0);
-    w.u8(n.dead ? 1 : 0);
-    w.i32(n.missed_heartbeats);
-    w.f64(n.link_fault_prob);
-    w.i32(n.link_window_end);
-    w.u64(n.sim.health().fault_epoch);
-  }
-  ckpt::put_injector(w, injector_.snapshot());
-  w.u64(cluster_health_.fault_epoch);
+  ckpt::Put{w}(kClusterBlobVersion, records, injector_.snapshot(),
+               cluster_health_.fault_epoch);
   return w.take();
 }
 
@@ -446,26 +462,32 @@ template <class Problem>
 void ClusterEngine<Problem>::restore_cluster_blob(
     const std::vector<std::uint8_t>& blob) {
   ByteReader r(blob);
-  if (r.u32() != 2)
+  std::uint32_t version = 0;
+  std::vector<NodeRecord> records;
+  FaultInjectorSnapshot snap;
+  std::uint64_t cluster_epoch = 0;
+  ckpt::Get{r}(version, records, snap, cluster_epoch);
+  if (version != kClusterBlobVersion)
     throw std::invalid_argument("cluster blob: unknown version");
-  if (r.u64() != nodes_.size())
+  if (!r.ok() || r.remaining() != 0)
+    throw std::invalid_argument("cluster blob: truncated or oversized");
+  if (records.size() != nodes_.size())
     throw std::invalid_argument("cluster blob: node count mismatch");
-  for (auto& n : nodes_) {
-    n.crashed = r.u8() != 0;
-    n.dead = r.u8() != 0;
-    n.missed_heartbeats = r.i32();
-    n.link_fault_prob = r.f64();
-    n.link_window_end = r.i32();
+  for (std::size_t k = 0; k < nodes_.size(); ++k) {
+    ClusterNodeState& n = nodes_[k];
+    const NodeRecord& rec = records[k];
+    n.crashed = rec.crashed;
+    n.dead = rec.dead;
+    n.missed_heartbeats = rec.missed_heartbeats;
+    n.link_fault_prob = rec.link_fault_prob;
+    n.link_window_end = rec.link_window_end;
     MachineHealth& h = n.sim.health();
     h.transfer_fault_prob = n.link_fault_prob;
     if (n.crashed)
       for (auto& g : h.gpus) g.alive = false;
-    h.fault_epoch = r.u64();
+    h.fault_epoch = rec.health_epoch;
   }
-  const FaultInjectorSnapshot snap = ckpt::get_injector(r);
-  cluster_health_.fault_epoch = r.u64();
-  if (!r.ok() || r.remaining() != 0)
-    throw std::invalid_argument("cluster blob: truncated or oversized");
+  cluster_health_.fault_epoch = cluster_epoch;
   injector_.restore(snap);
 }
 

@@ -20,10 +20,10 @@ int owner(const AdaptiveOctree& tree, const ShardMap& map, int id) {
 // order does not matter.
 std::uint64_t item_check(const AdaptiveOctree& tree, int node, bool bodies) {
   const auto& n = tree.node(node);
-  std::uint64_t h = sdc_mix(static_cast<std::uint64_t>(node) * 2 +
-                            (bodies ? 1 : 0));
-  h ^= sdc_mix(h ^ n.begin);
-  h ^= sdc_mix(h ^ n.count);
+  std::uint64_t h = splitmix64(static_cast<std::uint64_t>(node) * 2 +
+                               (bodies ? 1 : 0));
+  h ^= splitmix64(h ^ n.begin);
+  h ^= splitmix64(h ^ n.count);
   return h;
 }
 

@@ -88,16 +88,12 @@ void SimulationEngine<Problem>::init_resilience() {
   if (!rz.enabled()) return;
   watchdog_ = StepWatchdog(rz.watchdog);
   if (!rz.checkpoint_dir.empty()) {
-    std::string owner = rz.checkpoint_owner;
-    if (owner.empty()) {
-      // No explicit namespace: claim the first free one for this dir so
-      // engines sharing a checkpoint_dir in one process never rotate each
-      // other's snapshots. The first claimant keeps the legacy bare names
-      // (a later process resuming from this dir finds them unchanged).
-      owner_claim_ = CheckpointOwnerClaim::claim(rz.checkpoint_dir);
-      owner = owner_claim_.owner();
-    }
-    store_.emplace(rz.checkpoint_dir, rz.checkpoint_keep, owner);
+    // Claim the first free filename namespace for this dir so engines
+    // sharing a checkpoint_dir in one process never rotate each other's
+    // snapshots. The first claimant keeps the legacy bare names (a later
+    // process resuming from this dir finds them unchanged).
+    owner_claim_ = CheckpointOwnerClaim::claim(rz.checkpoint_dir);
+    store_.emplace(rz.checkpoint_dir, rz.checkpoint_keep, owner_claim_.owner());
   }
   // Seed the rollback target so recovery works before the first scheduled
   // checkpoint. For a restored run this re-snapshots the restored state.

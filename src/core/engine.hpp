@@ -278,9 +278,8 @@ class SimulationEngine {
 
   // Resilience state (inert while config_.resilience is disabled).
   StepWatchdog watchdog_;
-  // Holds this engine's auto-assigned filename namespace in the checkpoint
-  // dir when resilience.checkpoint_owner was left empty (satellite of the
-  // shared-dir collision fix; see CheckpointOwnerClaim).
+  // Holds this engine's filename namespace in the checkpoint dir (see
+  // CheckpointOwnerClaim).
   CheckpointOwnerClaim owner_claim_;
   std::optional<CheckpointStore> store_;
   std::optional<SimCheckpoint> last_good_;

@@ -155,8 +155,8 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
     if (checks) {
       sums.resize(eff.size());
       for (std::size_t i = 0; i < eff.size(); ++i)
-        sums[i] = sdc_checksum_bytes(M.data() + per_node * eff[i],
-                                     per_node * sizeof(double));
+        sums[i] =
+            fnv1a(M.data() + per_node * eff[i], per_node * sizeof(double));
     }
 
     if (sdc->inject) {
@@ -174,8 +174,8 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
     std::vector<char> bad(eff.size(), 0);
     bool any_checksum_bad = false;
     for (std::size_t i = 0; i < eff.size(); ++i) {
-      if (sdc_checksum_bytes(M.data() + per_node * eff[i],
-                             per_node * sizeof(double)) != sums[i]) {
+      if (fnv1a(M.data() + per_node * eff[i], per_node * sizeof(double)) !=
+          sums[i]) {
         bad[i] = 1;
         any_checksum_bad = true;
       }
@@ -229,9 +229,8 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
       };
       zero_subtree(zero_subtree, eff[i]);
       run_upsweep(eff[i]);
-      const bool fixed = sdc_checksum_bytes(M.data() + per_node * eff[i],
-                                            per_node * sizeof(double)) ==
-                         sums[i];
+      const bool fixed = fnv1a(M.data() + per_node * eff[i],
+                               per_node * sizeof(double)) == sums[i];
       if (sdc->report) ++(fixed ? sdc->report->repaired
                                 : sdc->report->unrepaired);
     }

@@ -107,7 +107,6 @@ struct SolveOutcome {
 template <class Kernel>
 class FmmSolver {
  public:
-  const HarmonicFarField& far_field() const { return far_; }
   NodeSimulator& node() { return node_; }
   const NodeSimulator& node() const { return node_; }
   const Kernel& kernel() const { return kernel_; }

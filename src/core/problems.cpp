@@ -103,14 +103,12 @@ void GravityProblem::corrupt_velocity_for_test(std::size_t i) {
 }
 
 std::uint64_t GravityProblem::compute_state_checksum() const {
-  std::uint64_t h = sdc_checksum_bytes(bodies_.positions.data(),
-                                       bodies_.positions.size() * sizeof(Vec3));
-  h = sdc_checksum_extend(h, bodies_.velocities.data(),
-                          bodies_.velocities.size() * sizeof(Vec3));
-  h = sdc_checksum_extend(h, accel_.data(), accel_.size() * sizeof(Vec3));
-  h = sdc_checksum_extend(h, potential_.data(),
-                          potential_.size() * sizeof(double));
-  return h;
+  std::uint64_t h = fnv1a(bodies_.positions.data(),
+                          bodies_.positions.size() * sizeof(Vec3));
+  h = fnv1a(bodies_.velocities.data(),
+            bodies_.velocities.size() * sizeof(Vec3), h);
+  h = fnv1a(accel_.data(), accel_.size() * sizeof(Vec3), h);
+  return fnv1a(potential_.data(), potential_.size() * sizeof(double), h);
 }
 
 void GravityProblem::apply_sdc_bit_flip(std::uint64_t seed) {
@@ -236,11 +234,9 @@ void StokesProblem::audit_state(const AuditConfig& audit,
 }
 
 std::uint64_t StokesProblem::compute_state_checksum() const {
-  std::uint64_t h = sdc_checksum_bytes(positions_.data(),
-                                       positions_.size() * sizeof(Vec3));
-  h = sdc_checksum_extend(h, velocities_.data(),
-                          velocities_.size() * sizeof(Vec3));
-  return h;
+  const std::uint64_t h =
+      fnv1a(positions_.data(), positions_.size() * sizeof(Vec3));
+  return fnv1a(velocities_.data(), velocities_.size() * sizeof(Vec3), h);
 }
 
 void StokesProblem::apply_sdc_bit_flip(std::uint64_t seed) {

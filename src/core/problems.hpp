@@ -80,7 +80,6 @@ class GravityProblem {
   // primary state and cannot be re-derived; if corruption hit them the
   // subsequent re-audit still fails and the engine escalates to rollback.
   bool repair_derived(const AdaptiveOctree& tree);
-  std::uint64_t state_checksum() const { return state_checksum_; }
 
  private:
   std::uint64_t compute_state_checksum() const;
@@ -146,7 +145,6 @@ class StokesProblem {
   // identical mobility scale -- bit-exact without re-solving. Positions are
   // primary state; corruption there escalates.
   bool repair_derived(const AdaptiveOctree& tree);
-  std::uint64_t state_checksum() const { return state_checksum_; }
 
  private:
   SolveOutcome run_solver(const AdaptiveOctree& tree);

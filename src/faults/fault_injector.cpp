@@ -4,20 +4,9 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace afmm {
-
-namespace {
-
-// splitmix64: tiny, stateless, good avalanche -- perfect for folding (seed,
-// step) into a fresh transfer seed without carrying generator state.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(FaultKind k) {
   switch (k) {

@@ -226,7 +226,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
       // ABFT checksum at production time (before the batch "leaves the
       // device"); also the bit-exact ground truth a repair must reproduce.
       const std::uint64_t want =
-          check_sums ? sdc_checksum_bytes(batch.data(), bytes) : 0;
+          check_sums ? fnv1a(batch.data(), bytes) : 0;
       if (wi == inject_wi && !batch.empty()) {
         // The victim double is seed-picked across the whole batch: corruption
         // can land in any accumulator field of any target body.
@@ -237,7 +237,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
         ++injected;
       }
       bool bad = false;
-      if (check_sums) bad = sdc_checksum_bytes(batch.data(), bytes) != want;
+      if (check_sums) bad = fnv1a(batch.data(), bytes) != want;
       if (!bad && sample_stride > 0 && wi % sample_stride == 0)
         bad = !sample_matches(wi, batch);
       if (bad) {
@@ -247,7 +247,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
         // re-evaluation when checksums are off).
         compute_batch(wi, batch);
         const bool fixed =
-            check_sums ? sdc_checksum_bytes(batch.data(), bytes) == want
+            check_sums ? fnv1a(batch.data(), bytes) == want
                        : sample_matches(wi, batch);
         ++(fixed ? repaired : unrepaired);
       }

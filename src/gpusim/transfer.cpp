@@ -2,18 +2,9 @@
 
 #include <algorithm>
 
+#include "util/hash.hpp"
+
 namespace afmm {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 bool TransferFaultModel::attempt_fails(std::uint64_t key, int attempt) const {
   if (fail_prob <= 0.0) return false;

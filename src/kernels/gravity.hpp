@@ -65,8 +65,6 @@ class GravityKernel {
                         std::span<const std::uint32_t> sid,
                         std::span<Accum, kLanes> acc) const;
 
-  double softening2() const { return eps2_; }
-
   // FLOP estimate of one interaction (for the GPU cycle model); matches the
   // ~20 flop body of the classic all-pairs CUDA kernel [GPU Gems 3, ch.31].
   static double flops_per_interaction() { return 20.0; }

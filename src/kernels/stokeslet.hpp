@@ -67,8 +67,6 @@ class StokesletKernel {
                         std::span<const std::uint32_t> sid,
                         std::span<Accum, kLanes> acc) const;
 
-  double epsilon2() const { return eps2_; }
-
   static double flops_per_interaction() { return 32.0; }
 
  private:

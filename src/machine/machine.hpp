@@ -154,10 +154,6 @@ class NodeSimulator {
 
   const CpuModelConfig& cpu() const { return cpu_; }
   const GpuSystemConfig& gpus() const { return gpus_; }
-  void set_cpu_cores(int cores) {
-    cpu_.num_cores = cores;
-    health_.reset(gpus_.devices.size(), cores);
-  }
 
   // Overlap execution mode of this node (default kOff).
   void set_overlap(OverlapMode mode) { overlap_ = mode; }

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -341,43 +339,6 @@ int AdaptiveOctree::max_leaf_count() const {
   for (int leaf : effective_leaves())
     worst = std::max(worst, nodes_[leaf].count);
   return static_cast<int>(worst);
-}
-
-void AdaptiveOctree::check_invariants() const {
-  auto fail = [](const char* what) {
-    std::fprintf(stderr, "octree invariant violated: %s\n", what);
-    std::abort();
-  };
-  if (nodes_.empty()) return;
-  if (nodes_[0].begin != 0 || nodes_[0].count != perm_.size())
-    fail("root span must cover all bodies");
-
-  std::vector<char> seen(perm_.size(), 0);
-  for (auto t : perm_) {
-    if (t >= perm_.size() || seen[t]) fail("perm is not a permutation");
-    seen[t] = 1;
-  }
-
-  auto visit = [&](auto&& self, int id) -> void {
-    const auto& n = nodes_[id];
-    if (is_effective_leaf(id)) return;
-    std::uint32_t at = n.begin;
-    std::uint32_t sum = 0;
-    for (int o = 0; o < 8; ++o) {
-      const auto& c = nodes_[n.children[o]];
-      if (c.parent != id) fail("child parent link");
-      if (c.level != n.level + 1) fail("child level");
-      if (c.half != n.half * 0.5) fail("child half size");
-      if (c.begin != at) fail("child spans must tile the parent span");
-      at += c.count;
-      sum += c.count;
-      if (!(c.center == child_box_center(n.center, n.half, o)))
-        fail("child center");
-    }
-    if (sum != n.count) fail("child counts must sum to parent count");
-    for (int c : n.children) self(self, c);
-  };
-  visit(visit, root());
 }
 
 OctreeSnapshot AdaptiveOctree::snapshot() const {

@@ -44,7 +44,7 @@ struct TreeConfig {
 };
 
 // Center of `octant` (bit 0/1/2 = x/y/z upper half) of the box (center,
-// half). build(), build_uniform(), push_down() and check_invariants() derive
+// half). build(), build_uniform(), push_down() and audit_tree() derive
 // child geometry through this one expression, so centers agree bit-for-bit.
 inline Vec3 child_box_center(const Vec3& c, double half, int octant) {
   const double q = half * 0.5;
@@ -173,11 +173,6 @@ class AdaptiveOctree {
       original[perm_[t]] = tree_order[t];
   }
 
-  // Validates the structural invariants (spans, parent/child links, geometry);
-  // aborts with a message on violation. Used by tests. The non-fatal variant
-  // for the runtime invariant auditor lives in state/auditor.hpp.
-  void check_invariants() const;
-
   // --- checkpoint/restore --------------------------------------------------
 
   // Copy of everything needed to reproduce this tree exactly.
@@ -200,7 +195,6 @@ class AdaptiveOctree {
 
   void partition_range(std::uint32_t begin, std::uint32_t end,
                        const Vec3& center, std::uint32_t bucket_begin[9]);
-  void rebin_node(int node);
   int allocate_children(int node);
   void repartition_into_children(int node);
 

@@ -103,9 +103,7 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
 
   const int n = tree.num_nodes();
   PairBufs bufs;
-  const bool parallel =
-      config.parallel && tree.node(tree.root()).count > kTaskCutoff;
-  if (parallel) {
+  if (tree.node(tree.root()).count > kTaskCutoff) {
 #pragma omp parallel
 #pragma omp single nowait
     dual_walk(tree, config, true, tree.root(), tree.root(), bufs);

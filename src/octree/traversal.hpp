@@ -25,13 +25,7 @@ struct TraversalConfig {
   // expensive. The Taylor truncation error scales like theta^(p+1).
   double theta = 0.55;
 
-  // Build the lists with OpenMP tasks (per-task pair buffers merged in child
-  // order, so the output is bit-identical to the serial walk). Disable to
-  // force the serial reference walk.
-  bool parallel = true;
-
-  // True when `o` produces the same lists on the same structure; the
-  // `parallel` flag does not affect the output and is ignored.
+  // True when `o` produces the same lists on the same structure.
   bool same_lists_as(const TraversalConfig& o) const {
     return theta == o.theta;
   }

@@ -6,10 +6,10 @@
 //
 //   - deterministic seed mixing + index/bit picking so injected corruption
 //     replays bit-identically from a (seed, step, kind) triple;
-//   - a raw-byte FNV-1a checksum used both as the detector (checksum at
-//     production time, verify at consumption time) and as the repair ground
-//     truth (a repair is only counted when re-hashing reproduces the stored
-//     sum, i.e. the repair is bit-exact);
+//   - the raw-byte FNV-1a checksum of util/hash.hpp, used both as the
+//     detector (checksum at production time, verify at consumption time)
+//     and as the repair ground truth (a repair is only counted when
+//     re-hashing reproduces the stored sum, i.e. the repair is bit-exact);
 //   - SdcPending, the transient per-step carrier on MachineHealth through
 //     which the FaultInjector tells solvers/engine what to corrupt;
 //   - SdcDetectConfig (which detectors are armed) and SdcReport (what was
@@ -22,44 +22,14 @@
 #include <cstdint>
 #include <cstring>
 
-namespace afmm {
+#include "util/hash.hpp"
 
-// splitmix64 -- the same generator faults/ and gpusim/ already use for
-// deterministic draws; duplicated here so sdc/ stays standalone.
-inline std::uint64_t sdc_mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+namespace afmm {
 
 // Deterministic pick of an index in [0, n). n must be > 0.
 inline std::size_t sdc_pick(std::uint64_t seed, std::size_t n) {
-  return static_cast<std::size_t>(sdc_mix(seed) % static_cast<std::uint64_t>(n));
-}
-
-// FNV-1a over raw bytes. Hashing object representations is well-defined here
-// because every hashed buffer is made of padding-free double/Vec3 aggregates
-// (or was value-initialized before element-wise assignment).
-inline std::uint64_t sdc_checksum_bytes(const void* data, std::size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-// Accumulate another buffer into an existing checksum (order-sensitive).
-inline std::uint64_t sdc_checksum_extend(std::uint64_t h, const void* data,
-                                         std::size_t bytes) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  return static_cast<std::size_t>(splitmix64(seed) %
+                                  static_cast<std::uint64_t>(n));
 }
 
 // Flip one mantissa/exponent bit of a double in place. Bits 32..61 keep the

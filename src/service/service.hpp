@@ -137,7 +137,6 @@ class SimulationService {
   const std::vector<ExecutedStep>& history() const { return history_; }
   const SharedMachineClock& clock() const { return clock_; }
   const TraceRecorder* trace() const { return trace_.get(); }
-  const MetricsRegistry* service_metrics() const { return metrics_.get(); }
   int rounds() const { return rounds_; }
   int evictions() const { return evictions_; }
   int restores() const { return restores_; }
@@ -145,7 +144,6 @@ class SimulationService {
   // exists so the bench can gate on the scheduler's own books.
   int quota_violations() const { return quota_violations_; }
   std::size_t sessions() const { return order_.size(); }
-  const std::vector<std::string>& session_names() const { return order_; }
 
   // Merged long-form metrics CSV: the service.* aggregate rows first, then
   // each session's tenant-prefixed rows in admission order. Same

@@ -1,46 +1,29 @@
 #include "service/session.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "core/problems.hpp"
+#include "util/hash.hpp"
 
 namespace afmm {
 
 namespace {
 
-// FNV-1a over raw double bytes: cheap, order-sensitive, and bit-exact --
-// any single flipped mantissa bit anywhere in the state changes it.
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t fnv_vec3s(std::uint64_t h, const std::vector<Vec3>& v) {
-  for (const Vec3& x : v) {
-    h = fnv1a(h, &x.x, sizeof x.x);
-    h = fnv1a(h, &x.y, sizeof x.y);
-    h = fnv1a(h, &x.z, sizeof x.z);
-  }
-  return h;
+// FNV-1a over the positions then the velocities: any single flipped
+// mantissa bit anywhere in the state changes it.
+std::uint64_t fingerprint(const std::vector<Vec3>& positions,
+                          const std::vector<Vec3>& velocities) {
+  const std::uint64_t h =
+      fnv1a(positions.data(), positions.size() * sizeof(Vec3));
+  return fnv1a(velocities.data(), velocities.size() * sizeof(Vec3), h);
 }
 
 std::uint64_t fingerprint(const GravityProblem& p) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_vec3s(h, p.bodies().positions);
-  h = fnv_vec3s(h, p.bodies().velocities);
-  return h;
+  return fingerprint(p.bodies().positions, p.bodies().velocities);
 }
 
 std::uint64_t fingerprint(const StokesProblem& p) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv_vec3s(h, p.position_vector());
-  h = fnv_vec3s(h, p.velocities());
-  return h;
+  return fingerprint(p.position_vector(), p.velocities());
 }
 
 template <class Problem>

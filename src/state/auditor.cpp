@@ -98,6 +98,8 @@ void audit_tree(const AdaptiveOctree& tree, int S, double leaf_capacity_slack,
                   c.level, node.level + 1);
       if (c.half != node.half * 0.5)
         violation(report, "tree: node %d child %d half-size mismatch", id, cid);
+      if (!(c.center == child_box_center(node.center, node.half, o)))
+        violation(report, "tree: node %d child %d center mismatch", id, cid);
       if (c.begin != at)
         violation(report, "tree: node %d child spans do not tile (child %d)",
                   id, cid);

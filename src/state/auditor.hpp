@@ -2,10 +2,10 @@
 // few steps by the simulation loop (and before every checkpoint, so a
 // snapshot is only ever taken of state that passed).
 //
-// Unlike AdaptiveOctree::check_invariants (which aborts, for tests), every
-// audit here appends human-readable violations to an AuditReport and leaves
-// the decision to the caller -- the simulation reacts to a failed audit by
-// rolling back to the last good checkpoint and re-entering Search.
+// Every audit appends human-readable violations to an AuditReport and
+// leaves the decision to the caller -- the simulation reacts to a failed
+// audit by rolling back to the last good checkpoint and re-entering Search;
+// the tests assert the report is clean.
 //
 // Audit classes (tentpole list):
 //   * tree structure     -- parent/child links, geometry, span tiling, body

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -25,312 +24,60 @@ void set_error(std::string* error, const std::string& what) {
 
 }  // namespace
 
-// ---- codecs and file layer (shared with shard_store.cpp and cluster/) -----
+// ---- field lists (Put / Get in checkpoint_detail.hpp walk them) ------------
+
+// The largest value of each saved enum; Get rejects anything above it.
+constexpr LbState enum_max(LbState) { return LbState::kObservation; }
+constexpr SimKind enum_max(SimKind) { return SimKind::kStokes; }
 
 namespace ckpt {
 
-void put_vec3(ByteWriter& w, const Vec3& v) {
-  w.f64(v.x);
-  w.f64(v.y);
-  w.f64(v.z);
+void fields(auto& ar, Is<OpCounts> auto& c) {
+  ar(c.p2m, c.p2m_bodies, c.m2m, c.m2l, c.l2l, c.l2p, c.l2p_bodies,
+     c.p2p_interactions, c.p2p_node_pairs);
 }
 
-Vec3 get_vec3(ByteReader& r) {
-  Vec3 v;
-  v.x = r.f64();
-  v.y = r.f64();
-  v.z = r.f64();
-  return v;
+// Not declaration order: the counts and the per-operation totals come
+// before the per-sweep split and the overlap makespans.
+void fields(auto& ar, Is<ObservedStepTimes> auto& t) {
+  ar(t.cpu_seconds, t.gpu_seconds, t.cpu_p2p_seconds, t.transfer_retries,
+     t.counts, t.t_p2m, t.t_m2m, t.t_m2l, t.t_l2l, t.t_l2p, t.cpu_up_seconds,
+     t.cpu_down_seconds, t.overlap_seconds, t.overlap_cpu_seconds,
+     t.overlap_near_seconds);
 }
 
-void put_vec3s(ByteWriter& w, const std::vector<Vec3>& v) {
-  w.u64(v.size());
-  for (const auto& x : v) put_vec3(w, x);
+void fields(auto& ar, Is<OctreeNode> auto& n) {
+  ar(n.center, n.half, n.parent, n.children, n.has_children, n.level,
+     n.collapsed, n.begin, n.count);
 }
 
-// Length-prefixed vectors validate the count against the bytes actually
-// remaining, so a corrupt length can never balloon an allocation.
-bool get_vec3s(ByteReader& r, std::vector<Vec3>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 24 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = get_vec3(r);
-  return r.ok();
+// TreeConfig::build_strategy is an unread stub and is not saved.
+void fields(auto& ar, Is<OctreeSnapshot> auto& t) {
+  ar(t.config.leaf_capacity, t.config.max_depth, t.config.root_center,
+     t.config.root_half, t.nodes, t.sorted_pos, t.perm);
 }
 
-void put_f64s(ByteWriter& w, const std::vector<double>& v) {
-  w.u64(v.size());
-  for (double x : v) w.f64(x);
+void fields(auto& ar, Is<CostCoefficients> auto& c) {
+  ar(c.p2m_per_body, c.m2m, c.m2l, c.l2l, c.l2p_per_body, c.p2p, c.p2p_cpu,
+     c.cpu_efficiency, c.up_efficiency, c.down_efficiency,
+     c.overlap_efficiency, c.near_overhead_seconds);
 }
 
-bool get_f64s(ByteReader& r, std::vector<double>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 8 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.f64();
-  return r.ok();
+void fields(auto& ar, Is<LoadBalancerSnapshot> auto& b) {
+  ar(b.state, b.S, b.search_lo, b.search_hi, b.search_steps, b.last_dominant,
+     b.best_compute, b.reset_best_next, b.last_epoch, b.epoch_pending,
+     b.model.coefficients, b.model.observations,
+     b.model.overlap_observations);
 }
 
-void put_u64s(ByteWriter& w, const std::vector<std::uint64_t>& v) {
-  w.u64(v.size());
-  for (auto x : v) w.u64(x);
+void fields(auto& ar, Is<GpuHealth> auto& g) { ar(g.alive, g.clock_scale); }
+
+void fields(auto& ar, Is<MachineHealth> auto& h) {
+  ar(h.gpus, h.cpu_cores_available, h.cpu_cores_provisioned,
+     h.transfer_fault_prob, h.transfer_seed, h.fault_epoch);
 }
 
-bool get_u64s(ByteReader& r, std::vector<std::uint64_t>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 8 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.u64();
-  return r.ok();
-}
-
-void put_u32s(ByteWriter& w, const std::vector<std::uint32_t>& v) {
-  w.u64(v.size());
-  for (auto x : v) w.u32(x);
-}
-
-bool get_u32s(ByteReader& r, std::vector<std::uint32_t>& out) {
-  const std::uint64_t n = r.u64();
-  if (n * 4 > r.remaining()) return false;
-  out.resize(n);
-  for (auto& x : out) x = r.u32();
-  return r.ok();
-}
-
-void put_op_counts(ByteWriter& w, const OpCounts& c) {
-  w.u64(c.p2m);
-  w.u64(c.p2m_bodies);
-  w.u64(c.m2m);
-  w.u64(c.m2l);
-  w.u64(c.l2l);
-  w.u64(c.l2p);
-  w.u64(c.l2p_bodies);
-  w.u64(c.p2p_interactions);
-  w.u64(c.p2p_node_pairs);
-}
-
-OpCounts get_op_counts(ByteReader& r) {
-  OpCounts c;
-  c.p2m = r.u64();
-  c.p2m_bodies = r.u64();
-  c.m2m = r.u64();
-  c.m2l = r.u64();
-  c.l2l = r.u64();
-  c.l2p = r.u64();
-  c.l2p_bodies = r.u64();
-  c.p2p_interactions = r.u64();
-  c.p2p_node_pairs = r.u64();
-  return c;
-}
-
-void put_observed(ByteWriter& w, const ObservedStepTimes& t) {
-  w.f64(t.cpu_seconds);
-  w.f64(t.gpu_seconds);
-  w.f64(t.cpu_p2p_seconds);
-  w.i32(t.transfer_retries);
-  put_op_counts(w, t.counts);
-  w.f64(t.t_p2m);
-  w.f64(t.t_m2m);
-  w.f64(t.t_m2l);
-  w.f64(t.t_l2l);
-  w.f64(t.t_l2p);
-  w.f64(t.cpu_up_seconds);
-  w.f64(t.cpu_down_seconds);
-  w.f64(t.overlap_seconds);
-  w.f64(t.overlap_cpu_seconds);
-  w.f64(t.overlap_near_seconds);
-}
-
-ObservedStepTimes get_observed(ByteReader& r) {
-  ObservedStepTimes t;
-  t.cpu_seconds = r.f64();
-  t.gpu_seconds = r.f64();
-  t.cpu_p2p_seconds = r.f64();
-  t.transfer_retries = r.i32();
-  t.counts = get_op_counts(r);
-  t.t_p2m = r.f64();
-  t.t_m2m = r.f64();
-  t.t_m2l = r.f64();
-  t.t_l2l = r.f64();
-  t.t_l2p = r.f64();
-  t.cpu_up_seconds = r.f64();
-  t.cpu_down_seconds = r.f64();
-  t.overlap_seconds = r.f64();
-  t.overlap_cpu_seconds = r.f64();
-  t.overlap_near_seconds = r.f64();
-  return t;
-}
-
-void put_tree(ByteWriter& w, const OctreeSnapshot& t) {
-  w.i32(t.config.leaf_capacity);
-  w.i32(t.config.max_depth);
-  put_vec3(w, t.config.root_center);
-  w.f64(t.config.root_half);
-  w.u64(t.nodes.size());
-  for (const auto& n : t.nodes) {
-    put_vec3(w, n.center);
-    w.f64(n.half);
-    w.i32(n.parent);
-    for (int c : n.children) w.i32(c);
-    w.u8(n.has_children ? 1 : 0);
-    w.i32(n.level);
-    w.u8(n.collapsed ? 1 : 0);
-    w.u32(n.begin);
-    w.u32(n.count);
-  }
-  // The O(N) body arrays are flat PODs in the exact wire layout; bulk-copy
-  // them instead of looping per element (the node loop above stays per-field:
-  // it is O(N/S) and OctreeNode has padding the format must not absorb).
-  static_assert(sizeof(Vec3) == 24, "Vec3 wire layout");
-  w.u64(t.sorted_pos.size());
-  w.bytes(t.sorted_pos.data(), t.sorted_pos.size() * sizeof(Vec3));
-  w.u64(t.perm.size());
-  w.bytes(t.perm.data(), t.perm.size() * sizeof(std::uint32_t));
-}
-
-bool get_tree(ByteReader& r, OctreeSnapshot& t) {
-  t.config.leaf_capacity = r.i32();
-  t.config.max_depth = r.i32();
-  t.config.root_center = get_vec3(r);
-  t.config.root_half = r.f64();
-  const std::uint64_t num_nodes = r.u64();
-  // Conservative lower bound on a serialized node keeps a corrupt count from
-  // allocating unbounded memory.
-  if (num_nodes * 32 > r.remaining()) return false;
-  t.nodes.resize(num_nodes);
-  for (auto& n : t.nodes) {
-    n.center = get_vec3(r);
-    n.half = r.f64();
-    n.parent = r.i32();
-    for (auto& c : n.children) c = r.i32();
-    n.has_children = r.u8() != 0;
-    n.level = r.i32();
-    n.collapsed = r.u8() != 0;
-    n.begin = r.u32();
-    n.count = r.u32();
-  }
-  const std::uint64_t num_pos = r.u64();
-  if (num_pos * sizeof(Vec3) > r.remaining()) return false;
-  t.sorted_pos.resize(num_pos);
-  {
-    const auto raw = r.bytes(num_pos * sizeof(Vec3));
-    // memcpy requires non-null pointers even for zero bytes, and an empty
-    // vector's data() may be null.
-    if (!raw.empty()) std::memcpy(t.sorted_pos.data(), raw.data(), raw.size());
-  }
-  const std::uint64_t num_perm = r.u64();
-  if (num_perm * sizeof(std::uint32_t) > r.remaining()) return false;
-  t.perm.resize(num_perm);
-  {
-    const auto raw = r.bytes(num_perm * sizeof(std::uint32_t));
-    if (!raw.empty()) std::memcpy(t.perm.data(), raw.data(), raw.size());
-  }
-  return r.ok();
-}
-
-void put_balancer(ByteWriter& w, const LoadBalancerSnapshot& b) {
-  w.u32(static_cast<std::uint32_t>(b.state));
-  w.i32(b.S);
-  w.i32(b.search_lo);
-  w.i32(b.search_hi);
-  w.i32(b.search_steps);
-  w.i32(b.last_dominant);
-  w.f64(b.best_compute);
-  w.u8(b.reset_best_next ? 1 : 0);
-  w.u64(b.last_epoch);
-  w.i32(b.epoch_pending);
-  const CostCoefficients& c = b.model.coefficients;
-  w.f64(c.p2m_per_body);
-  w.f64(c.m2m);
-  w.f64(c.m2l);
-  w.f64(c.l2l);
-  w.f64(c.l2p_per_body);
-  w.f64(c.p2p);
-  w.f64(c.p2p_cpu);
-  w.f64(c.cpu_efficiency);
-  w.f64(c.up_efficiency);
-  w.f64(c.down_efficiency);
-  w.f64(c.overlap_efficiency);
-  w.f64(c.near_overhead_seconds);
-  w.i32(b.model.observations);
-  w.i32(b.model.overlap_observations);
-}
-
-bool get_balancer(ByteReader& r, LoadBalancerSnapshot& b) {
-  const std::uint32_t state = r.u32();
-  if (state > static_cast<std::uint32_t>(LbState::kObservation)) return false;
-  b.state = static_cast<LbState>(state);
-  b.S = r.i32();
-  b.search_lo = r.i32();
-  b.search_hi = r.i32();
-  b.search_steps = r.i32();
-  b.last_dominant = r.i32();
-  b.best_compute = r.f64();
-  b.reset_best_next = r.u8() != 0;
-  b.last_epoch = r.u64();
-  b.epoch_pending = r.i32();
-  CostCoefficients& c = b.model.coefficients;
-  c.p2m_per_body = r.f64();
-  c.m2m = r.f64();
-  c.m2l = r.f64();
-  c.l2l = r.f64();
-  c.l2p_per_body = r.f64();
-  c.p2p = r.f64();
-  c.p2p_cpu = r.f64();
-  c.cpu_efficiency = r.f64();
-  c.up_efficiency = r.f64();
-  c.down_efficiency = r.f64();
-  c.overlap_efficiency = r.f64();
-  c.near_overhead_seconds = r.f64();
-  b.model.observations = r.i32();
-  b.model.overlap_observations = r.i32();
-  return r.ok();
-}
-
-void put_health(ByteWriter& w, const MachineHealth& h) {
-  w.u64(h.gpus.size());
-  for (const auto& g : h.gpus) {
-    w.u8(g.alive ? 1 : 0);
-    w.f64(g.clock_scale);
-  }
-  w.i32(h.cpu_cores_available);
-  w.i32(h.cpu_cores_provisioned);
-  w.f64(h.transfer_fault_prob);
-  w.u64(h.transfer_seed);
-  w.u64(h.fault_epoch);
-}
-
-bool get_health(ByteReader& r, MachineHealth& h) {
-  const std::uint64_t num_gpus = r.u64();
-  if (num_gpus * 9 > r.remaining()) return false;
-  h.gpus.resize(num_gpus);
-  for (auto& g : h.gpus) {
-    g.alive = r.u8() != 0;
-    g.clock_scale = r.f64();
-  }
-  h.cpu_cores_available = r.i32();
-  h.cpu_cores_provisioned = r.i32();
-  h.transfer_fault_prob = r.f64();
-  h.transfer_seed = r.u64();
-  h.fault_epoch = r.u64();
-  return r.ok();
-}
-
-void put_injector(ByteWriter& w, const FaultInjectorSnapshot& s) {
-  w.u64(s.next_event);
-  w.i32(s.transfer_window_end);
-  w.u64(s.num_events);
-  w.u64(s.fired_mark);
-}
-
-FaultInjectorSnapshot get_injector(ByteReader& r) {
-  FaultInjectorSnapshot s;
-  s.next_event = r.u64();
-  s.transfer_window_end = r.i32();
-  s.num_events = r.u64();
-  s.fired_mark = r.u64();
-  return s;
-}
+// ---- file layer (shared with shard_store.cpp and cluster/) -----------------
 
 namespace {
 
@@ -462,8 +209,48 @@ enum class SectionId : std::uint32_t {
   kRng = 9,
 };
 
-void append(ByteWriter& out, SectionId id, const ByteWriter& payload) {
-  append_section(out, static_cast<std::uint32_t>(id), payload.buffer());
+// Section ids run from 1 to kRng.
+constexpr auto kNumSections = static_cast<std::uint32_t>(SectionId::kRng);
+// Sections a checkpoint cannot be restored without.
+constexpr std::uint32_t kRequiredSections =
+    1u << static_cast<int>(SectionId::kMeta) |
+    1u << static_cast<int>(SectionId::kBodies) |
+    1u << static_cast<int>(SectionId::kTree) |
+    1u << static_cast<int>(SectionId::kBalancer) |
+    1u << static_cast<int>(SectionId::kHealth) |
+    1u << static_cast<int>(SectionId::kInjector);
+
+// The fields of section `id`, in wire order: encode_checkpoint and
+// decode_checkpoint both walk this one switch.
+template <class Ar>
+void section(Ar& ar, SectionId id, Is<SimCheckpoint> auto& c) {
+  switch (id) {
+    case SectionId::kMeta: {
+      // The step travels as an i64; the body count is informational: it is
+      // written, read and ignored.
+      std::int64_t step = c.step;
+      std::uint64_t num_bodies = c.bodies.size();
+      ar(c.kind, step, num_bodies);
+      if constexpr (Ar::kReading) c.step = static_cast<int>(step);
+      return;
+    }
+    case SectionId::kBodies:
+      return ar(c.bodies.positions, c.bodies.velocities, c.bodies.masses);
+    case SectionId::kDerived:
+      return ar(c.accel, c.potential);
+    case SectionId::kObserved:
+      return ar(c.has_observed, c.observed);
+    case SectionId::kTree:
+      return ar(c.tree);
+    case SectionId::kBalancer:
+      return ar(c.balancer);
+    case SectionId::kHealth:
+      return ar(c.health);
+    case SectionId::kInjector:
+      return ar(c.injector);
+    case SectionId::kRng:
+      return ar(c.rng_words);
+  }
 }
 
 }  // namespace
@@ -472,98 +259,33 @@ std::vector<std::uint8_t> encode_checkpoint(const SimCheckpoint& ckpt) {
   ByteWriter out;
   out.u32(kCheckpointMagic);
   out.u32(kCheckpointVersion);
-  out.u32(9);  // section count
-
-  ByteWriter meta;
-  meta.u32(static_cast<std::uint32_t>(ckpt.kind));
-  meta.i64(ckpt.step);
-  meta.u64(ckpt.bodies.size());
-  append(out, SectionId::kMeta, meta);
-
-  ByteWriter bodies;
-  put_vec3s(bodies, ckpt.bodies.positions);
-  put_vec3s(bodies, ckpt.bodies.velocities);
-  put_f64s(bodies, ckpt.bodies.masses);
-  append(out, SectionId::kBodies, bodies);
-
-  ByteWriter derived;
-  put_vec3s(derived, ckpt.accel);
-  put_f64s(derived, ckpt.potential);
-  append(out, SectionId::kDerived, derived);
-
-  ByteWriter observed;
-  observed.u8(ckpt.has_observed ? 1 : 0);
-  put_observed(observed, ckpt.observed);
-  append(out, SectionId::kObserved, observed);
-
-  ByteWriter tree;
-  put_tree(tree, ckpt.tree);
-  append(out, SectionId::kTree, tree);
-
-  ByteWriter balancer;
-  put_balancer(balancer, ckpt.balancer);
-  append(out, SectionId::kBalancer, balancer);
-
-  ByteWriter health;
-  put_health(health, ckpt.health);
-  append(out, SectionId::kHealth, health);
-
-  ByteWriter injector;
-  put_injector(injector, ckpt.injector);
-  append(out, SectionId::kInjector, injector);
-
-  ByteWriter rng;
-  put_u64s(rng, ckpt.rng_words);
-  append(out, SectionId::kRng, rng);
-
+  out.u32(kNumSections);
+  for (std::uint32_t id = 1; id <= kNumSections; ++id) {
+    ByteWriter payload;
+    Put put{payload};
+    section(put, static_cast<SectionId>(id), ckpt);
+    append_section(out, id, payload.buffer());
+  }
   return out.take();
 }
 
 std::optional<SimCheckpoint> decode_checkpoint(
     std::span<const std::uint8_t> data, std::string* error) {
   SimCheckpoint ckpt;
-  bool have_meta = false, have_bodies = false, have_tree = false,
-       have_balancer = false, have_health = false, have_injector = false;
+  std::uint32_t seen = 0;
   const auto visit = [&](std::uint32_t id,
                          std::span<const std::uint8_t> payload) {
+    if (id < 1 || id > kNumSections)
+      return true;  // unknown section: skip (forward compatibility)
     ByteReader r(payload);
-    switch (static_cast<SectionId>(id)) {
-      case SectionId::kMeta: {
-        const std::uint32_t kind = r.u32();
-        ckpt.kind = static_cast<SimKind>(kind);
-        ckpt.step = static_cast<int>(r.i64());
-        r.u64();  // body count: informational
-        const auto max_kind = static_cast<std::uint32_t>(SimKind::kStokes);
-        return have_meta = r.ok() && kind <= max_kind;
-      }
-      case SectionId::kBodies:
-        return have_bodies = get_vec3s(r, ckpt.bodies.positions) &&
-                             get_vec3s(r, ckpt.bodies.velocities) &&
-                             get_f64s(r, ckpt.bodies.masses);
-      case SectionId::kDerived:
-        return get_vec3s(r, ckpt.accel) && get_f64s(r, ckpt.potential);
-      case SectionId::kObserved:
-        ckpt.has_observed = r.u8() != 0;
-        ckpt.observed = get_observed(r);
-        return r.ok();
-      case SectionId::kTree:
-        return have_tree = get_tree(r, ckpt.tree);
-      case SectionId::kBalancer:
-        return have_balancer = get_balancer(r, ckpt.balancer);
-      case SectionId::kHealth:
-        return have_health = get_health(r, ckpt.health);
-      case SectionId::kInjector:
-        ckpt.injector = get_injector(r);
-        return have_injector = r.ok();
-      case SectionId::kRng:
-        return get_u64s(r, ckpt.rng_words);
-    }
-    return true;  // unknown section: skip (forward compatibility)
+    Get get{r};
+    section(get, static_cast<SectionId>(id), ckpt);
+    seen |= 1u << id;
+    return r.ok() && r.remaining() == 0;
   };
   if (!read_sections(data, kCheckpointMagic, kCheckpointVersion, visit, error))
     return std::nullopt;
-  if (!have_meta || !have_bodies || !have_tree || !have_balancer ||
-      !have_health || !have_injector) {
+  if ((seen & kRequiredSections) != kRequiredSections) {
     set_error(error, "missing required section");
     return std::nullopt;
   }

@@ -221,11 +221,6 @@ struct ResilienceConfig {
   int checkpoint_interval = 0;  // steps between snapshots; 0 = no snapshots
   std::string checkpoint_dir;   // empty = in-memory rollback only
   int checkpoint_keep = 3;      // on-disk snapshots retained
-  // Filename namespace inside checkpoint_dir ([A-Za-z0-9.-], no '_').
-  // Empty = auto: the first engine on a dir in this process gets the legacy
-  // bare `ckpt_*.afmm` names, concurrent later ones get "e1", "e2", ...
-  // (see CheckpointOwnerClaim). The service sets this to the session id.
-  std::string checkpoint_owner;
   AuditConfig audit;            // audit.interval 0 = no audits
   WatchdogConfig watchdog;
   // React to a failed audit / tripped watchdog by restoring the last good

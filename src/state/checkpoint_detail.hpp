@@ -1,13 +1,23 @@
-// Field-level codecs and the file layer shared by the checkpoint format
+// Field codecs and the file layer shared by the checkpoint format
 // (state/checkpoint.cpp), the sharded store (state/shard_store.cpp) and the
-// cluster layer's state blob (cluster/cluster.cpp). All of them serialize
-// the same structs -- trees, health registries, balancer snapshots,
-// observed times, injector cursors -- and bit-identical restore demands one
-// codec per struct, not drifting copies.
+// cluster layer's state blob (cluster/cluster.cpp).
 //
-// Every get_* is bounds-checked through ByteReader: a corrupt length can
-// never balloon an allocation, and a short payload latches the reader's fail
-// flag instead of reading garbage.
+// Each saved struct has ONE list of its fields in wire order,
+//
+//   void fields(auto& ar, Is<Foo> auto& x) { ar(x.a, x.b, x.c); }
+//
+// walked by two archives: Put appends each field to a ByteWriter, Get reads
+// it back through the bounds-checked ByteReader. The encoder and the decoder
+// of a struct therefore cannot drift apart. Field types fix the widths: bool
+// is u8, int i32, std::int64_t i64, std::uint32_t u32, std::uint64_t u64,
+// double f64, an enum u32, a Vec3 three f64, a std::array its elements, and
+// a std::vector a u64 count, then its elements (vectors of double, Vec3,
+// std::uint32_t and std::uint64_t as one memcpy block).
+//
+// Get never throws on malformed input. A vector count is accepted only when
+// that many elements fit in the bytes remaining, so a corrupt count can
+// never balloon an allocation; an enum above its enum_max() (found by
+// argument-dependent lookup) fails; any overrun latches the reader.
 //
 // Both file formats are sealed images:
 //
@@ -17,51 +27,138 @@
 // append_section writes one section; read_sections validates a whole image.
 #pragma once
 
+#include <array>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
-#include "balance/load_balancer.hpp"
 #include "faults/fault_injector.hpp"
-#include "machine/machine.hpp"
-#include "octree/octree.hpp"
 #include "state/serial.hpp"
 #include "util/vec3.hpp"
 
 namespace afmm::ckpt {
 
-void put_vec3(ByteWriter& w, const Vec3& v);
-Vec3 get_vec3(ByteReader& r);
+// `T` is `U` or `const U`: one field list serves Put (const) and Get.
+template <class T, class U>
+concept Is = std::same_as<std::remove_const_t<T>, U>;
 
-void put_vec3s(ByteWriter& w, const std::vector<Vec3>& v);
-bool get_vec3s(ByteReader& r, std::vector<Vec3>& out);
+// Element types whose in-memory layout is their wire layout.
+template <class T>
+inline constexpr bool kBlock =
+    std::is_same_v<T, double> || std::is_same_v<T, Vec3> ||
+    std::is_same_v<T, std::uint32_t> || std::is_same_v<T, std::uint64_t>;
+static_assert(sizeof(Vec3) == 24, "Vec3 wire layout");
 
-void put_f64s(ByteWriter& w, const std::vector<double>& v);
-bool get_f64s(ByteReader& r, std::vector<double>& out);
+struct Put {
+  static constexpr bool kReading = false;
+  ByteWriter& w;
 
-void put_u64s(ByteWriter& w, const std::vector<std::uint64_t>& v);
-bool get_u64s(ByteReader& r, std::vector<std::uint64_t>& out);
+  template <class... T>
+  void operator()(const T&... xs) {
+    (put(xs), ...);
+  }
 
-void put_u32s(ByteWriter& w, const std::vector<std::uint32_t>& v);
-bool get_u32s(ByteReader& r, std::vector<std::uint32_t>& out);
+ private:
+  void put(bool v) { w.u8(v ? 1 : 0); }
+  void put(int v) { w.i32(v); }
+  void put(std::int64_t v) { w.i64(v); }
+  void put(std::uint32_t v) { w.u32(v); }
+  void put(std::uint64_t v) { w.u64(v); }
+  void put(double v) { w.f64(v); }
+  void put(const Vec3& v) { (*this)(v.x, v.y, v.z); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void put(const E& e) {
+    w.u32(static_cast<std::uint32_t>(e));
+  }
+  template <class T, std::size_t N>
+  void put(const std::array<T, N>& a) {
+    for (const T& x : a) put(x);
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    w.u64(v.size());
+    if constexpr (kBlock<T>)
+      w.bytes(v.data(), v.size() * sizeof(T));
+    else
+      for (const T& x : v) put(x);
+  }
+  template <class T>
+  void put(const T& x) {
+    fields(*this, x);
+  }
+};
 
-void put_observed(ByteWriter& w, const ObservedStepTimes& t);
-ObservedStepTimes get_observed(ByteReader& r);
+// Bytes one `T` occupies on the wire; every element type has a fixed width.
+template <class T>
+std::size_t wire_size() {
+  static const std::size_t size = [] {
+    ByteWriter w;
+    Put{w}(T{});
+    return w.size();
+  }();
+  return size;
+}
 
-void put_tree(ByteWriter& w, const OctreeSnapshot& t);
-bool get_tree(ByteReader& r, OctreeSnapshot& t);
+struct Get {
+  static constexpr bool kReading = true;
+  ByteReader& r;
 
-void put_balancer(ByteWriter& w, const LoadBalancerSnapshot& b);
-bool get_balancer(ByteReader& r, LoadBalancerSnapshot& b);
+  template <class... T>
+  void operator()(T&... xs) {
+    (get(xs), ...);
+  }
 
-void put_health(ByteWriter& w, const MachineHealth& h);
-bool get_health(ByteReader& r, MachineHealth& h);
+ private:
+  void get(bool& v) { v = r.u8() != 0; }
+  void get(int& v) { v = r.i32(); }
+  void get(std::int64_t& v) { v = r.i64(); }
+  void get(std::uint32_t& v) { v = r.u32(); }
+  void get(std::uint64_t& v) { v = r.u64(); }
+  void get(double& v) { v = r.f64(); }
+  void get(Vec3& v) { (*this)(v.x, v.y, v.z); }
+  template <class E>
+    requires std::is_enum_v<E>
+  void get(E& e) {
+    const std::uint32_t v = r.u32();
+    if (v > static_cast<std::uint32_t>(enum_max(E{})))
+      r.fail();
+    else
+      e = static_cast<E>(v);
+  }
+  template <class T, std::size_t N>
+  void get(std::array<T, N>& a) {
+    for (T& x : a) get(x);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    const std::uint64_t n = r.u64();
+    if (n > r.remaining() / wire_size<T>()) return r.fail();
+    v.resize(n);
+    if constexpr (kBlock<T>) {
+      const auto raw = r.bytes(n * sizeof(T));
+      // memcpy needs non-null pointers even for zero bytes, and an empty
+      // vector's data() may be null.
+      if (!raw.empty()) std::memcpy(v.data(), raw.data(), raw.size());
+    } else {
+      for (T& x : v) get(x);
+    }
+  }
+  template <class T>
+  void get(T& x) {
+    fields(*this, x);
+  }
+};
 
-void put_injector(ByteWriter& w, const FaultInjectorSnapshot& s);
-FaultInjectorSnapshot get_injector(ByteReader& r);
+void fields(auto& ar, Is<FaultInjectorSnapshot> auto& s) {
+  ar(s.next_event, s.transfer_window_end, s.num_events, s.fired_mark);
+}
 
 // Appends one sealed section: the CRC covers the section header (id, size)
 // AND the payload.

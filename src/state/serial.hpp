@@ -82,6 +82,8 @@ class ByteReader {
     return out;
   }
 
+  // Latches the fail flag: a decoder's own check rejected the input.
+  void fail() { fail_ = true; }
   bool ok() const { return !fail_; }
   std::size_t remaining() const { return data_.size() - pos_; }
 

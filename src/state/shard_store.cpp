@@ -28,6 +28,10 @@ struct ShardFileEntry {
   std::uint32_t file_crc = 0;
 };
 
+void fields(auto& ar, Is<ShardFileEntry> auto& e) {
+  ar(e.begin, e.end, e.file_size, e.file_crc);
+}
+
 // Which per-body arrays the checkpoint carries (gravity has all of them,
 // Stokes has no masses and no derived fields). The shard table records the
 // flags; every shard file must then carry matching slices.
@@ -37,6 +41,29 @@ struct BodyArrayFlags {
   bool accel = false;
   bool potential = false;
 };
+
+void fields(auto& ar, Is<BodyArrayFlags> auto& f) {
+  ar(f.velocities, f.masses, f.accel, f.potential);
+}
+
+// One shard file's payload: which shard, its tree-order range and step,
+// then the range's slice of every per-body array, gathered to tree order.
+struct ShardPayload {
+  std::uint32_t k = 0;
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  std::int64_t step = 0;
+  std::vector<std::uint32_t> perm;
+  std::vector<Vec3> sorted_pos, positions, velocities;
+  std::vector<double> masses;
+  std::vector<Vec3> accel;
+  std::vector<double> potential;
+};
+
+void fields(auto& ar, Is<ShardPayload> auto& p) {
+  ar(p.k, p.begin, p.end, p.step, p.perm, p.sorted_pos, p.positions,
+     p.velocities, p.masses, p.accel, p.potential);
+}
 
 void set_error(std::string* error, const std::string& what) {
   if (error) *error = what;
@@ -56,36 +83,31 @@ std::vector<std::uint8_t> encode_shard_file(const ShardedCheckpoint& ckpt,
   const SimCheckpoint& g = ckpt.global;
   const std::uint32_t n = end - begin;
 
-  ByteWriter payload;
-  payload.u32(static_cast<std::uint32_t>(k));
-  payload.u32(begin);
-  payload.u32(end);
-  payload.i64(g.step);
-
-  std::vector<std::uint32_t> perm_slice(n);
-  std::vector<Vec3> sorted_slice(n);
-  std::vector<Vec3> pos(n), vel(flags.velocities ? n : 0),
-      acc(flags.accel ? n : 0);
-  std::vector<double> mass(flags.masses ? n : 0),
-      pot(flags.potential ? n : 0);
+  ShardPayload p;
+  p.k = static_cast<std::uint32_t>(k);
+  p.begin = begin;
+  p.end = end;
+  p.step = g.step;
+  p.perm.resize(n);
+  p.sorted_pos.resize(n);
+  p.positions.resize(n);
+  p.velocities.resize(flags.velocities ? n : 0);
+  p.masses.resize(flags.masses ? n : 0);
+  p.accel.resize(flags.accel ? n : 0);
+  p.potential.resize(flags.potential ? n : 0);
   for (std::uint32_t t = begin; t < end; ++t) {
     const std::uint32_t i = t - begin;
     const std::uint32_t orig = g.tree.perm[t];
-    perm_slice[i] = orig;
-    sorted_slice[i] = g.tree.sorted_pos[t];
-    pos[i] = g.bodies.positions[orig];
-    if (flags.velocities) vel[i] = g.bodies.velocities[orig];
-    if (flags.masses) mass[i] = g.bodies.masses[orig];
-    if (flags.accel) acc[i] = g.accel[orig];
-    if (flags.potential) pot[i] = g.potential[orig];
+    p.perm[i] = orig;
+    p.sorted_pos[i] = g.tree.sorted_pos[t];
+    p.positions[i] = g.bodies.positions[orig];
+    if (flags.velocities) p.velocities[i] = g.bodies.velocities[orig];
+    if (flags.masses) p.masses[i] = g.bodies.masses[orig];
+    if (flags.accel) p.accel[i] = g.accel[orig];
+    if (flags.potential) p.potential[i] = g.potential[orig];
   }
-  put_u32s(payload, perm_slice);
-  put_vec3s(payload, sorted_slice);
-  put_vec3s(payload, pos);
-  put_vec3s(payload, vel);
-  put_f64s(payload, mass);
-  put_vec3s(payload, acc);
-  put_f64s(payload, pot);
+  ByteWriter payload;
+  Put{payload}(p);
 
   ByteWriter out;
   out.u32(kShardMagic);
@@ -108,38 +130,30 @@ bool decode_shard_file(std::span<const std::uint8_t> data, int k,
         id != static_cast<std::uint32_t>(ShardSection::kShardData))
       return false;
     ByteReader r(payload);
-    if (r.u32() != static_cast<std::uint32_t>(k)) return false;
-    const std::uint32_t begin = r.u32();
-    const std::uint32_t end = r.u32();
-    if (begin != entry.begin || end != entry.end || r.i64() != g.step)
-      return false;
-    const std::uint32_t n = end - begin;
-
-    std::vector<std::uint32_t> perm_slice;
-    std::vector<Vec3> sorted_slice, pos, vel, acc;
-    std::vector<double> mass, pot;
-    if (!get_u32s(r, perm_slice) || !get_vec3s(r, sorted_slice) ||
-        !get_vec3s(r, pos) || !get_vec3s(r, vel) || !get_f64s(r, mass) ||
-        !get_vec3s(r, acc) || !get_f64s(r, pot))
-      return false;
-    if (perm_slice.size() != n || sorted_slice.size() != n ||
-        pos.size() != n || vel.size() != (flags.velocities ? n : 0) ||
-        mass.size() != (flags.masses ? n : 0) ||
-        acc.size() != (flags.accel ? n : 0) ||
-        pot.size() != (flags.potential ? n : 0))
+    ShardPayload p;
+    Get{r}(p);
+    const std::uint32_t n = entry.end - entry.begin;
+    if (!r.ok() || r.remaining() != 0 ||
+        p.k != static_cast<std::uint32_t>(k) || p.begin != entry.begin ||
+        p.end != entry.end || p.step != g.step || p.perm.size() != n ||
+        p.sorted_pos.size() != n || p.positions.size() != n ||
+        p.velocities.size() != (flags.velocities ? n : 0) ||
+        p.masses.size() != (flags.masses ? n : 0) ||
+        p.accel.size() != (flags.accel ? n : 0) ||
+        p.potential.size() != (flags.potential ? n : 0))
       return false;
 
     for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t orig = perm_slice[i];
+      const std::uint32_t orig = p.perm[i];
       if (orig >= total) return false;  // corrupt permutation entry
-      const std::uint32_t t = begin + i;
+      const std::uint32_t t = p.begin + i;
       g.tree.perm[t] = orig;
-      g.tree.sorted_pos[t] = sorted_slice[i];
-      g.bodies.positions[orig] = pos[i];
-      if (flags.velocities) g.bodies.velocities[orig] = vel[i];
-      if (flags.masses) g.bodies.masses[orig] = mass[i];
-      if (flags.accel) g.accel[orig] = acc[i];
-      if (flags.potential) g.potential[orig] = pot[i];
+      g.tree.sorted_pos[t] = p.sorted_pos[i];
+      g.bodies.positions[orig] = p.positions[i];
+      if (flags.velocities) g.bodies.velocities[orig] = p.velocities[i];
+      if (flags.masses) g.bodies.masses[orig] = p.masses[i];
+      if (flags.accel) g.accel[orig] = p.accel[i];
+      if (flags.potential) g.potential[orig] = p.potential[i];
     }
     return have_data = true;
   };
@@ -162,17 +176,7 @@ std::vector<std::uint8_t> encode_manifest(
   control.tree.perm.clear();
 
   ByteWriter table;
-  table.u8(flags.velocities ? 1 : 0);
-  table.u8(flags.masses ? 1 : 0);
-  table.u8(flags.accel ? 1 : 0);
-  table.u8(flags.potential ? 1 : 0);
-  table.u64(entries.size());
-  for (const auto& e : entries) {
-    table.u32(e.begin);
-    table.u32(e.end);
-    table.u64(e.file_size);
-    table.u32(e.file_crc);
-  }
+  Put{table}(flags, entries);
 
   ByteWriter out;
   out.u32(kShardMagic);
@@ -212,20 +216,8 @@ std::optional<ManifestData> decode_manifest(
         return true;
       case ShardSection::kShardTable: {
         ByteReader r(payload);
-        m.flags.velocities = r.u8() != 0;
-        m.flags.masses = r.u8() != 0;
-        m.flags.accel = r.u8() != 0;
-        m.flags.potential = r.u8() != 0;
-        const std::uint64_t num = r.u64();
-        if (num * 20 > r.remaining()) return false;
-        m.entries.resize(num);
-        for (auto& e : m.entries) {
-          e.begin = r.u32();
-          e.end = r.u32();
-          e.file_size = r.u64();
-          e.file_crc = r.u32();
-        }
-        return have_table = r.ok();
+        Get{r}(m.flags, m.entries);
+        return have_table = r.ok() && r.remaining() == 0;
       }
       case ShardSection::kShardData:
         return false;  // belongs in a shard file, never in a manifest

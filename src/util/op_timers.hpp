@@ -4,8 +4,10 @@
 // out each operation"; coefficients are then total time / total count summed
 // over threads.
 //
-// Correctness contract (the balancer derives its coefficients from these
-// numbers, so they are load-bearing, not diagnostic):
+// The balancer derives its coefficients from the machine model's virtual
+// times, not from these; they feed the wall-clock trace process
+// (ObsConfig::wall_ops) and afmm_cli's measured coefficient table.
+// Correctness contract:
 //
 //   * every thread gets its OWN slot, no matter how many threads the OpenMP
 //     runtime creates. The first kInlineThreads ids use cache-line padded

@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "util/hash.hpp"
+
 namespace afmm {
 
 class Rng {
@@ -16,7 +18,7 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
     // Seed the 256-bit state with splitmix64, as recommended by the authors.
     std::uint64_t x = seed;
-    for (auto& word : s_) word = splitmix64(x);
+    for (auto& word : s_) word = splitmix64_next(x);
   }
 
   std::uint64_t next_u64() {
@@ -54,14 +56,6 @@ class Rng {
   std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
   void set_state(const std::array<std::uint64_t, 4>& s) {
     for (int i = 0; i < 4; ++i) s_[i] = s[i];
-  }
-
-  static std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
   }
 
  private:

@@ -22,6 +22,7 @@
 #include "dist/distributions.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace afmm::golden {
@@ -54,12 +55,7 @@ inline GravityEngine golden_simulation() {
 }
 
 inline std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return afmm::fnv1a(data.data(), data.size());
 }
 
 inline std::string hexf(double v) {

@@ -6,10 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cluster/cluster.hpp"
 #include "core/problems.hpp"
 #include "dist/distributions.hpp"
 #include "replay_axes.hpp"
-#include "state/serial.hpp"
+#include "state/checkpoint_detail.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
 
@@ -543,6 +544,163 @@ TEST(Checkpoint, SimulationStoreWritesOnCadence) {
   const auto latest = sim.store()->load_latest();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->step, 6);
+}
+
+// ---- wire format -----------------------------------------------------------
+//
+// The lengths and FNV-1a-64 fingerprints below were recorded from the
+// encoders of checkpoint format v8 / shard format v5 / cluster blob v2. A
+// change to any encoder that moves a byte fails here; a deliberate format
+// change bumps the version and records new constants.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint8_t b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  return h;
+}
+
+// A checkpoint with every field away from its default: the fired mark, the
+// RNG words, the overlap fields, a collapsed node and a dead GPU all reach
+// the wire.
+SimCheckpoint every_field_set() {
+  SimCheckpoint c;
+  c.kind = SimKind::kStokes;
+  c.step = 42;
+  constexpr std::uint32_t n = 6;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const double x = 0.125 * (i + 1);
+    c.bodies.positions.push_back({x, -x, 2 * x});
+    c.bodies.velocities.push_back({-x, 3 * x, 0.5});
+    c.bodies.masses.push_back(1.0 + x);
+    c.accel.push_back({x * x, 1.0, -2.0});
+    c.potential.push_back(-x);
+  }
+  for (std::uint32_t t = 0; t < n; ++t) {
+    c.tree.perm.push_back((t * 5 + 1) % n);
+    c.tree.sorted_pos.push_back(c.bodies.positions[c.tree.perm.back()]);
+  }
+  c.has_observed = true;
+  ObservedStepTimes& o = c.observed;
+  o.cpu_seconds = 0.5;
+  o.gpu_seconds = 0.25;
+  o.cpu_p2p_seconds = 0.125;
+  o.transfer_retries = 3;
+  o.cpu_up_seconds = 0.1875;
+  o.cpu_down_seconds = 0.3125;
+  o.overlap_seconds = 0.4375;
+  o.overlap_cpu_seconds = 0.375;
+  o.overlap_near_seconds = 0.40625;
+  o.counts = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  o.t_p2m = 1e-3;
+  o.t_m2m = 2e-3;
+  o.t_m2l = 3e-3;
+  o.t_l2l = 4e-3;
+  o.t_l2p = 5e-3;
+
+  c.tree.config.leaf_capacity = 3;
+  c.tree.config.max_depth = 7;
+  c.tree.config.root_center = {0.25, -0.5, 0.75};
+  c.tree.config.root_half = 2.0;
+  OctreeNode root;
+  root.center = c.tree.config.root_center;
+  root.half = c.tree.config.root_half;
+  root.has_children = true;
+  root.collapsed = true;  // its eight children are hidden
+  root.count = n;
+  c.tree.nodes.push_back(root);
+  for (int o8 = 0; o8 < 8; ++o8) {
+    OctreeNode kid;
+    kid.center = child_box_center(root.center, root.half, o8);
+    kid.half = root.half / 2;
+    kid.parent = 0;
+    kid.level = 1;
+    kid.begin = o8 < 2 ? 3 * static_cast<std::uint32_t>(o8) : n;
+    kid.count = o8 < 2 ? 3 : 0;
+    c.tree.nodes[0].children[static_cast<std::size_t>(o8)] = o8 + 1;
+    c.tree.nodes.push_back(kid);
+  }
+
+  LoadBalancerSnapshot& b = c.balancer;
+  b.state = LbState::kObservation;
+  b.S = 48;
+  b.search_lo = 16;
+  b.search_hi = 96;
+  b.search_steps = 5;
+  b.last_dominant = 1;
+  b.best_compute = 0.75;
+  b.reset_best_next = true;
+  b.last_epoch = 7;
+  b.epoch_pending = 2;
+  CostCoefficients& k = b.model.coefficients;
+  k = {1e-7, 2e-6, 3e-6, 4e-6, 5e-7, 6e-9, 7e-8, 0.9, 0.8, 0.7, 0.6, 1e-4};
+  b.model.observations = 11;
+  b.model.overlap_observations = 4;
+
+  c.health.gpus = {{false, 1.0}, {true, 0.4}};
+  c.health.cpu_cores_available = 6;
+  c.health.cpu_cores_provisioned = 8;
+  c.health.transfer_fault_prob = 0.3;
+  c.health.transfer_seed = 0xfeedull;
+  c.health.fault_epoch = 9;
+
+  c.injector.next_event = 3;
+  c.injector.transfer_window_end = 17;
+  c.injector.num_events = 5;
+  c.injector.fired_mark = 4;
+
+  c.rng_words = {1, 2, 3, 0xffffffffffffffffull, 5, 6, 7, 8};
+  return c;
+}
+
+TEST(WireFormat, CheckpointBytesAreUnchanged) {
+  const auto bytes = encode_checkpoint(every_field_set());
+  EXPECT_EQ(bytes.size(), 2202u);
+  EXPECT_EQ(fnv1a(bytes), 3145694611740305910ull);
+  // Every field decodes back into its own place.
+  std::string error;
+  const auto back = decode_checkpoint(bytes, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(encode_checkpoint(*back), bytes);
+}
+
+TEST(WireFormat, ShardSetBytesAreUnchanged) {
+  const std::string dir = fresh_dir("wire_shard_set");
+  ShardedCheckpoint sc;
+  sc.global = every_field_set();
+  sc.cluster_blob = {2, 0, 0, 0, 0xA5};
+  sc.ranges = {{0, 2}, {2, 6}};
+  ShardStore store(dir);
+  std::string error;
+  ASSERT_TRUE(store.save(sc, &error)) << error;
+  // The manifest, then the shard files in order.
+  std::vector<std::uint8_t> image;
+  for (const char* name :
+       {"manifest_0000000042.afms", "shard_0000000042_0000.afms",
+        "shard_0000000042_0001.afms"}) {
+    const auto bytes = ckpt::read_file((fs::path(dir) / name).string());
+    ASSERT_TRUE(bytes.has_value()) << name;
+    image.insert(image.end(), bytes->begin(), bytes->end());
+  }
+  EXPECT_EQ(image.size(), 2527u);
+  EXPECT_EQ(fnv1a(image), 2235420220278482043ull);
+  const auto back = store.load_latest(&error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(encode_checkpoint(back->global), encode_checkpoint(sc.global));
+  EXPECT_EQ(back->cluster_blob, sc.cluster_blob);
+}
+
+TEST(WireFormat, ClusterBlobBytesAreUnchanged) {
+  const EngineConfig cfg = base_config();
+  ClusterConfig cc;
+  cc.num_nodes = 3;
+  cc.faults.node_link_faults(1, 1, 0.5, 4).node_crash(2, 2);
+  ClusterEngine<GravityProblem> cluster(
+      cfg, cc, GravityProblem(cfg.fmm, 1.0, 1e-3, default_node(),
+                              test_bodies(400)));
+  cluster.run(4);
+  const auto blob = cluster.make_checkpoint().cluster_blob;
+  EXPECT_EQ(blob.size(), 126u);
+  EXPECT_EQ(fnv1a(blob), 5331204217317732826ull);
 }
 
 }  // namespace

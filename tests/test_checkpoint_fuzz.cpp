@@ -20,6 +20,7 @@
 #include "cluster/cluster.hpp"
 #include "core/problems.hpp"
 #include "dist/distributions.hpp"
+#include "state/checkpoint_detail.hpp"
 #include "state/shard_store.hpp"
 #include "util/rng.hpp"
 
@@ -205,6 +206,111 @@ TEST(CheckpointFuzz, StoreFallsBackToPreviousGoodSnapshot) {
   EXPECT_FALSE(store.load_latest(&error).has_value());
 }
 
+// Overwrites the value at `at` in the payload of section `id` and re-seals
+// the section's CRC, so only the payload's own checks stand between the
+// value and the decoder.
+template <class T>
+void set_sealed(std::vector<std::uint8_t>& bytes, std::uint32_t id,
+                std::size_t at, T value) {
+  const std::vector<std::size_t> b = section_boundaries(bytes);
+  for (std::size_t s = 3; s + 4 < b.size(); s += 5) {
+    if (u32_at(bytes, b[s]) != id) continue;
+    const std::size_t payload = b[s + 3];
+    std::memcpy(bytes.data() + payload + at, &value, sizeof value);
+    const std::uint32_t crc = crc32_extend(
+        crc32({bytes.data() + b[s], 12}),
+        {bytes.data() + payload, b[s + 4] - payload});
+    std::memcpy(bytes.data() + b[s + 2], &crc, sizeof crc);
+    return;
+  }
+  ADD_FAILURE() << "no section " << id;
+}
+
+// Counts whose product with the element size wraps past 2^64 to a value
+// that fits the payload: the length check must not multiply.
+struct OversizedCount {
+  std::uint32_t section;
+  std::size_t at;  // offset of the count in the section payload
+  std::uint64_t count;
+};
+constexpr OversizedCount kOversizedCounts[] = {
+    {2, 0, 1ull << 61},                // bodies: positions (24 bytes each)
+    {5, 40, 1ull << 59},               // tree: nodes, after the config
+    {7, 0, 0x1C71C71C71C71C72ull},     // health: GPUs (9 bytes each)
+    {9, 0, 1ull << 61},                // RNG words (8 bytes each)
+};
+
+TEST(CheckpointFuzz, OversizedCountsAreMalformedNotThrown) {
+  const auto bytes = encode_checkpoint(make_checkpoint());
+  for (const OversizedCount& c : kOversizedCounts) {
+    auto mutant = bytes;
+    set_sealed(mutant, c.section, c.at, c.count);
+    std::string error;
+    std::optional<SimCheckpoint> decoded;
+    EXPECT_NO_THROW(decoded = decode_checkpoint(mutant, &error))
+        << "section " << c.section;
+    EXPECT_FALSE(decoded.has_value()) << "section " << c.section;
+    EXPECT_EQ(error, "malformed section " + std::to_string(c.section));
+  }
+}
+
+TEST(CheckpointFuzz, EnumAboveItsLargestValueIsMalformed) {
+  const auto bytes = encode_checkpoint(make_checkpoint());
+  // The meta section opens with the SimKind, the balancer's with the LbState.
+  for (const std::uint32_t section : {1u, 6u}) {
+    auto mutant = bytes;
+    set_sealed(mutant, section, 0, std::uint32_t{3});
+    std::string error;
+    EXPECT_FALSE(decode_checkpoint(mutant, &error).has_value());
+    EXPECT_EQ(error, "malformed section " + std::to_string(section));
+  }
+}
+
+TEST(CheckpointFuzz, SectionWithBytesPastItsFieldsIsMalformed) {
+  const auto bytes = encode_checkpoint(make_checkpoint());
+  // Re-seal every section, one byte longer in the injector's (section 8).
+  ByteWriter out;
+  out.u32(kCheckpointMagic);
+  out.u32(kCheckpointVersion);
+  out.u32(u32_at(bytes, 8));  // section count
+  ASSERT_TRUE(ckpt::read_sections(
+      bytes, kCheckpointMagic, kCheckpointVersion,
+      [&](std::uint32_t id, std::span<const std::uint8_t> payload) {
+        std::vector<std::uint8_t> p(payload.begin(), payload.end());
+        if (id == 8) p.push_back(0);
+        ckpt::append_section(out, id, p);
+        return true;
+      },
+      nullptr));
+  std::string error;
+  EXPECT_FALSE(decode_checkpoint(out.buffer(), &error).has_value());
+  EXPECT_EQ(error, "malformed section 8");
+}
+
+TEST(CheckpointFuzz, StoreSkipsASnapshotWithAnOversizedCount) {
+  GravityEngine sim = make_sim();
+  CheckpointStore store(fresh_dir("fuzz_oversized"), /*keep=*/3);
+  sim.run(2);
+  const SimCheckpoint older = sim.checkpoint();
+  ASSERT_TRUE(store.save(older));
+  sim.run(2);
+  ASSERT_TRUE(store.save(sim.checkpoint()));
+
+  const std::string newest = store.files().front();
+  const auto original = read_file(newest);
+  for (const OversizedCount& c : kOversizedCounts) {
+    auto mutant = original;
+    set_sealed(mutant, c.section, c.at, c.count);
+    write_file(newest, mutant);
+    std::optional<SimCheckpoint> loaded;
+    std::string error;
+    EXPECT_NO_THROW(loaded = store.load_latest(&error))
+        << "section " << c.section;
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(loaded->step, older.step) << "section " << c.section;
+  }
+}
+
 // ---- coordinated shard sets ------------------------------------------------
 
 struct ShardFixture {
@@ -318,6 +424,21 @@ TEST(ShardStoreFuzz, ShardFileDamageRollsTheWholeSetBack) {
   fs::remove(fx.newest_shard0);
   loaded = store.load_latest();
   ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->global.step, fx.older_step);
+}
+
+TEST(ShardStoreFuzz, OversizedShardTableCountRollsTheWholeSetBack) {
+  const ShardFixture fx = make_shard_sets("fuzz_shard_table_count");
+  ShardStore store(fx.dir);
+  auto mutant = read_file(fx.newest_manifest);
+  // The shard table (section 3) holds four flag bytes, then the entry
+  // count; 2^62 entries of 20 bytes wrap to a zero-byte product.
+  set_sealed(mutant, 3, 4, 1ull << 62);
+  write_file(fx.newest_manifest, mutant);
+  std::optional<ShardedCheckpoint> loaded;
+  std::string error;
+  EXPECT_NO_THROW(loaded = store.load_latest(&error));
+  ASSERT_TRUE(loaded.has_value()) << error;
   EXPECT_EQ(loaded->global.step, fx.older_step);
 }
 

@@ -7,6 +7,7 @@
 #include "octree/list_cache.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"
+#include "omp_threads.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -90,14 +91,16 @@ TEST_P(ParallelWalk, MatchesSerialWalkBitForBit) {
   AdaptiveOctree tree;
   tree.build(pts, tc);
 
-  TraversalConfig serial;
-  serial.parallel = false;
-  TraversalConfig parallel = serial;
-  parallel.parallel = true;
-
-  const auto ls = build_interaction_lists(tree, serial);
-  const auto lp = build_interaction_lists(tree, parallel);
-  expect_lists_equal(ls, lp);
+  InteractionLists serial, parallel;
+  {
+    OmpThreads one(1);
+    serial = build_interaction_lists(tree);
+  }
+  {
+    OmpThreads four(4);
+    parallel = build_interaction_lists(tree);
+  }
+  expect_lists_equal(serial, parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(

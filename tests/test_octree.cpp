@@ -8,6 +8,7 @@
 #include "dist/distributions.hpp"
 #include "octree/octree.hpp"
 #include "omp_threads.hpp"
+#include "state/auditor.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -19,6 +20,14 @@ std::vector<Vec3> random_points(Rng& rng, int n, const Vec3& c, double half) {
     pts.push_back(c + Vec3{rng.uniform(-half, half), rng.uniform(-half, half),
                            rng.uniform(-half, half)});
   return pts;
+}
+
+// The structural invariants (spans, parent/child links, geometry, the
+// permutation) hold; a violation fails the test with the auditor's message.
+void expect_valid(const AdaptiveOctree& tree) {
+  AuditReport report;
+  audit_tree(tree, 0, 0.0, report);
+  EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TreeConfig unit_config(int S) {
@@ -58,7 +67,7 @@ TEST_P(OctreeBuild, InvariantsAndLeafCapacity) {
   const auto pts = random_points(rng, n, {0.5, 0.5, 0.5}, 0.5);
   AdaptiveOctree tree;
   tree.build(pts, unit_config(s));
-  tree.check_invariants();
+  expect_valid(tree);
 
   // Build subdivides while count > S, so every effective leaf is <= S (the
   // max-depth escape hatch cannot trigger for uniform points at these sizes).
@@ -109,7 +118,7 @@ TEST(Octree, ClusteredDistributionGoesDeep) {
   auto pts = random_points(rng, 2000, {0.5, 0.5, 0.5}, 0.001);
   AdaptiveOctree tree;
   tree.build(pts, unit_config(16));
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_GE(tree.effective_depth(), 9);
 }
 
@@ -121,7 +130,7 @@ TEST(Octree, MaxDepthCapsRecursion) {
   auto tc = unit_config(4);
   tc.max_depth = 6;
   tree.build(pts, tc);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_LE(tree.effective_depth(), 6);
   EXPECT_EQ(tree.max_leaf_count(), 100);
 }
@@ -146,7 +155,7 @@ TEST(Octree, MaxDepthTwentyOneBuilds) {
   auto tc = unit_config(2);
   tc.max_depth = 21;
   tree.build(pts, tc);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_EQ(tree.effective_depth(), 21);
 }
 
@@ -156,7 +165,7 @@ TEST(Octree, BuildUniformRejectsDepthAboveMaxDepth) {
   tc.max_depth = 3;
   AdaptiveOctree tree;
   tree.build_uniform(pts, tc, 3);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_EQ(tree.effective_depth(), 3);
   EXPECT_THROW(tree.build_uniform(pts, tc, 4), std::invalid_argument);
   EXPECT_THROW(tree.build_uniform(pts, tc, -1), std::invalid_argument);
@@ -178,7 +187,7 @@ TEST(Octree, NonFinitePositionsStillBuild) {
   tc.max_depth = 8;  // NaNs co-locate at the low corner; cap the recursion
   AdaptiveOctree tree;
   tree.build(pts, tc);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_EQ(tree.num_bodies(), pts.size());
 
   // The all-NaN body sits in the all-low octant chain down to its leaf.
@@ -201,7 +210,7 @@ TEST(Octree, BodiesOnSplittingPlanesGoToUpperOctant) {
                                  {0.25, 0.25, 0.25}};
   AdaptiveOctree tree;
   tree.build(pts, unit_config(1));
-  tree.check_invariants();
+  expect_valid(tree);
   const auto& root = tree.node(tree.root());
   ASSERT_TRUE(root.has_children);
   const int expected_octant[] = {7, 1, 2, 4, 0};
@@ -236,7 +245,7 @@ TEST(Octree, CollapseRebinPushDownRepartitionsStaleSpans) {
     for (int d = 0; d < 3; ++d)
       p[d] = std::clamp(p[d] + rng.uniform(-0.02, 0.02), 0.001, 0.999);
   tree.rebin(pts);
-  tree.check_invariants();
+  expect_valid(tree);
 
   // Only collapsed nodes reachable in the effective tree are eligible: a
   // node hidden beneath another collapse has a stale span by design.
@@ -246,7 +255,7 @@ TEST(Octree, CollapseRebinPushDownRepartitionsStaleSpans) {
     if (tree.node(id).collapsed && tree.push_down(id)) pushed.push_back(id);
   ASSERT_FALSE(pushed.empty());
   EXPECT_EQ(tree.num_nodes(), nodes_before);  // reclaimed, not reallocated
-  tree.check_invariants();
+  expect_valid(tree);
 
   const auto sorted = tree.sorted_positions();
   for (int id : pushed)
@@ -260,7 +269,7 @@ TEST(Octree, CollapseRebinPushDownRepartitionsStaleSpans) {
     }
 
   tree.enforce_S(32);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_LE(tree.max_leaf_count(), 32);
 }
 
@@ -315,7 +324,7 @@ TEST(Octree, CollapseHidesChildren) {
   // Eight children (some may be empty but still counted as leaves if
   // nonempty) are replaced by one leaf.
   EXPECT_LT(after, before);
-  tree.check_invariants();
+  expect_valid(tree);
 }
 
 TEST(Octree, PushDownAfterCollapseRestoresSpans) {
@@ -362,7 +371,7 @@ TEST(Octree, PushDownAllocatesFreshChildrenOnTrueLeaf) {
   const int nodes_before = tree.num_nodes();
   ASSERT_TRUE(tree.push_down(tree.root()));
   EXPECT_EQ(tree.num_nodes(), nodes_before + 8);
-  tree.check_invariants();
+  expect_valid(tree);
   std::uint32_t sum = 0;
   for (int c : tree.node(tree.root()).children) sum += tree.node(c).count;
   EXPECT_EQ(sum, 64u);
@@ -407,7 +416,7 @@ TEST(Octree, EnforceSRestoresCapacityAfterMotion) {
 
   const int ops = tree.enforce_S(S);
   EXPECT_GT(ops, 0);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_LE(tree.max_leaf_count(), S);
 
   // And no effective parent holds <= S bodies.
@@ -440,7 +449,7 @@ TEST(Octree, RebinKeepsStructureAndCounts) {
     p += Vec3{rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01),
               rng.uniform(-0.01, 0.01)};
   tree.rebin(pts);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_EQ(tree.num_nodes(), nodes);
   EXPECT_EQ(tree.effective_leaves(), leaves);
   std::uint64_t total = 0;
@@ -462,7 +471,7 @@ TEST(Octree, UniformBuildHasAllLeavesAtDepth) {
   const auto pts = random_points(rng, 2000, {0.5, 0.5, 0.5}, 0.5);
   AdaptiveOctree tree;
   tree.build_uniform(pts, unit_config(0), 3);
-  tree.check_invariants();
+  expect_valid(tree);
   int leaves = 0;
   for (int id = 0; id < tree.num_nodes(); ++id)
     if (tree.is_effective_leaf(id)) {
@@ -578,7 +587,7 @@ TEST(Octree, RandomSurgerySequencePreservesInvariants) {
         break;
       }
     }
-    tree.check_invariants();
+    expect_valid(tree);
     // Bodies always remain partitioned among effective leaves.
     std::uint64_t total = 0;
     for (int leaf : tree.effective_leaves()) total += tree.node(leaf).count;
@@ -600,7 +609,7 @@ TEST(Octree, EnforceAfterSurgeryRestoresCapacity) {
   collapse_all(collapse_all, tree.root());
   EXPECT_GT(tree.max_leaf_count(), 16);
   tree.enforce_S(16);
-  tree.check_invariants();
+  expect_valid(tree);
   EXPECT_LE(tree.max_leaf_count(), 16);
 }
 
@@ -615,7 +624,7 @@ TEST(Octree, PlummerBuildIsHighlyAdaptive) {
   auto tc = unit_config(32);
   tc.root_half = 0.5;
   tree.build(set.positions, tc);
-  tree.check_invariants();
+  expect_valid(tree);
   // Central density >> edge density: depth spread must be large (the paper's
   // 10M-body Plummer tree spans levels 2..15).
   int min_leaf_level = 99, max_leaf_level = 0;
