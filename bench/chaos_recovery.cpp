@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     for (int i = std::max(lo, hi - 5); i < hi; ++i)
       tail.push_back(rows[i].compute);
     const double steady = p50(std::move(tail));
-    const double band = steady * (1.0 + lb_cfg.band);
+    const double band = steady * (1.0 + LoadBalancer::kBand);
     int to_band = -1;
     double worst = 0.0;
     int shifts = 0;

@@ -9,7 +9,7 @@
 // --problem selects the workload: "gravity" (Plummer N-body, the default) or
 // "stokes" (sedimenting Stokeslet blob, the paper's ~4x-heavier M2L mix).
 // Both run the identical SimulationEngine stack, so the exported schema is
-// the same either way -- CI's trace-smoke job validates both against
+// the same either way -- CI's smoke job validates both against
 // tools/validate_trace.py.
 //
 // The run is fully deterministic (virtual time, fixed seeds), so the trace

@@ -50,7 +50,7 @@ struct CostCoefficients {
 };
 
 // Learned state of the model (checkpoint/restore); the smoothing factor is
-// configuration and travels with the owning balancer's config instead.
+// a constructor argument (the balancer's LoadBalancer::kSmoothing), not state.
 struct CostModelSnapshot {
   CostCoefficients coefficients;
   int observations = 0;

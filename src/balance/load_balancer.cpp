@@ -29,54 +29,29 @@ LoadBalancer::LoadBalancer(const LoadBalancerConfig& config,
                            TraversalConfig traversal)
     : config_(config),
       traversal_(traversal),
-      model_(config.smoothing),
-      s_(config.initial_S),
-      search_lo_(config.min_S),
-      search_hi_(config.max_S) {}
+      model_(kSmoothing),
+      st_{.S = config.initial_S,
+          .search_lo = config.min_S,
+          .search_hi = config.max_S} {}
 
 LoadBalancerSnapshot LoadBalancer::snapshot() const {
-  LoadBalancerSnapshot s;
-  s.state = state_;
-  s.S = s_;
-  s.search_lo = search_lo_;
-  s.search_hi = search_hi_;
-  s.search_steps = search_steps_;
-  s.last_dominant = last_dominant_;
-  s.best_compute = best_compute_;
-  s.reset_best_next = reset_best_next_;
-  s.last_epoch = last_epoch_;
-  s.epoch_pending = epoch_pending_;
-  s.model = model_.snapshot();
-  return s;
+  return {st_, model_.snapshot()};
 }
 
 void LoadBalancer::restore(const LoadBalancerSnapshot& snap) {
-  state_ = snap.state;
-  s_ = snap.S;
-  search_lo_ = snap.search_lo;
-  search_hi_ = snap.search_hi;
-  search_steps_ = snap.search_steps;
-  last_dominant_ = snap.last_dominant;
-  best_compute_ = snap.best_compute;
-  reset_best_next_ = snap.reset_best_next;
-  last_epoch_ = snap.last_epoch;
-  epoch_pending_ = snap.epoch_pending;
+  st_ = snap;
   model_.restore(snap.model);
 }
 
 void LoadBalancer::reenter_search() {
   // Learned coefficients describe a machine (or a run) we no longer trust;
-  // drop them and bisect S from scratch. last_epoch_ is deliberately kept:
+  // drop them and bisect S from scratch. last_epoch is deliberately kept:
   // it tracks the health registry, not the balancer's own trajectory.
   model_.reset();
-  state_ = LbState::kSearch;
-  search_lo_ = config_.min_S;
-  search_hi_ = config_.max_S;
-  search_steps_ = 0;
-  last_dominant_ = 0;
-  best_compute_ = -1.0;
-  reset_best_next_ = false;
-  epoch_pending_ = 0;
+  st_ = {.S = st_.S,
+         .search_lo = config_.min_S,
+         .search_hi = config_.max_S,
+         .last_epoch = st_.last_epoch};
 }
 
 bool LoadBalancer::gap_ok(const ObservedStepTimes& t) const {
@@ -84,8 +59,7 @@ bool LoadBalancer::gap_ok(const ObservedStepTimes& t) const {
   // identical to |CPU - GPU| on a healthy machine, and still meaningful when
   // the near field has fallen back to the CPU.
   const double gap = std::abs(t.far_seconds() - t.near_seconds());
-  return gap <= std::max(config_.gap_seconds,
-                         config_.gap_relative * observed_compute(t));
+  return gap <= kGapRelative * observed_compute(t);
 }
 
 namespace {
@@ -101,26 +75,25 @@ double relative_divergence(double observed, double predicted) {
 
 bool LoadBalancer::capability_shift(const ObservedStepTimes& observed,
                                     int cores) const {
-  if (config_.shift_relative <= 0.0) return false;
-  if (state_ != LbState::kObservation) return false;  // tree still moving
-  if (model_.observations() < config_.shift_min_observations) return false;
+  if (st_.state != LbState::kObservation) return false;  // tree still moving
+  if (model_.observations() < kShiftMinObservations) return false;
   // Predictions for the EXACT counts of the step just observed: any
   // divergence is a change in seconds-per-operation -- the machine -- not in
   // the workload. Each side is judged on its own so a dead GPU cannot hide
   // behind an unchanged CPU.
   return relative_divergence(observed.near_seconds(),
                              model_.predict_near(observed.counts)) >
-             config_.shift_relative ||
+             kShiftRelative ||
          relative_divergence(observed.far_seconds(),
                              model_.predict_far(observed.counts, cores)) >
-             config_.shift_relative;
+             kShiftRelative;
 }
 
 void LoadBalancer::rebuild(AdaptiveOctree& tree,
                            std::span<const Vec3> positions, LbStepReport& r,
                            const NodeSimulator& node) {
   TreeConfig cfg = tree.config();
-  cfg.leaf_capacity = s_;
+  cfg.leaf_capacity = st_.S;
   tree.build(positions, cfg);
   r.rebuilt = true;
   r.lb_seconds += node.rebuild_seconds(positions.size(), tree.num_nodes());
@@ -141,7 +114,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
   double current = predict_compute_live(counts, cores);
   r.lb_seconds += node.enforce_seconds(1, tree.num_bodies());
 
-  for (int batch = 0; batch < config_.fgo_max_batches; ++batch) {
+  for (int batch = 0; batch < kFgoMaxBatches; ++batch) {
     const bool cpu_heavy = model_.predict_cpu(counts, cores) >
                            model_.predict_gpu(counts);
 
@@ -191,8 +164,7 @@ int LoadBalancer::fine_grained_optimize(AdaptiveOctree& tree,
       return a < b;
     });
 
-    const int k = std::min<int>(config_.fgo_batch,
-                                static_cast<int>(candidates.size()));
+    const int k = std::min<int>(kFgoBatch, static_cast<int>(candidates.size()));
     std::vector<int> applied(candidates.begin(), candidates.begin() + k);
 
     // Incremental recount: collapse/push_down only reroute traversal pairs
@@ -238,8 +210,8 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
                                      const ObservedStepTimes& observed,
                                      const NodeSimulator& node) {
   LbStepReport r;
-  r.state_before = state_;
-  r.S = s_;
+  r.state_before = st_.state;
+  r.S = st_.S;
 
   const int cores = node.effective_cores();
 
@@ -251,8 +223,8 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
   // this step blend into the EWMA first would halve the divergence it is
   // trying to measure.
   const bool diverged = capability_shift(observed, cores);
-  if (node.health().fault_epoch != last_epoch_) {
-    last_epoch_ = node.health().fault_epoch;
+  if (node.health().fault_epoch != st_.last_epoch) {
+    st_.last_epoch = node.health().fault_epoch;
     // A balancer that has digested nothing yet is meeting the machine for the
     // first time (the registry's epoch starts above zero: provisioning bumps
     // it); adopt the epoch silently instead of treating it as a shift.
@@ -260,13 +232,17 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
       // A registry change stays "pending" for a few judged steps: the
       // divergence it causes may only surface once the next solve runs on the
       // new machine.
-      epoch_pending_ = std::max(2 * config_.shift_min_observations, 6);
-  } else if (epoch_pending_ > 0 && state_ == LbState::kObservation &&
+      st_.epoch_pending = std::max(2 * kShiftMinObservations, 6);
+  } else if (st_.epoch_pending > 0 && st_.state == LbState::kObservation &&
              !diverged) {
-    --epoch_pending_;  // change absorbed without ever mattering
+    --st_.epoch_pending;  // change absorbed without ever mattering
   }
 
-  if (diverged && (!config_.shift_requires_epoch || epoch_pending_ > 0)) {
+  // A divergence counts only while a registry change is pending. The GPU
+  // coefficient is shape-dependent, so a violent workload change can
+  // masquerade as divergence; the epoch disambiguates "the machine changed"
+  // from "the tree no longer fits the bodies".
+  if (diverged && st_.epoch_pending > 0) {
     // The machine itself changed: the learned coefficients describe hardware
     // that no longer exists. Drop them and re-search S from scratch for the
     // surviving capability.
@@ -276,12 +252,12 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
 
   model_.observe(observed, cores);
 
-  if (reset_best_next_) {
-    best_compute_ = observed_compute(observed);
-    reset_best_next_ = false;
+  if (st_.reset_best_next) {
+    st_.best_compute = observed_compute(observed);
+    st_.reset_best_next = false;
   }
 
-  switch (state_) {
+  switch (st_.state) {
     case LbState::kSearch:
       step_search(tree, positions, observed, node, r);
       break;
@@ -293,9 +269,9 @@ LbStepReport LoadBalancer::post_step(AdaptiveOctree& tree,
       break;
   }
 
-  r.state_after = state_;
-  r.S = s_;
-  r.best_compute = best_compute_;
+  r.state_after = st_.state;
+  r.S = st_.S;
+  r.best_compute = st_.best_compute;
   trace_step(r);
   return r;
 }
@@ -306,19 +282,19 @@ void LoadBalancer::trace_step(const LbStepReport& r) const {
   const double now = *clock_;
   if (r.capability_shift)
     trace_->instant(pid, "balancer", "capability-shift", "balancer", now,
-                    {TraceArg::num("epoch_pending", epoch_pending_)});
+                    {TraceArg::num("epoch_pending", st_.epoch_pending)});
   if (r.state_before != r.state_after)
     trace_->instant(pid, "balancer", "transition", "balancer", now,
                     {TraceArg::str("from", to_string(r.state_before)),
                      TraceArg::str("to", to_string(r.state_after)),
                      TraceArg::num("S", r.S),
                      TraceArg::num("best_compute", r.best_compute)});
-  if (state_ == LbState::kSearch)
+  if (st_.state == LbState::kSearch)
     trace_->instant(pid, "balancer", "search-bracket", "balancer", now,
-                    {TraceArg::num("lo", search_lo_),
-                     TraceArg::num("hi", search_hi_),
-                     TraceArg::num("S", s_),
-                     TraceArg::num("steps", search_steps_)});
+                    {TraceArg::num("lo", st_.search_lo),
+                     TraceArg::num("hi", st_.search_hi),
+                     TraceArg::num("S", st_.S),
+                     TraceArg::num("steps", st_.search_steps)});
   if (r.fgo_ops > 0)
     trace_->instant(pid, "balancer", "fine-grained-optimize", "balancer", now,
                     {TraceArg::num("ops", r.fgo_ops),
@@ -329,19 +305,19 @@ void LoadBalancer::step_search(AdaptiveOctree& tree,
                                std::span<const Vec3> positions,
                                const ObservedStepTimes& observed,
                                const NodeSimulator& node, LbStepReport& r) {
-  ++search_steps_;
+  ++st_.search_steps;
 
-  const bool done = gap_ok(observed) ||
-                    search_steps_ >= config_.max_search_steps ||
-                    search_hi_ - search_lo_ <= std::max(1, search_lo_ / 8);
+  const bool done =
+      gap_ok(observed) || st_.search_steps >= kMaxSearchSteps ||
+      st_.search_hi - st_.search_lo <= std::max(1, st_.search_lo / 8);
   if (done) {
-    best_compute_ = observed_compute(observed);
+    st_.best_compute = observed_compute(observed);
     if (config_.strategy == LbStrategy::kFull) {
-      state_ = LbState::kIncremental;
-      last_dominant_ = observed.far_seconds() > observed.near_seconds() ? +1
-                                                                        : -1;
+      st_.state = LbState::kIncremental;
+      st_.last_dominant =
+          observed.far_seconds() > observed.near_seconds() ? +1 : -1;
     } else {
-      state_ = LbState::kObservation;
+      st_.state = LbState::kObservation;
     }
     return;
   }
@@ -351,20 +327,21 @@ void LoadBalancer::step_search(AdaptiveOctree& tree,
   // shrinks S. On a healthy machine this is exactly the paper's CPU-vs-GPU
   // comparison; with every GPU lost it balances the two CPU phases instead.
   if (observed.far_seconds() > observed.near_seconds())
-    search_lo_ = s_;
+    st_.search_lo = st_.S;
   else
-    search_hi_ = s_;
-  const double mid = std::sqrt(static_cast<double>(search_lo_) *
-                               static_cast<double>(search_hi_));
+    st_.search_hi = st_.S;
+  const double mid = std::sqrt(static_cast<double>(st_.search_lo) *
+                               static_cast<double>(st_.search_hi));
   const int next = std::clamp(static_cast<int>(std::lround(mid)),
                               config_.min_S, config_.max_S);
-  if (next == s_) {
-    best_compute_ = observed_compute(observed);
-    state_ = (config_.strategy == LbStrategy::kFull) ? LbState::kIncremental
-                                                     : LbState::kObservation;
+  if (next == st_.S) {
+    st_.best_compute = observed_compute(observed);
+    st_.state = (config_.strategy == LbStrategy::kFull)
+                    ? LbState::kIncremental
+                    : LbState::kObservation;
     return;
   }
-  s_ = next;
+  st_.S = next;
   rebuild(tree, positions, r, node);
 }
 
@@ -376,28 +353,29 @@ void LoadBalancer::step_incremental(AdaptiveOctree& tree,
   const int dominant =
       observed.far_seconds() > observed.near_seconds() ? +1 : -1;
 
-  if (last_dominant_ != 0 && dominant != last_dominant_) {
+  if (st_.last_dominant != 0 && dominant != st_.last_dominant) {
     // The dominant computational unit flipped: the transitional S is found.
     if (!gap_ok(observed) && config_.enable_fgo)
       fine_grained_optimize(tree, node, r);
-    best_compute_ = best_compute_ < 0.0
-                        ? observed_compute(observed)
-                        : std::min(observed_compute(observed), best_compute_);
-    state_ = LbState::kObservation;
-    last_dominant_ = 0;
+    st_.best_compute =
+        st_.best_compute < 0.0
+            ? observed_compute(observed)
+            : std::min(observed_compute(observed), st_.best_compute);
+    st_.state = LbState::kObservation;
+    st_.last_dominant = 0;
     return;
   }
-  last_dominant_ = dominant;
+  st_.last_dominant = dominant;
 
-  const int step = std::max(1, s_ / 8);
+  const int step = std::max(1, st_.S / 8);
   const int next =
-      std::clamp(s_ + dominant * step, config_.min_S, config_.max_S);
-  if (next == s_) {
-    best_compute_ = observed_compute(observed);
-    state_ = LbState::kObservation;
+      std::clamp(st_.S + dominant * step, config_.min_S, config_.max_S);
+  if (next == st_.S) {
+    st_.best_compute = observed_compute(observed);
+    st_.state = LbState::kObservation;
     return;
   }
-  s_ = next;
+  st_.S = next;
   rebuild(tree, positions, r, node);
 }
 
@@ -406,19 +384,20 @@ void LoadBalancer::step_observation(AdaptiveOctree& tree,
                                     const NodeSimulator& node,
                                     LbStepReport& r) {
   const double compute = observed_compute(observed);
-  if (best_compute_ < 0.0 || compute < best_compute_) best_compute_ = compute;
-  if (compute <= best_compute_ * (1.0 + config_.band)) return;  // all good
+  if (st_.best_compute < 0.0 || compute < st_.best_compute)
+    st_.best_compute = compute;
+  if (compute <= st_.best_compute * (1.0 + kBand)) return;  // all good
 
   if (config_.strategy == LbStrategy::kStatic) return;
 
   // First line of defense: re-establish the global S.
-  r.enforce_ops = tree.enforce_S(s_);
+  r.enforce_ops = tree.enforce_S(st_.S);
   r.lb_seconds += node.enforce_seconds(std::max(1, r.enforce_ops),
                                        tree.num_bodies());
 
   if (config_.strategy == LbStrategy::kEnforceOnly) {
     // Strategy 2: the step right after Enforce_S becomes the new best time.
-    reset_best_next_ = true;
+    st_.reset_best_next = true;
     return;
   }
 
@@ -427,17 +406,17 @@ void LoadBalancer::step_observation(AdaptiveOctree& tree,
   double predicted = predict_compute_live(counts, cores);
   r.lb_seconds += node.enforce_seconds(1, tree.num_bodies());
 
-  if (predicted > best_compute_ * (1.0 + config_.band) && config_.enable_fgo) {
+  if (predicted > st_.best_compute * (1.0 + kBand) && config_.enable_fgo) {
     fine_grained_optimize(tree, node, r);
     predicted = r.predicted_compute;
   }
   r.predicted_compute = predicted;
 
-  if (predicted > best_compute_ * (1.0 + config_.band)) {
+  if (predicted > st_.best_compute * (1.0 + kBand)) {
     // Fine tuning failed: fall back to incremental adjustment of S.
-    state_ = LbState::kIncremental;
-    last_dominant_ = 0;
-    reset_best_next_ = true;
+    st_.state = LbState::kIncremental;
+    st_.last_dominant = 0;
+    st_.reset_best_next = true;
   }
 }
 

@@ -4,7 +4,7 @@
 //   Search       -- binary search for a global S; tree rebuilt every step
 //   Incremental  -- S nudged by one increment per step (with rebuild)
 //   Observation  -- steady state; act only when the compute time drifts more
-//                   than `band` (5%) above the best time seen
+//                   than kBand (5%) above the best time seen
 //
 // Enforcement mechanisms (Section VI):
 //   Enforce_S            -- re-establish the global S over the whole tree
@@ -24,7 +24,7 @@
 // counts, so prediction tracks it; a capability shift (GPU died, clock
 // throttled, cores preempted) changes the time-per-operation itself, which
 // the counts cannot explain. When the relative divergence exceeds
-// `shift_relative`, the balancer declares the machine changed: the poisoned
+// kShiftRelative, the balancer declares the machine changed: the poisoned
 // EWMA coefficients are reset and the state returns to Search to re-find S
 // for the machine that actually exists, instead of letting
 // FineGrainedOptimize chase an optimum computed from dead hardware. The
@@ -61,31 +61,8 @@ struct LoadBalancerConfig {
   int initial_S = 64;
   int min_S = 4;
   int max_S = 4096;
-  // Search ends when |CPU - GPU| <= max(gap_seconds, gap_relative * compute).
-  // The paper uses an absolute 0.15 s on ~1 s steps; the relative form is the
-  // scale-free default so small problems balance equally tightly.
-  double gap_seconds = 0.0;
-  double gap_relative = 0.15;
-  int max_search_steps = 15;
-  double band = 0.05;         // 5% tolerance around the best time
   // Fig. 10's ablation: the full strategy with FineGrainedOptimize disabled.
   bool enable_fgo = true;
-  int fgo_batch = 8;          // nodes modified per FineGrainedOptimize batch
-  int fgo_max_batches = 64;
-  double smoothing = 0.5;     // cost model EWMA
-  // Capability-shift detection: relative observed-vs-predicted divergence
-  // (symmetric, in [0, 1]) above which the machine itself -- not the
-  // workload -- is assumed to have changed. Must sit well above the 5% band
-  // so ordinary noise walks the Enforce_S/FGO path, and below the ~0.5
-  // divergence losing one of two GPUs produces. 0 disables detection.
-  double shift_relative = 0.3;
-  int shift_min_observations = 3;  // let the EWMA settle before judging
-  // Require the health registry's fault_epoch to have moved before declaring
-  // a shift. The GPU coefficient is shape-dependent, so a violent workload
-  // change can masquerade as divergence; the epoch disambiguates "the
-  // machine changed" from "the tree no longer fits the bodies". Disable for
-  // deployments whose faults bypass the registry.
-  bool shift_requires_epoch = true;
   // Objective selection under overlap execution (DESIGN.md section 14). When
   // true (default) the balancer optimizes the step time that actually
   // elapsed -- the event-driven DAG makespan when the overlap executor ran,
@@ -111,25 +88,56 @@ struct LbStepReport {
   bool capability_shift = false;
 };
 
-// Full mutable state of the balancer (checkpoint/restore): restoring it onto
-// a balancer constructed with the same config replays the identical Search /
+// The balancer's mutable state besides its cost model. LoadBalancerSnapshot
+// adds the model (checkpoint/restore): restoring it onto a balancer
+// constructed with the same config replays the identical Search /
 // Incremental / Observation trajectory the snapshot interrupted.
-struct LoadBalancerSnapshot {
+struct LoadBalancerState {
   LbState state = LbState::kSearch;
   int S = 0;
+
+  // Search state: bracket on S (log-space bisection).
   int search_lo = 0;
   int search_hi = 0;
   int search_steps = 0;
-  int last_dominant = 0;
+
+  // Incremental state.
+  int last_dominant = 0;  // 0 unknown, +1 CPU-dominant, -1 GPU-dominant
+
+  // Observation state.
   double best_compute = -1.0;
-  bool reset_best_next = false;
+  bool reset_best_next = false;  // strategy 2: re-baseline after Enforce_S
+
+  // Capability-shift state: last health epoch seen, and how many more
+  // sub-threshold Observation steps may pass before a pending epoch change
+  // is considered absorbed without a shift.
   std::uint64_t last_epoch = 0;
   int epoch_pending = 0;
+};
+
+struct LoadBalancerSnapshot : LoadBalancerState {
   CostModelSnapshot model;
 };
 
 class LoadBalancer {
  public:
+  // Search ends when |CPU - GPU| <= kGapRelative * compute. The paper uses an
+  // absolute 0.15 s on ~1 s steps; the relative form is scale-free, so small
+  // problems balance equally tightly.
+  static constexpr double kGapRelative = 0.15;
+  static constexpr int kMaxSearchSteps = 15;
+  static constexpr double kBand = 0.05;  // 5% tolerance around the best time
+  static constexpr int kFgoBatch = 8;    // nodes modified per FGO batch
+  static constexpr int kFgoMaxBatches = 64;
+  static constexpr double kSmoothing = 0.5;  // cost model EWMA
+  // Capability-shift detection: relative observed-vs-predicted divergence
+  // (symmetric, in [0, 1]) above which the machine itself -- not the
+  // workload -- is assumed to have changed. Must sit well above the 5% band
+  // so ordinary noise walks the Enforce_S/FGO path, and below the ~0.5
+  // divergence losing one of two GPUs produces.
+  static constexpr double kShiftRelative = 0.3;
+  static constexpr int kShiftMinObservations = 3;  // let the EWMA settle
+
   LoadBalancer(const LoadBalancerConfig& config, TraversalConfig traversal);
 
   // Digest the observed times of the step just solved and prepare the tree
@@ -140,8 +148,8 @@ class LoadBalancer {
                          const ObservedStepTimes& observed,
                          const NodeSimulator& node);
 
-  int current_S() const { return s_; }
-  LbState state() const { return state_; }
+  int current_S() const { return st_.S; }
+  LbState state() const { return st_.state; }
   const CostModel& cost_model() const { return model_; }
 
   LoadBalancerSnapshot snapshot() const;
@@ -211,26 +219,7 @@ class LoadBalancer {
   InteractionListCache* cache_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   const double* clock_ = nullptr;
-  LbState state_ = LbState::kSearch;
-  int s_;
-
-  // Search state: bracket on S (log-space bisection).
-  int search_lo_;
-  int search_hi_;
-  int search_steps_ = 0;
-
-  // Incremental state.
-  int last_dominant_ = 0;  // 0 unknown, +1 CPU-dominant, -1 GPU-dominant
-
-  // Observation state.
-  double best_compute_ = -1.0;
-  bool reset_best_next_ = false;  // strategy 2: re-baseline after Enforce_S
-
-  // Capability-shift state: last health epoch seen, and how many more
-  // sub-threshold Observation steps may pass before a pending epoch change
-  // is considered absorbed without a shift.
-  std::uint64_t last_epoch_ = 0;
-  int epoch_pending_ = 0;
+  LoadBalancerState st_;
 
   // True while the overlap executor is running steps (derived per post_step
   // from the observation, gated on config.overlap_aware; not checkpointed).

@@ -66,19 +66,8 @@ ClusterEngine<Problem>::ClusterEngine(const EngineConfig& engine_config,
       injector_(cluster_.faults, cluster_.fault_seed) {
   if (cluster_.num_nodes <= 0)
     throw std::invalid_argument("ClusterEngine: need >= 1 node");
-  if (!cluster_.weights.empty() &&
-      static_cast<int>(cluster_.weights.size()) != cluster_.num_nodes)
-    throw std::invalid_argument(
-        "ClusterEngine: weights must match num_nodes");
-  nodes_.reserve(static_cast<std::size_t>(cluster_.num_nodes));
-  for (int k = 0; k < cluster_.num_nodes; ++k) {
-    ClusterNodeState n{
-        NodeSimulator(inner_.node().cpu(), inner_.node().gpus())};
-    n.weight = cluster_.weights.empty()
-                   ? 1.0
-                   : cluster_.weights[static_cast<std::size_t>(k)];
-    nodes_.push_back(std::move(n));
-  }
+  nodes_.assign(static_cast<std::size_t>(cluster_.num_nodes),
+                {NodeSimulator(inner_.node().cpu(), inner_.node().gpus())});
   const auto& lists = inner_.list_cache().get(
       inner_.tree(), engine_config_.fmm.traversal);
   map_ = weighted_split(inner_.tree(), lists, inner_.balancer().cost_model(),
@@ -100,15 +89,8 @@ ClusterEngine<Problem>::ClusterEngine(const EngineConfig& engine_config,
   if (static_cast<int>(ckpt.ranges.size()) != cluster_.num_nodes)
     throw std::invalid_argument(
         "ClusterEngine: checkpoint sharded for a different node count");
-  nodes_.reserve(static_cast<std::size_t>(cluster_.num_nodes));
-  for (int k = 0; k < cluster_.num_nodes; ++k) {
-    ClusterNodeState n{
-        NodeSimulator(inner_.node().cpu(), inner_.node().gpus())};
-    n.weight = cluster_.weights.empty()
-                   ? 1.0
-                   : cluster_.weights[static_cast<std::size_t>(k)];
-    nodes_.push_back(std::move(n));
-  }
+  nodes_.assign(static_cast<std::size_t>(cluster_.num_nodes),
+                {NodeSimulator(inner_.node().cpu(), inner_.node().gpus())});
   std::vector<ShardRange> ranges;
   ranges.reserve(ckpt.ranges.size());
   for (const auto& r : ckpt.ranges) ranges.push_back({r.first, r.second});
@@ -167,7 +149,7 @@ std::vector<double> ClusterEngine<Problem>::effective_weights() const {
   std::vector<double> w(nodes_.size(), 0.0);
   for (std::size_t k = 0; k < nodes_.size(); ++k) {
     const auto& n = nodes_[k];
-    w[k] = n.dead ? 0.0 : n.weight * (1.0 - n.link_fault_prob);
+    w[k] = n.dead ? 0.0 : 1.0 - n.link_fault_prob;
   }
   return w;
 }
@@ -294,8 +276,7 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   // state only suspected-but-undetected crashes generate timeouts.
   const auto& lists = inner_.list_cache().get(inner_.tree(),
                                               engine_config_.fmm.traversal);
-  HaloPlan plan = build_halo_plan(inner_.tree(), lists, map_,
-                                  cluster_.multipole_doubles);
+  HaloPlan plan = build_halo_plan(inner_.tree(), lists, map_);
 
   // 5a. Halo-payload SDC (sdc/): a pending kSdcHaloPayload corrupts one
   // in-flight message after the plan is built (the "send") and before it is
@@ -311,18 +292,15 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
     victim.payload_check ^= 1ull << (splitmix64(halo_pend.halo_seed >> 7) % 64);
     ++rec.sdc_injected;
   }
-  if (cluster_.sdc_halo_checks) {
-    const HaloPlan want = build_halo_plan(inner_.tree(), lists, map_,
-                                          cluster_.multipole_doubles);
-    for (std::size_t i = 0; i < plan.messages.size(); ++i) {
-      if (plan.messages[i].payload_check == want.messages[i].payload_check)
-        continue;
-      ++rec.sdc_detected;
-      plan.messages[i] = want.messages[i];  // re-request from the sender
-      rec.sdc_repair_seconds +=
-          cluster_transfer_seconds(cluster_.link, plan.messages[i].bytes);
-      ++rec.sdc_repaired;
-    }
+  const HaloPlan want = build_halo_plan(inner_.tree(), lists, map_);
+  for (std::size_t i = 0; i < plan.messages.size(); ++i) {
+    if (plan.messages[i].payload_check == want.messages[i].payload_check)
+      continue;
+    ++rec.sdc_detected;
+    plan.messages[i] = want.messages[i];  // re-request from the sender
+    rec.sdc_repair_seconds +=
+        cluster_transfer_seconds(cluster_.link, plan.messages[i].bytes);
+    ++rec.sdc_repaired;
   }
 
   std::vector<double> drop(nodes_.size(), 0.0);
@@ -367,16 +345,15 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   rec.inner = inner_.step_once();
 
   // 8. Per-node attribution: each shard's body share of the compute time,
-  // scaled by its capability, plus its halo receive time.
+  // plus its halo receive time.
   rec.node_compute_seconds.assign(nodes_.size(), 0.0);
   const double n_total = static_cast<double>(map_.num_bodies());
   for (std::size_t k = 0; k < nodes_.size(); ++k) {
     const auto& r = map_.range(static_cast<int>(k));
     const double share =
         n_total > 0.0 ? static_cast<double>(r.size()) / n_total : 0.0;
-    const double w = nodes_[k].weight > 0.0 ? nodes_[k].weight : 1.0;
     rec.node_compute_seconds[k] =
-        rec.inner.compute_seconds * share / w +
+        rec.inner.compute_seconds * share +
         (k < xch.node_seconds.size() ? xch.node_seconds[k] : 0.0);
   }
   if (TraceRecorder* tr = inner_.trace()) {
@@ -429,18 +406,6 @@ std::vector<ClusterStepRecord> ClusterEngine<Problem>::run(int n) {
   std::vector<ClusterStepRecord> out;
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) out.push_back(step());
-  return out;
-}
-
-template <class Problem>
-std::vector<ClusterStepRecord> ClusterEngine<Problem>::run_to(
-    int target_step) {
-  std::vector<ClusterStepRecord> out;
-  // Recovery rewinds the inner count; the cap bounds a misconfigured loop
-  // (e.g. a store that can never catch up past a repeating crash).
-  int guard = 10 * (target_step + 10);
-  while (inner_.steps_taken() < target_step && guard-- > 0)
-    out.push_back(step());
   return out;
 }
 

@@ -51,12 +51,7 @@ namespace afmm {
 
 struct ClusterConfig {
   int num_nodes = 2;
-  // Relative compute capability per node; empty = all 1.0. Sized to
-  // num_nodes otherwise.
-  std::vector<double> weights;
   ClusterLinkConfig link;
-  // Halo payload of one multipole expansion, in doubles.
-  int multipole_doubles = 20;
   // Missed heartbeats (= consecutive silent steps) before a crashed node is
   // declared dead and its ranges migrate.
   int heartbeat_miss_threshold = 3;
@@ -68,11 +63,6 @@ struct ClusterConfig {
   int checkpoint_interval = 0;
   std::string checkpoint_dir;
   int checkpoint_keep = 2;
-  // Verify every halo message's payload checksum at the receiver before
-  // application (sdc/); a mismatch is repaired by a re-request charged one
-  // extra link transfer. Verification is read-only over the physics, so
-  // fault-free runs stay bit-identical with it on or off.
-  bool sdc_halo_checks = true;
 };
 
 struct ClusterStepRecord {
@@ -112,7 +102,6 @@ struct ClusterStepRecord {
 // rebalancer's bookkeeping about it.
 struct ClusterNodeState {
   NodeSimulator sim;
-  double weight = 1.0;
   bool crashed = false;  // the fault schedule silenced it
   bool dead = false;     // the failure detector gave up on it
   int missed_heartbeats = 0;
@@ -135,10 +124,6 @@ class ClusterEngine {
 
   ClusterStepRecord step();
   std::vector<ClusterStepRecord> run(int n);
-  // Advance until the INNER engine has taken `target_step` steps. Crash
-  // recovery rewinds the inner step count, so this may take more cluster
-  // steps than target_step - steps_taken().
-  std::vector<ClusterStepRecord> run_to(int target_step);
 
   SimulationEngine<Problem>& engine() { return inner_; }
   const SimulationEngine<Problem>& engine() const { return inner_; }

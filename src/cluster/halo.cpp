@@ -30,8 +30,7 @@ std::uint64_t item_check(const AdaptiveOctree& tree, int node, bool bodies) {
 }  // namespace
 
 HaloPlan build_halo_plan(const AdaptiveOctree& tree,
-                         const InteractionLists& lists, const ShardMap& map,
-                         int multipole_doubles) {
+                         const InteractionLists& lists, const ShardMap& map) {
   HaloPlan plan;
   const int num_shards = map.num_shards();
   if (num_shards <= 1 || map.num_bodies() == 0) return plan;
@@ -85,7 +84,7 @@ HaloPlan build_halo_plan(const AdaptiveOctree& tree,
       0);
   std::vector<std::uint64_t> pair_check(pair_bytes.size(), 0);
   const std::uint64_t pole_bytes =
-      static_cast<std::uint64_t>(multipole_doubles) * 8;
+      static_cast<std::uint64_t>(kHaloMultipoleDoubles) * 8;
   for (std::uint64_t p : body_pairs) {
     const int node = static_cast<int>(p / static_cast<std::uint64_t>(num_shards));
     const int dst = static_cast<int>(p % static_cast<std::uint64_t>(num_shards));

@@ -43,11 +43,11 @@ struct HaloPlan {
 
 // Bytes per halo body on the wire: position (3 doubles) + mass/charge (1).
 inline constexpr std::uint64_t kHaloBodyBytes = 32;
+// Halo payload of one multipole expansion, in doubles: the coefficient count
+// at p = 3, so at the default p = 5 it under-counts multipole bytes.
+inline constexpr int kHaloMultipoleDoubles = 20;
 
-// `multipole_doubles` is the per-expansion payload in doubles (order-dependent;
-// the engine passes its config knob).
 HaloPlan build_halo_plan(const AdaptiveOctree& tree,
-                         const InteractionLists& lists, const ShardMap& map,
-                         int multipole_doubles);
+                         const InteractionLists& lists, const ShardMap& map);
 
 }  // namespace afmm

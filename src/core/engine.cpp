@@ -272,7 +272,7 @@ StepRecord SimulationEngine<Problem>::step_core() {
     obs.times = res.times;
     obs.gpu = res.gpu;
     obs.faults = std::move(fired);
-    if (config_.obs.wall_ops) obs.wall = res.real_timings;
+    obs.wall = res.real_timings;
     obs.rebin_seconds = rebin_s;
     obs.dag = res.dag;
     pending_obs_.emplace(std::move(obs));
@@ -349,7 +349,7 @@ template <class Problem>
 AuditReport SimulationEngine<Problem>::run_audit() const {
   const AuditConfig& a = config_.resilience.audit;
   AuditReport report;
-  audit_tree(tree_, balancer_.current_S(), a.leaf_capacity_slack, report);
+  audit_tree(tree_, balancer_.current_S(), kLeafCapacitySlack, report);
   problem_.audit_state(a, report);
   audit_cost_model(balancer_.cost_model(), report);
   return report;

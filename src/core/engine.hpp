@@ -63,10 +63,6 @@ namespace afmm {
 struct ObsConfig {
   bool trace = false;    // record Chrome-trace events (virtual-time tracks)
   bool metrics = false;  // sample the metrics registry once per step
-  // Mirror REAL per-operation wall times (requires fmm.collect_real_timings)
-  // onto the wall-time trace process. Off by default because wall clocks are
-  // nondeterministic and would break byte-identical trace comparisons.
-  bool wall_ops = false;
   bool enabled() const { return trace || metrics; }
 };
 

@@ -41,7 +41,9 @@ struct FmmConfig {
   TraversalConfig traversal;
   // Collect REAL wall-clock per-operation times (paper Section IV.D's
   // per-thread measurement) into the result's `real_timings`. Off by
-  // default: ~2 clock reads per node-level operation.
+  // default: ~2 clock reads per node-level operation. A tracing engine puts
+  // them on the wall-time process; wall clocks are nondeterministic, so a
+  // run whose trace must be byte-identical leaves this off.
   bool collect_real_timings = false;
   // ABFT silent-corruption detection (sdc/). All detectors default OFF;
   // armed detectors only read clean data, so fault-free solves stay

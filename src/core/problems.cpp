@@ -1,12 +1,36 @@
 #include "core/problems.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
 #include <utility>
 
 #include "sdc/sdc.hpp"
 
 namespace afmm {
+
+namespace {
+
+// An unregularized kernel divides by the distance between two bodies, so two
+// bodies at one point make the field non-finite. Sorts the positions' bit
+// patterns, a total order even with NaNs (`+ 0.0` folds -0.0 into +0.0), and
+// rejects equal neighbours.
+void reject_coincident(std::span<const Vec3> positions, const char* what) {
+  std::vector<std::array<std::uint64_t, 3>> keys;
+  keys.reserve(positions.size());
+  for (const Vec3& p : positions)
+    keys.push_back({std::bit_cast<std::uint64_t>(p.x + 0.0),
+                    std::bit_cast<std::uint64_t>(p.y + 0.0),
+                    std::bit_cast<std::uint64_t>(p.z + 0.0)});
+  std::sort(keys.begin(), keys.end());
+  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end())
+    throw std::invalid_argument(what);
+}
+
+}  // namespace
 
 // --- GravityProblem ---------------------------------------------------------
 
@@ -17,7 +41,11 @@ GravityProblem::GravityProblem(const FmmConfig& fmm, double grav_const,
                                                GravityKernel(softening))),
       grav_const_(grav_const),
       softening_(softening),
-      bodies_(std::move(bodies)) {}
+      bodies_(std::move(bodies)) {
+  if (softening == 0.0)
+    reject_coincident(bodies_.positions,
+                      "GravityProblem: coincident bodies need softening > 0");
+}
 
 SolveOutcome GravityProblem::initial_solve(const AdaptiveOctree& tree) {
   auto res = solver_->solve(tree, bodies_.positions, bodies_.masses);
@@ -73,15 +101,14 @@ void GravityProblem::audit_state(const AuditConfig& audit,
   if (audit.force_samples > 0)
     audit_sampled_gravity(bodies_.positions, bodies_.masses, accel_,
                           grav_const_, softening_, audit.force_samples,
-                          audit.force_rel_tol, report);
+                          kForceAuditRelTol, report);
   if (audit.momentum_rel_tol > 0.0)
     audit_momentum(accel_, bodies_.masses, audit.momentum_rel_tol, report);
   // Last, so existing first-violation expectations (finite/sampled audits)
   // are preserved: the full-state checksum catches ANY bit flipped since the
   // state was written, including flips too small for the tolerance-based
   // tripwires above.
-  if (audit.state_checksums)
-    audit_state_checksum(compute_state_checksum(), state_checksum_, report);
+  audit_state_checksum(compute_state_checksum(), state_checksum_, report);
 }
 
 double GravityProblem::total_energy() const {
@@ -151,7 +178,11 @@ StokesProblem::StokesProblem(const FmmConfig& fmm, double epsilon,
       force_model_(std::move(force_model)),
       positions_(std::move(positions)),
       velocities_(positions_.size()),
-      forces_(positions_.size()) {}
+      forces_(positions_.size()) {
+  if (epsilon == 0.0)
+    reject_coincident(positions_,
+                      "StokesProblem: coincident bodies need epsilon > 0");
+}
 
 SolveOutcome StokesProblem::run_solver(const AdaptiveOctree& tree) {
   force_model_(positions_, forces_);
@@ -227,10 +258,9 @@ void StokesProblem::audit_state(const AuditConfig& audit,
         1.0 / (8.0 * std::numbers::pi_v<double> * viscosity_);
     audit_sampled_stokes(last_solve_positions_, forces_, velocities_,
                          mobility, epsilon_, audit.force_samples,
-                         audit.force_rel_tol, report);
+                         kForceAuditRelTol, report);
   }
-  if (audit.state_checksums)
-    audit_state_checksum(compute_state_checksum(), state_checksum_, report);
+  audit_state_checksum(compute_state_checksum(), state_checksum_, report);
 }
 
 std::uint64_t StokesProblem::compute_state_checksum() const {

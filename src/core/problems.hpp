@@ -35,6 +35,8 @@ class GravityProblem {
   static constexpr SimKind kKind = SimKind::kGravity;
   static constexpr const char* kName = "gravity";
 
+  // Throws std::invalid_argument when softening is 0 and two bodies share a
+  // position: the unsoftened kernel is singular there.
   GravityProblem(const FmmConfig& fmm, double grav_const, double softening,
                  NodeSimulator node, ParticleSet bodies);
 
@@ -113,6 +115,8 @@ class StokesProblem {
   static constexpr SimKind kKind = SimKind::kStokes;
   static constexpr const char* kName = "Stokes";
 
+  // Throws std::invalid_argument when epsilon is 0 and two bodies share a
+  // position: the unregularized Stokeslet is singular there.
   StokesProblem(const FmmConfig& fmm, double epsilon, double viscosity,
                 NodeSimulator node, std::vector<Vec3> positions,
                 ForceModel force_model);

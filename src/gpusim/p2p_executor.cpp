@@ -45,7 +45,7 @@ GpuRunResult simulate_p2p_timing(const AdaptiveOctree& tree,
     return result;
   }
 
-  const auto assignment = partition_p2p_work(work, weights, system.partition);
+  const auto assignment = partition_p2p_work(work, weights);
   result.imbalance = partition_imbalance(work, assignment, weights);
 
   std::vector<GpuTransferShape> transfers;

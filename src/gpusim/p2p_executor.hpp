@@ -46,7 +46,6 @@ namespace afmm {
 
 struct GpuSystemConfig {
   std::vector<GpuDeviceConfig> devices{GpuDeviceConfig{}};
-  PartitionScheme partition = PartitionScheme::kInteractionWalk;
   TransferLinkConfig link;  // per-GPU PCIe-like link (Section III.D)
 
   static GpuSystemConfig uniform(int num_gpus,
@@ -209,8 +208,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
       items[i] = static_cast<int>(i);
   } else {
     const auto weights = device_weights(system, health);
-    for (const auto& assigned :
-         partition_p2p_work(work, weights, system.partition))
+    for (const auto& assigned : partition_p2p_work(work, weights))
       items.insert(items.end(), assigned.begin(), assigned.end());
   }
 

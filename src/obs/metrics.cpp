@@ -70,18 +70,6 @@ void MetricsRegistry::observe(const std::string& name, double value) {
   observe(name, value);
 }
 
-double MetricsRegistry::counter_value(const std::string& name) const {
-  for (const auto& c : counters_)
-    if (c.name == name) return c.value;
-  return 0.0;
-}
-
-double MetricsRegistry::gauge_value(const std::string& name) const {
-  for (const auto& g : gauges_)
-    if (g.name == name) return g.value;
-  return 0.0;
-}
-
 void MetricsRegistry::sample(int step) {
   for (const auto& c : counters_) rows_.push_back({step, c.name, c.value});
   for (const auto& g : gauges_) rows_.push_back({step, g.name, g.value});

@@ -37,9 +37,6 @@ class MetricsRegistry {
                         std::vector<double> upper_bounds);
   void observe(const std::string& name, double value);
 
-  double counter_value(const std::string& name) const;
-  double gauge_value(const std::string& name) const;
-
   struct Row {
     int step = 0;
     std::string metric;

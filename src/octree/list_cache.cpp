@@ -21,14 +21,7 @@ const InteractionLists& InteractionListCache::get(
   if (usable(tree, config)) {
     if (content_version_ != tree.content_version()) {
       // Same structure, moved bodies: refresh Interactions(t) in O(pairs).
-      lists_.total_p2p_interactions = 0;
-      for (auto& w : lists_.p2p) {
-        std::uint64_t srcs = 0;
-        for (int s : w.sources) srcs += tree.node(s).count;
-        w.interactions =
-            static_cast<std::uint64_t>(tree.node(w.target).count) * srcs;
-        lists_.total_p2p_interactions += w.interactions;
-      }
+      count_p2p_interactions(tree, lists_);
       content_version_ = tree.content_version();
       ++refreshes_;
     }

@@ -94,6 +94,25 @@ void dual_walk(const AdaptiveOctree& tree, const TraversalConfig& config,
 #pragma omp taskwait
   for (int o = 0; o < 8; ++o) out.append(std::move(kid[o]));
 }
+
+// Adds the tree-walk terms (P2M/M2M/L2L/L2P) of the subtree under `id`.
+void count_walk(const AdaptiveOctree& tree, int id, OpCounts& c) {
+  const OctreeNode& n = tree.node(id);
+  if (n.count == 0) return;
+  if (tree.is_effective_leaf(id)) {
+    ++c.p2m;
+    ++c.l2p;
+    c.p2m_bodies += n.count;
+    c.l2p_bodies += n.count;
+    return;
+  }
+  for (int ch : n.children) {
+    if (tree.node(ch).count == 0) continue;
+    ++c.m2m;
+    ++c.l2l;
+    count_walk(tree, ch, c);
+  }
+}
 }  // namespace
 
 InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
@@ -136,36 +155,26 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
     }
     out.p2p[work_of[t]].sources.push_back(s);
   }
-  for (auto& w : out.p2p) {
+  count_p2p_interactions(tree, out);
+  return out;
+}
+
+void count_p2p_interactions(const AdaptiveOctree& tree,
+                            InteractionLists& lists) {
+  lists.total_p2p_interactions = 0;
+  for (auto& w : lists.p2p) {
     std::uint64_t srcs = 0;
     for (int s : w.sources) srcs += tree.node(s).count;
-    w.interactions = static_cast<std::uint64_t>(tree.node(w.target).count) * srcs;
-    out.total_p2p_interactions += w.interactions;
+    w.interactions =
+        static_cast<std::uint64_t>(tree.node(w.target).count) * srcs;
+    lists.total_p2p_interactions += w.interactions;
   }
-  return out;
 }
 
 OpCounts count_operations(const AdaptiveOctree& tree,
                           const InteractionLists& lists) {
   OpCounts c;
-  auto visit = [&](auto&& self, int id) -> void {
-    const OctreeNode& n = tree.node(id);
-    if (n.count == 0) return;
-    if (tree.is_effective_leaf(id)) {
-      ++c.p2m;
-      ++c.l2p;
-      c.p2m_bodies += n.count;
-      c.l2p_bodies += n.count;
-      return;
-    }
-    for (int ch : n.children) {
-      if (tree.node(ch).count == 0) continue;
-      ++c.m2m;
-      ++c.l2l;
-      self(self, ch);
-    }
-  };
-  if (!tree.empty()) visit(visit, tree.root());
+  if (!tree.empty()) count_walk(tree, tree.root(), c);
 
   c.m2l = lists.total_m2l_pairs;
   c.p2p_interactions = lists.total_p2p_interactions;
@@ -219,24 +228,7 @@ OpCounts count_operations_touching(const AdaptiveOctree& tree,
   // root's parent down to the root is excluded: the root's body count is
   // unchanged by collapse/push_down, so that edge contributes identically to
   // the before and after counts and cancels in the delta.
-  auto walk = [&](auto&& self, int id) -> void {
-    const OctreeNode& nd = tree.node(id);
-    if (nd.count == 0) return;
-    if (tree.is_effective_leaf(id)) {
-      ++c.p2m;
-      ++c.l2p;
-      c.p2m_bodies += nd.count;
-      c.l2p_bodies += nd.count;
-      return;
-    }
-    for (int ch : nd.children) {
-      if (tree.node(ch).count == 0) continue;
-      ++c.m2m;
-      ++c.l2l;
-      self(self, ch);
-    }
-  };
-  for (int r : roots) walk(walk, r);
+  for (int r : roots) count_walk(tree, r, c);
 
   // Pair terms: replay the dual traversal, pruning branch pairs that cannot
   // touch a modified subtree and counting only pairs that do. The recursion

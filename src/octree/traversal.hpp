@@ -57,6 +57,11 @@ struct InteractionLists {
 InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
                                          const TraversalConfig& config = {});
 
+// Recomputes every P2P item's Interactions(t) and the list total from the
+// tree's current body counts; the lists' pairs are left as they are.
+void count_p2p_interactions(const AdaptiveOctree& tree,
+                            InteractionLists& lists);
+
 // Operation-application counts of one full FMM solve on `tree` with `lists`,
 // exactly the M(Op) quantities of the paper's Section IV.D. Cheap to obtain
 // (no numerics), which is what makes the cost-model predictions affordable.

@@ -56,7 +56,6 @@ struct SdcPending {
   std::uint64_t expansion_seed = 0;
   std::uint64_t halo_seed = 0;
 
-  bool any() const { return bit_flip || gpu_batch || expansion || halo_payload; }
   void clear() { *this = SdcPending{}; }
 };
 
@@ -79,11 +78,6 @@ struct SdcDetectConfig {
   // Every Nth P2P batch additionally re-evaluates its first target body on
   // the CPU and requires a bitwise match (0 = off).
   int p2p_verify_stride = 0;
-
-  bool any() const {
-    return expansion_checks || expansion_reaggregation || p2p_checks ||
-           p2p_verify_stride > 0;
-  }
 };
 
 // Tally of SDC activity inside one solve (or one step).

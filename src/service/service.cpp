@@ -10,6 +10,9 @@ namespace afmm {
 
 namespace {
 
+// Virtual seconds the shared clock idles when a round finds no demand.
+constexpr double kIdleGapSeconds = 1e-3;
+
 std::string fmt_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
@@ -250,7 +253,7 @@ int SimulationService::run_round() {
     }
   }
 
-  if (executed == 0) clock_.idle(config_.idle_gap_seconds);
+  if (executed == 0) clock_.idle(kIdleGapSeconds);
   if (metrics_) {
     metrics_->add_counter("service.rounds_total", 1.0);
     metrics_->add_counter("service.steps_total", executed);

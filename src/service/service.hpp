@@ -63,8 +63,6 @@ struct ServiceConfig {
   std::string checkpoint_dir;
   // Snapshots retained per session in the spill store.
   int checkpoint_keep = 2;
-  // Virtual seconds the shared clock idles when a round finds no demand.
-  double idle_gap_seconds = 1e-3;
   // Record trace events / sample metrics (a disabled service is a null
   // sink, same contract as ObsConfig).
   bool trace = false;

@@ -35,22 +35,18 @@ namespace afmm {
 struct AuditConfig {
   int interval = 0;       // steps between audits; 0 disables auditing
   int force_samples = 8;  // bodies in the sampled direct-sum audit (0 = off)
-  // Sampled-force acceptance: |a_fmm - a_direct| <= tol * (|a_direct| + eps).
-  // Must dominate the truncation error of the configured order/theta.
-  double force_rel_tol = 0.25;
-  // An effective leaf holding more than slack * S bodies is corrupt (a sane
-  // rebin drifts leaves past S, but never by orders of magnitude).
-  double leaf_capacity_slack = 64.0;
   // Momentum (Newton third law) tripwire: |sum m_i a_i| must stay below
   // tol * sum |m_i a_i|. 0 disables (the default -- FMM truncation makes the
   // force sum approximate, so the tolerance is workload-dependent).
   double momentum_rel_tol = 0.0;
-  // Verify the problem's full-state checksum (sdc/): catches ANY bit flipped
-  // since the state was last written, with zero false positives. On by
-  // default: it reads, hashes, compares -- no state change, so fault-free
-  // runs are unaffected.
-  bool state_checksums = true;
 };
+
+// Sampled-force acceptance: |a_fmm - a_direct| <= tol * (|a_direct| + eps).
+// Must dominate the truncation error of the configured order/theta.
+inline constexpr double kForceAuditRelTol = 0.25;
+// An effective leaf holding more than slack * S bodies is corrupt (a sane
+// rebin drifts leaves past S, but never by orders of magnitude).
+inline constexpr double kLeafCapacitySlack = 64.0;
 
 struct AuditReport {
   std::vector<std::string> violations;

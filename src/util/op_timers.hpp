@@ -5,8 +5,9 @@
 // over threads.
 //
 // The balancer derives its coefficients from the machine model's virtual
-// times, not from these; they feed the wall-clock trace process
-// (ObsConfig::wall_ops) and afmm_cli's measured coefficient table.
+// times, not from these; they feed the wall-clock trace process (an engine
+// whose FmmConfig::collect_real_timings is set) and afmm_cli's measured
+// coefficient table.
 // Correctness contract:
 //
 //   * every thread gets its OWN slot, no matter how many threads the OpenMP

@@ -28,7 +28,7 @@ ObservedStepTimes observe_tree(const AdaptiveOctree& tree,
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   double worst = 0.0;
   const int g = static_cast<int>(node.gpus().devices.size());
-  const auto parts = partition_p2p_work(lists.p2p, g, node.gpus().partition);
+  const auto parts = partition_p2p_work(lists.p2p, g);
   for (int d = 0; d < g; ++d) {
     const auto shapes = collect_shapes(tree, lists.p2p, parts[d]);
     worst = std::max(
@@ -72,11 +72,11 @@ TEST_F(BalancerLoop, SearchConvergesAndBalancesDevices) {
   tree.build(set_.positions, unit_config(cfg.initial_S));
 
   const auto reports = drive(lb, tree, 25);
-  // Search must terminate within max_search_steps.
+  // Search must terminate within kMaxSearchSteps.
   int search_steps = 0;
   for (const auto& r : reports)
     if (r.state_before == LbState::kSearch) ++search_steps;
-  EXPECT_LE(search_steps, cfg.max_search_steps);
+  EXPECT_LE(search_steps, LoadBalancer::kMaxSearchSteps);
   EXPECT_NE(lb.state(), LbState::kSearch);
 
   // After settling, CPU and GPU times must be within the relative gap.

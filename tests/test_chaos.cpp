@@ -71,17 +71,17 @@ TEST(Chaos, KillingOneOfTwoGpusTriggersShiftAndRecovers) {
   }
   ASSERT_EQ(node.health().num_alive_gpus(), 1);
   // The shift must be detected within a few steps of the loss -- the EWMA
-  // needs at most shift_min_observations fresh looks at the broken machine.
+  // needs at most kShiftMinObservations fresh looks at the broken machine.
   ASSERT_TRUE(shift_seen);
   EXPECT_GE(shift_step, 30);
-  EXPECT_LE(shift_step, 30 + cfg.shift_min_observations + 2);
+  EXPECT_LE(shift_step, 30 + LoadBalancer::kShiftMinObservations + 2);
   // And only one shift: the re-search settles instead of oscillating.
   EXPECT_NE(lb.state(), LbState::kSearch);
 
   // Recovery: compute time back within ~the band of the fresh-build optimum
   // for the degraded machine.
   const double recovered = observe(tree, node, ctx).compute_seconds();
-  EXPECT_LT(recovered, ref_compute * (1.0 + 2.0 * cfg.band));
+  EXPECT_LT(recovered, ref_compute * (1.0 + 2.0 * LoadBalancer::kBand));
 }
 
 TEST(Chaos, AllGpusLostForcesAreBitForBitIdentical) {

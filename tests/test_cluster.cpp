@@ -132,8 +132,8 @@ TEST(Halo, PlanIsDeterministicAndCrossesBoundaries) {
   const std::uint32_t n = static_cast<std::uint32_t>(engine.tree().num_bodies());
   const ShardMap map = ShardMap::uniform(n, 2);
 
-  const HaloPlan a = build_halo_plan(engine.tree(), lists, map, 20);
-  const HaloPlan b = build_halo_plan(engine.tree(), lists, map, 20);
+  const HaloPlan a = build_halo_plan(engine.tree(), lists, map);
+  const HaloPlan b = build_halo_plan(engine.tree(), lists, map);
   EXPECT_GT(a.body_halo, 0u);
   EXPECT_GT(a.multipole_halo, 0u);
   EXPECT_GT(a.total_bytes, 0u);
@@ -147,7 +147,7 @@ TEST(Halo, PlanIsDeterministicAndCrossesBoundaries) {
   }
   // A single-shard map has no boundary to cross.
   const HaloPlan none =
-      build_halo_plan(engine.tree(), lists, ShardMap::uniform(n, 1), 20);
+      build_halo_plan(engine.tree(), lists, ShardMap::uniform(n, 1));
   EXPECT_EQ(none.total_bytes, 0u);
   EXPECT_TRUE(none.messages.empty());
 }

@@ -10,14 +10,20 @@
 //     bit-for-bit) and deterministic (two obs-on runs emit identical bytes);
 //   * StepRecord parity: both problems populate the prediction / resilience
 //     fields on the same cadence, so downstream consumers (benches, the step
-//     emitter) need no per-problem cases.
+//     emitter) need no per-problem cases;
+//   * degenerate geometry (no bodies, coincident, collinear, near-coincident
+//     and corner bodies) steps to finite states, and an unregularized kernel
+//     rejects coincident bodies at construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problems.hpp"
@@ -493,6 +499,99 @@ TEST(Engine, StepRecordParityAcrossProblems) {
   };
   static_assert(sizeof(StepRecord) == sizeof(Expected),
                 "StepRecord changed: update the parity test and golden dump");
+}
+
+// Degenerate geometry: seeded inputs that drive the tree into its corner
+// cases (an empty root, max-depth leaves around coincident and
+// near-coincident bodies, bodies on the root's boundary corner).
+EngineConfig degenerate_config() {
+  EngineConfig cfg;
+  cfg.fmm.order = 3;
+  cfg.tree.root_center = {0.5, 0.5, 0.5};
+  cfg.tree.root_half = 0.5;
+  cfg.balancer.initial_S = 32;
+  return cfg;
+}
+
+std::vector<std::pair<std::string, std::vector<Vec3>>> degenerate_inputs() {
+  Rng rng(6);
+  std::vector<Vec3> line, close;
+  for (int i = 0; i < 200; ++i) {
+    line.push_back({rng.uniform(0.0, 1.0), 0.5, 0.5});
+    close.push_back(Vec3{0.5, 0.5, 0.5} +
+                    1e-10 * Vec3{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                 rng.uniform(-1, 1)});
+  }
+  return {{"no bodies", {}},
+          {"two bodies", {{0.25, 0.5, 0.5}, {0.75, 0.5, 0.5}}},
+          {"coincident", std::vector<Vec3>(200, Vec3{0.3, 0.6, 0.7})},
+          {"line", line},
+          {"within 2e-10", close},
+          {"root corner", std::vector<Vec3>(200, Vec3{1.0, 1.0, 1.0})}};
+}
+
+// Bodies at rest, of total mass 1.
+ParticleSet at_rest(std::vector<Vec3> pos) {
+  const std::size_t n = pos.size();
+  const double mass = 1.0 / static_cast<double>(std::max<std::size_t>(n, 1));
+  return {std::move(pos), std::vector<Vec3>(n), std::vector<double>(n, mass)};
+}
+
+bool all_finite(const std::vector<Vec3>& v) {
+  for (const Vec3& x : v)
+    if (!std::isfinite(x.x) || !std::isfinite(x.y) || !std::isfinite(x.z))
+      return false;
+  return true;
+}
+
+TEST(Engine, DegenerateGeometriesStepToFiniteStates) {
+  const EngineConfig cfg = degenerate_config();
+  const NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  for (const auto& [name, pos] : degenerate_inputs()) {
+    SCOPED_TRACE(name);
+    auto gravity = [&] {
+      GravityEngine eng(cfg,
+                        GravityProblem(cfg.fmm, 1.0, 1e-3, node, at_rest(pos)));
+      eng.run(4);
+      EXPECT_TRUE(all_finite(eng.problem().bodies().positions));
+      EXPECT_TRUE(all_finite(eng.problem().bodies().velocities));
+    };
+    auto stokes = [&] {
+      StokesEngine eng(cfg, StokesProblem(cfg.fmm, 1e-3, 1.0, node, pos,
+                                          constant_force({0, 0, -1})));
+      eng.run(4);
+      EXPECT_TRUE(all_finite(eng.problem().position_vector()));
+      EXPECT_TRUE(all_finite(eng.problem().velocities()));
+    };
+    EXPECT_NO_THROW(gravity());
+    EXPECT_NO_THROW(stokes());
+  }
+}
+
+TEST(Engine, UnregularizedKernelsRejectCoincidentBodies) {
+  const EngineConfig cfg = degenerate_config();
+  const NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  auto gravity = [&](const std::vector<Vec3>& pos, double softening) {
+    GravityProblem(cfg.fmm, 1.0, softening, node, at_rest(pos));
+  };
+  auto stokes = [&](const std::vector<Vec3>& pos, double epsilon) {
+    StokesProblem(cfg.fmm, epsilon, 1.0, node, pos,
+                  constant_force({0, 0, -1}));
+  };
+  const std::vector<Vec3> coincident(200, Vec3{0.3, 0.6, 0.7});
+  // -0.0 and +0.0 are one coordinate; one ulp apart are two.
+  const std::vector<Vec3> signed_zero{
+      {0.0, 0.5, 0.5}, {0.25, 0.5, 0.5}, {-0.0, 0.5, 0.5}};
+  const std::vector<Vec3> one_ulp{{0.5, 0.5, 0.5},
+                                  {std::nextafter(0.5, 1.0), 0.5, 0.5}};
+  for (const auto* pos : {&coincident, &signed_zero}) {
+    EXPECT_THROW(gravity(*pos, 0.0), std::invalid_argument);
+    EXPECT_THROW(stokes(*pos, 0.0), std::invalid_argument);
+    EXPECT_NO_THROW(gravity(*pos, 1e-3));
+    EXPECT_NO_THROW(stokes(*pos, 1e-3));
+  }
+  EXPECT_NO_THROW(gravity(one_ulp, 0.0));
+  EXPECT_NO_THROW(stokes(one_ulp, 0.0));
 }
 
 }  // namespace

@@ -199,7 +199,6 @@ TEST(Obs, WallOpsTrackOnlyWhenEnabled) {
     EXPECT_NE(e.pid, TraceRecorder::kWallPid);
 
   cfg.fmm.collect_real_timings = true;
-  cfg.obs.wall_ops = true;
   GravityEngine wall = make_sim(cfg);
   wall.run(2);
   bool saw_wall = false;
