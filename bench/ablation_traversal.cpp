@@ -1,8 +1,9 @@
-// Ablation: task-parallel dual-tree traversal and the interaction-list cache.
+// Ablation: parallel dual-tree traversal and the interaction-list cache.
 //
 // Two questions, one table each:
-//   1. What does the OpenMP task parallelization of the list build buy on
-//      real adaptive trees? (1 thread vs all threads, identical output)
+//   1. What does the parallel list build (a serial split into pair
+//      subproblems, walked by all OpenMP threads) buy on real adaptive
+//      trees? (1 thread vs all threads, identical output)
 //   2. How often does the versioned cache avoid a traversal across a
 //      dynamic-simulation-style loop of balancer dry_run + solve cycles,
 //      where the structure changes only every `rebuild_every` steps?
@@ -86,7 +87,7 @@ int main(int argc, char** argv) {
     build_table.add_row({c.dist, Table::integer(c.S), Table::integer(threads),
                          Table::num(ts), Table::num(tp), Table::num(ts / tp)});
   }
-  build_table.print("Ablation | serial vs task-parallel list build");
+  build_table.print("Ablation | list build, 1 thread vs all threads");
 
   // Cache hit rate over a balancer-shaped loop: every step runs one dry_run
   // and one solve's worth of get() calls (the solve reads the lists twice);

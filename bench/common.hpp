@@ -24,6 +24,7 @@
 #include "dist/distributions.hpp"
 #include "gpusim/p2p_executor.hpp"
 #include "machine/machine.hpp"
+#include "octree/list_cache.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"
 #include "util/stats.hpp"
@@ -88,7 +89,9 @@ struct ReplayRecord {
 
 // `positions(step)` must return the body positions at time step `step` for
 // step = 0 .. num_steps; the returned span only needs to stay valid until
-// the next call.
+// the next call. The observations and the balancer's dry runs read one
+// interaction-list cache, as the engine's solver and balancer do, so a
+// structure the balancer left unchanged is not walked again.
 template <typename PositionProvider>
 std::vector<ReplayRecord> replay_strategy(
     PositionProvider&& positions, std::size_t num_steps,
@@ -101,11 +104,15 @@ std::vector<ReplayRecord> replay_strategy(
   TreeConfig tc = tree_config;
   tc.leaf_capacity = lb_config.initial_S;
   tree.build(positions(0), tc);
+  InteractionListCache cache;
   LoadBalancer balancer(lb_config, traversal);
+  balancer.set_list_cache(&cache);
+  auto observe = [&] {
+    return node.observe_step(ctx, tree, cache.get(tree, traversal),
+                             flops_per_interaction, m2l_passes);
+  };
 
-  ObservedStepTimes observed =
-      observe_tree(tree, node, ctx, traversal, m2l_passes,
-                   flops_per_interaction);
+  ObservedStepTimes observed = observe();
   for (std::size_t step = 1; step <= num_steps; ++step) {
     ReplayRecord rec;
     const std::span<const Vec3> pos = positions(step);
@@ -118,8 +125,7 @@ std::vector<ReplayRecord> replay_strategy(
     rec.S = lb.S;
     rec.state = lb.state_after;
 
-    observed = observe_tree(tree, node, ctx, traversal, m2l_passes,
-                            flops_per_interaction);
+    observed = observe();
     rec.compute_seconds = observed.compute_seconds();
     rec.cpu_seconds = observed.cpu_seconds;
     rec.gpu_seconds = observed.gpu_seconds;

@@ -276,7 +276,8 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
   // state only suspected-but-undetected crashes generate timeouts.
   const auto& lists = inner_.list_cache().get(inner_.tree(),
                                               engine_config_.fmm.traversal);
-  HaloPlan plan = build_halo_plan(inner_.tree(), lists, map_);
+  HaloPlan plan = build_halo_plan(inner_.tree(), lists, map_,
+                                  engine_config_.fmm.order, Problem::kRhs);
 
   // 5a. Halo-payload SDC (sdc/): a pending kSdcHaloPayload corrupts one
   // in-flight message after the plan is built (the "send") and before it is
@@ -292,7 +293,8 @@ ClusterStepRecord ClusterEngine<Problem>::step() {
     victim.payload_check ^= 1ull << (splitmix64(halo_pend.halo_seed >> 7) % 64);
     ++rec.sdc_injected;
   }
-  const HaloPlan want = build_halo_plan(inner_.tree(), lists, map_);
+  const HaloPlan want = build_halo_plan(
+      inner_.tree(), lists, map_, engine_config_.fmm.order, Problem::kRhs);
   for (std::size_t i = 0; i < plan.messages.size(); ++i) {
     if (plan.messages[i].payload_check == want.messages[i].payload_check)
       continue;

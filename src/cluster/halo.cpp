@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "expansion/multi_index.hpp"
 #include "sdc/sdc.hpp"
 
 namespace afmm {
@@ -30,7 +31,8 @@ std::uint64_t item_check(const AdaptiveOctree& tree, int node, bool bodies) {
 }  // namespace
 
 HaloPlan build_halo_plan(const AdaptiveOctree& tree,
-                         const InteractionLists& lists, const ShardMap& map) {
+                         const InteractionLists& lists, const ShardMap& map,
+                         int order, int nrhs) {
   HaloPlan plan;
   const int num_shards = map.num_shards();
   if (num_shards <= 1 || map.num_bodies() == 0) return plan;
@@ -83,8 +85,9 @@ HaloPlan build_halo_plan(const AdaptiveOctree& tree,
           static_cast<std::size_t>(num_shards),
       0);
   std::vector<std::uint64_t> pair_check(pair_bytes.size(), 0);
-  const std::uint64_t pole_bytes =
-      static_cast<std::uint64_t>(kHaloMultipoleDoubles) * 8;
+  const auto body_bytes = static_cast<std::uint64_t>(3 + nrhs) * 8;
+  const auto pole_bytes =
+      static_cast<std::uint64_t>(MultiIndexSet::count(order) * nrhs) * 8;
   for (std::uint64_t p : body_pairs) {
     const int node = static_cast<int>(p / static_cast<std::uint64_t>(num_shards));
     const int dst = static_cast<int>(p % static_cast<std::uint64_t>(num_shards));
@@ -94,7 +97,7 @@ HaloPlan build_halo_plan(const AdaptiveOctree& tree,
                                  static_cast<std::size_t>(num_shards) +
                              static_cast<std::size_t>(dst);
     plan.body_halo += bodies;
-    pair_bytes[pair] += bodies * kHaloBodyBytes;
+    pair_bytes[pair] += bodies * body_bytes;
     pair_check[pair] ^= item_check(tree, node, /*bodies=*/true);
   }
   for (std::uint64_t p : pole_pairs) {

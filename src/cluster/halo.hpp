@@ -6,9 +6,10 @@
 //
 //   * body halo      -- a P2P source leaf owned by shard A whose target leaf
 //                       lives on shard B: A ships that leaf's bodies
-//                       (position + mass) to B;
+//                       (position + one source value per rhs) to B;
 //   * multipole halo -- an M2L source node owned by A targeting a node owned
-//                       by B: A ships that node's multipole expansion.
+//                       by B: A ships that node's multipole expansion (every
+//                       coefficient of order <= p, per rhs).
 //
 // Ownership of a tree node is the owner of its span's first body -- node
 // spans are contiguous in tree order, so for leaves (what P2P sources are,
@@ -41,13 +42,11 @@ struct HaloPlan {
   std::uint64_t total_bytes = 0;
 };
 
-// Bytes per halo body on the wire: position (3 doubles) + mass/charge (1).
-inline constexpr std::uint64_t kHaloBodyBytes = 32;
-// Halo payload of one multipole expansion, in doubles: the coefficient count
-// at p = 3, so at the default p = 5 it under-counts multipole bytes.
-inline constexpr int kHaloMultipoleDoubles = 20;
-
+// `order` is the expansion order p and `nrhs` the problem's right-hand-side
+// count: a halo body is 3 + nrhs doubles on the wire (gravity: position and
+// mass, 32 bytes), a multipole is MultiIndexSet::count(p) * nrhs doubles.
 HaloPlan build_halo_plan(const AdaptiveOctree& tree,
-                         const InteractionLists& lists, const ShardMap& map);
+                         const InteractionLists& lists, const ShardMap& map,
+                         int order, int nrhs);
 
 }  // namespace afmm

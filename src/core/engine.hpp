@@ -23,6 +23,7 @@
 //
 //   static constexpr SimKind kKind;        // checkpoint tag
 //   static constexpr const char* kName;    // for error messages
+//   static constexpr int kRhs;             // far-field right-hand sides
 //   NodeSimulator& node();                 // the simulated machine
 //   void set_list_cache(InteractionListCache*);
 //   std::span<const Vec3> positions() const;

@@ -34,6 +34,8 @@ class GravityProblem {
  public:
   static constexpr SimKind kKind = SimKind::kGravity;
   static constexpr const char* kName = "gravity";
+  // Right-hand sides of the far field: the masses.
+  static constexpr int kRhs = 1;
 
   // Throws std::invalid_argument when softening is 0 and two bodies share a
   // position: the unsoftened kernel is singular there.
@@ -114,6 +116,8 @@ class StokesProblem {
  public:
   static constexpr SimKind kKind = SimKind::kStokes;
   static constexpr const char* kName = "Stokes";
+  // Right-hand sides of the far field: f_x, f_y, f_z and y.f.
+  static constexpr int kRhs = 4;
 
   // Throws std::invalid_argument when epsilon is 0 and two bodies share a
   // position: the unregularized Stokeslet is singular there.

@@ -11,8 +11,13 @@
 namespace afmm {
 
 namespace {
-// Below this range size a build task recurses serially instead of spawning.
+// Below this range size a build or rebin task recurses serially instead of
+// spawning.
 constexpr std::uint32_t kTaskCutoff = 2048;
+
+// Trees of at most this many bodies rebin serially, with no parallel region:
+// on 2 threads a parallel rebin breaks even near 5k Plummer bodies.
+constexpr std::size_t kSerialRebinBodies = 8192;
 
 // Deepest level a tree may reach: a level-21 cell is 2^-21 of the root's
 // width. Beyond that, subdivision only stacks levels around (near-)
@@ -213,17 +218,39 @@ void AdaptiveOctree::rebin(std::span<const Vec3> positions) {
   if (positions.size() != perm_.size())
     throw std::invalid_argument("rebin: body count changed");
 
-  // Refresh tree-ordered positions from the (moved) originals.
-  for (std::size_t t = 0; t < perm_.size(); ++t)
-    sorted_pos_[t] = positions[perm_[t]];
-
-  // Top-down re-split of every effective internal node's span.
-  auto visit = [&](auto&& self, int id) -> void {
+  // Refresh tree-ordered positions from the (moved) originals, then re-split
+  // every effective internal node's span top-down. Siblings own disjoint
+  // spans, so on large trees their subtrees re-split as tasks with the
+  // serial result bit for bit.
+  const std::size_t n = perm_.size();
+  const bool parallel = n > kSerialRebinBodies;
+  auto resplit = [&](auto&& self, int id) -> void {
     if (is_effective_leaf(id)) return;
     repartition_into_children(id);
-    for (int c : nodes_[id].children) self(self, c);
+    for (int c : nodes_[id].children) {
+      if (parallel && nodes_[c].count > kTaskCutoff) {
+#pragma omp task firstprivate(c)
+        self(self, c);
+      } else {
+        self(self, c);
+      }
+    }
+    if (parallel) {
+#pragma omp taskwait
+    }
   };
-  visit(visit, root());
+  if (!parallel) {
+    for (std::size_t t = 0; t < n; ++t) sorted_pos_[t] = positions[perm_[t]];
+    resplit(resplit, root());
+  } else {
+#pragma omp parallel
+    {
+#pragma omp for schedule(static)
+      for (std::size_t t = 0; t < n; ++t) sorted_pos_[t] = positions[perm_[t]];
+#pragma omp single nowait
+      resplit(resplit, root());
+    }
+  }
   bump_content();
 }
 

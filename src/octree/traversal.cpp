@@ -1,6 +1,6 @@
 #include "octree/traversal.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -9,10 +9,9 @@ namespace afmm {
 namespace {
 constexpr double kSqrt3 = 1.7320508075688772;
 
-// Pair subtrees whose smaller side holds fewer bodies than this recurse
-// serially instead of spawning a task (the kTaskCutoff pattern of
-// core/fmm_solver.cpp).
-constexpr std::uint32_t kTaskCutoff = 256;
+// The split hands out pair subproblems whose smaller side holds at most this
+// many bodies; each is walked serially by one thread.
+constexpr std::uint32_t kSplitCutoff = 4096;
 
 bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
   const double ra = a.half * kSqrt3;
@@ -21,79 +20,53 @@ bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
   return norm2(a.center - b.center) > s * s;
 }
 
-// Flat (target, source) pair streams of one (sub)walk. Tasks fill private
-// buffers which are concatenated in child order afterwards, so the merged
-// streams are bit-identical to the serial depth-first walk.
-struct PairBufs {
-  std::vector<std::pair<int, int>> m2l, p2p;
+using PairStream = std::vector<std::pair<int, int>>;
 
-  void append(PairBufs&& o) {
-    auto cat = [](std::vector<std::pair<int, int>>& dst,
-                  std::vector<std::pair<int, int>>& src) {
-      if (dst.empty())
-        dst = std::move(src);
-      else
-        dst.insert(dst.end(), src.begin(), src.end());
-    };
-    cat(m2l, o.m2l);
-    cat(p2p, o.p2p);
-  }
-};
-
-void dual_walk(const AdaptiveOctree& tree, const TraversalConfig& config,
-               bool tasks, int ta, int sb, PairBufs& out) {
+// The traversal's one recursion rule, depth first from (ta, sb). Empty pairs
+// end; v.settled(m2l, ta, sb) receives each well-separated (M2L) and
+// leaf-leaf (P2P) pair; any other pair descends into the larger box (target
+// preferred on ties) so both sides shrink evenly, which keeps list sizes
+// bounded for adaptive trees -- unless v.open(ta, sb) returns false.
+template <class Visitor>
+void dual_walk(const AdaptiveOctree& tree, double theta, int ta, int sb,
+               Visitor& v) {
   const OctreeNode& a = tree.node(ta);
   const OctreeNode& b = tree.node(sb);
   if (a.count == 0 || b.count == 0) return;
-  if (well_separated(a, b, config.theta)) {
-    out.m2l.emplace_back(ta, sb);
-    return;
-  }
+  if (well_separated(a, b, theta)) return v.settled(true, ta, sb);
   const bool la = tree.is_effective_leaf(ta);
   const bool lb = tree.is_effective_leaf(sb);
-  if (la && lb) {
-    out.p2p.emplace_back(ta, sb);
-    return;
+  if (la && lb) return v.settled(false, ta, sb);
+  if (!v.open(ta, sb)) return;
+  if (lb || (!la && a.half >= b.half)) {
+    for (int ch : a.children) dual_walk(tree, theta, ch, sb, v);
+  } else {
+    for (int ch : b.children) dual_walk(tree, theta, ta, ch, v);
   }
-  // Recurse into the larger box (target preferred on ties) so both sides
-  // shrink evenly; this keeps list sizes bounded for adaptive trees.
-  const bool into_a = lb || (!la && a.half >= b.half);
-  const std::array<int, 8> kids = into_a ? a.children : b.children;
-  const std::uint32_t other = (into_a ? b : a).count;
-
-  bool spawn[8];
-  bool spawn_any = false;
-  for (int o = 0; o < 8; ++o) {
-    spawn[o] = tasks && other > kTaskCutoff &&
-               tree.node(kids[o]).count > kTaskCutoff;
-    spawn_any |= spawn[o];
-  }
-  if (!spawn_any) {
-    for (int o = 0; o < 8; ++o) {
-      if (into_a)
-        dual_walk(tree, config, tasks, kids[o], sb, out);
-      else
-        dual_walk(tree, config, tasks, ta, kids[o], out);
-    }
-    return;
-  }
-  // Every child (spawned or not) writes its own buffer: the in-order merge
-  // below is what keeps the pair streams identical to the serial walk.
-  std::array<PairBufs, 8> kid;
-  for (int o = 0; o < 8; ++o) {
-    const int nta = into_a ? kids[o] : ta;
-    const int nsb = into_a ? sb : kids[o];
-    PairBufs* dst = &kid[o];
-    if (spawn[o]) {
-#pragma omp task firstprivate(nta, nsb, dst) shared(tree, config)
-      dual_walk(tree, config, true, nta, nsb, *dst);
-    } else {
-      dual_walk(tree, config, tasks, nta, nsb, *dst);
-    }
-  }
-#pragma omp taskwait
-  for (int o = 0; o < 8; ++o) out.append(std::move(kid[o]));
 }
+
+// Flat (target, source) pair streams of one walk.
+struct PairBufs {
+  PairStream m2l, p2p;
+  void settled(bool is_m2l, int ta, int sb) {
+    (is_m2l ? m2l : p2p).emplace_back(ta, sb);
+  }
+  bool open(int, int) { return true; }
+};
+
+// Cuts the walk into independent subproblems, in depth-first order: every
+// pair the walk settles at once and every pair whose smaller side is light.
+struct Splitter {
+  const AdaptiveOctree& tree;
+  PairStream parts;
+  void settled(bool, int ta, int sb) { parts.emplace_back(ta, sb); }
+  bool open(int ta, int sb) {
+    if (std::min(tree.node(ta).count, tree.node(sb).count) > kSplitCutoff)
+      return true;
+    parts.emplace_back(ta, sb);
+    return false;
+  }
+};
 
 // Adds the tree-walk terms (P2M/M2M/L2L/L2P) of the subtree under `id`.
 void count_walk(const AdaptiveOctree& tree, int id, OpCounts& c) {
@@ -120,41 +93,55 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
   InteractionLists out;
   if (tree.empty()) return out;
 
-  const int n = tree.num_nodes();
-  PairBufs bufs;
-  if (tree.node(tree.root()).count > kTaskCutoff) {
-#pragma omp parallel
-#pragma omp single nowait
-    dual_walk(tree, config, true, tree.root(), tree.root(), bufs);
+  // Split the walk serially, then walk the parts in parallel. Each part
+  // fills a buffer local to its thread before moving into its own slot:
+  // threads pushing into adjacent slots would share cache lines. Reading the
+  // slots in split order gives the serial walk's pair streams exactly.
+  const double theta = config.theta;
+  Splitter split{tree, {}};
+  dual_walk(tree, theta, tree.root(), tree.root(), split);
+  const auto& parts = split.parts;
+  std::vector<PairBufs> walked(parts.size());
+  if (parts.size() < 2) {
+    for (std::size_t i = 0; i < parts.size(); ++i)
+      dual_walk(tree, theta, parts[i].first, parts[i].second, walked[i]);
   } else {
-    dual_walk(tree, config, false, tree.root(), tree.root(), bufs);
+#pragma omp parallel
+    {
+      PairBufs local;
+#pragma omp for schedule(dynamic)
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        dual_walk(tree, theta, parts[i].first, parts[i].second, local);
+        walked[i] = std::exchange(local, {});
+      }
+    }
   }
-  auto& m2l_pairs = bufs.m2l;
-  auto& p2p_pairs = bufs.p2p;
-
-  // Group pair streams into CSR by target.
-  auto to_csr = [n](const std::vector<std::pair<int, int>>& pairs,
-                    std::vector<std::uint32_t>& offset,
-                    std::vector<int>& sources) {
-    offset.assign(n + 1, 0);
-    for (const auto& [t, s] : pairs) offset[t + 1]++;
-    for (int i = 0; i < n; ++i) offset[i + 1] += offset[i];
-    sources.resize(pairs.size());
-    std::vector<std::uint32_t> cursor(offset.begin(), offset.end() - 1);
-    for (const auto& [t, s] : pairs) sources[cursor[t]++] = s;
+  auto for_each_pair = [&](PairStream PairBufs::*stream, auto&& fn) {
+    for (const PairBufs& w : walked)
+      for (const auto& [t, s] : w.*stream) fn(t, s);
   };
-  to_csr(m2l_pairs, out.m2l_offset, out.m2l_sources);
-  out.total_m2l_pairs = m2l_pairs.size();
+
+  // Group the M2L pairs into CSR by target.
+  const int n = tree.num_nodes();
+  out.m2l_offset.assign(n + 1, 0);
+  for_each_pair(&PairBufs::m2l, [&](int t, int) { ++out.m2l_offset[t + 1]; });
+  for (int i = 0; i < n; ++i) out.m2l_offset[i + 1] += out.m2l_offset[i];
+  out.total_m2l_pairs = out.m2l_offset[n];
+  out.m2l_sources.resize(out.total_m2l_pairs);
+  std::vector<std::uint32_t> cursor(out.m2l_offset.begin(),
+                                    out.m2l_offset.end() - 1);
+  for_each_pair(&PairBufs::m2l,
+                [&](int t, int s) { out.m2l_sources[cursor[t]++] = s; });
 
   // Group P2P pairs into per-target work items.
   std::vector<int> work_of(n, -1);
-  for (const auto& [t, s] : p2p_pairs) {
+  for_each_pair(&PairBufs::p2p, [&](int t, int s) {
     if (work_of[t] < 0) {
       work_of[t] = static_cast<int>(out.p2p.size());
       out.p2p.push_back({t, {}, 0});
     }
     out.p2p[work_of[t]].sources.push_back(s);
-  }
+  });
   count_p2p_interactions(tree, out);
   return out;
 }
@@ -214,15 +201,20 @@ OpCounts count_operations_touching(const AdaptiveOctree& tree,
   if (tree.empty() || roots.empty()) return c;
 
   const int n = tree.num_nodes();
-  // marked[i]: i is one of the roots. reaches[i]: i is a root or an ancestor
-  // of one (i.e. the subtree under i contains a root). Descendants of roots
-  // are recognized by flag propagation during the walks.
-  std::vector<char> marked(n, 0);
+  // inside[i]: i lies in the effective subtree of a root. reaches[i]: i is a
+  // root or an ancestor of one (i.e. the subtree under i contains a root).
+  std::vector<char> inside(n, 0);
   std::vector<char> reaches(n, 0);
-  for (int r : roots) marked[r] = 1;
-  for (int r : roots)
+  auto mark = [&](auto&& self, int id) -> void {
+    inside[id] = 1;
+    if (!tree.is_effective_leaf(id))
+      for (int ch : tree.node(id).children) self(self, ch);
+  };
+  for (int r : roots) {
+    mark(mark, r);
     for (int id = r; id >= 0 && !reaches[id]; id = tree.node(id).parent)
       reaches[id] = 1;
+  }
 
   // Tree-walk terms inside each modified subtree. The M2M/L2L edge from a
   // root's parent down to the root is excluded: the root's body count is
@@ -235,34 +227,26 @@ OpCounts count_operations_touching(const AdaptiveOctree& tree,
   // rule is a function of the tree alone, so the pairs counted here are
   // exactly the full traversal's pairs with at least one side in a modified
   // subtree.
-  auto dual = [&](auto&& self, int ta, int sb, bool ain, bool bin) -> void {
-    ain = ain || marked[ta];
-    bin = bin || marked[sb];
-    if (!ain && !bin && !reaches[ta] && !reaches[sb]) return;
-    const OctreeNode& a = tree.node(ta);
-    const OctreeNode& b = tree.node(sb);
-    if (a.count == 0 || b.count == 0) return;
-    const bool touch = ain || bin;
-    if (well_separated(a, b, config.theta)) {
-      if (touch) ++c.m2l;
-      return;
-    }
-    const bool la = tree.is_effective_leaf(ta);
-    const bool lb = tree.is_effective_leaf(sb);
-    if (la && lb) {
-      if (touch) {
-        ++c.p2p_node_pairs;
-        c.p2p_interactions += static_cast<std::uint64_t>(a.count) * b.count;
+  struct Touching {
+    const AdaptiveOctree& tree;
+    const std::vector<char>& inside;
+    const std::vector<char>& reaches;
+    OpCounts& c;
+    void settled(bool m2l, int ta, int sb) {
+      if (!inside[ta] && !inside[sb]) return;
+      if (m2l) {
+        ++c.m2l;
+        return;
       }
-      return;
+      ++c.p2p_node_pairs;
+      c.p2p_interactions +=
+          static_cast<std::uint64_t>(tree.node(ta).count) * tree.node(sb).count;
     }
-    if (lb || (!la && a.half >= b.half)) {
-      for (int ch : a.children) self(self, ch, sb, ain, bin);
-    } else {
-      for (int ch : b.children) self(self, ta, ch, ain, bin);
+    bool open(int ta, int sb) {
+      return inside[ta] || inside[sb] || reaches[ta] || reaches[sb];
     }
-  };
-  dual(dual, tree.root(), tree.root(), false, false);
+  } touching{tree, inside, reaches, c};
+  dual_walk(tree, config.theta, tree.root(), tree.root(), touching);
   return c;
 }
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "balance/load_balancer.hpp"
+#include "common.hpp"
 #include "core/fmm_solver.hpp"
 #include "dist/distributions.hpp"
 #include "util/rng.hpp"
@@ -409,6 +414,145 @@ TEST(LoadBalancer, ToStringCoversEnums) {
   EXPECT_STREQ(to_string(LbStrategy::kStatic), "static");
   EXPECT_STREQ(to_string(LbStrategy::kEnforceOnly), "enforce-only");
   EXPECT_STREQ(to_string(LbStrategy::kFull), "full");
+}
+
+// ------------------------------------------------ bench replay loop ----
+
+// A cold collapse in closed form: each body falls along its direction from
+// r0 to a small core radius on its shell's free-fall time, then oscillates
+// about it, while some bodies are ejected into an expanding halo. Time runs
+// at `dt` per step up to step `loud`, then a thousand times slower: a few
+// bodies still change leaf each step, but leaves seldom empty.
+class Collapse {
+ public:
+  Collapse(std::size_t n, double dt, std::size_t loud)
+      : dt_(dt), loud_(loud), pos_(n) {
+    Rng rng(2013);
+    for (std::size_t i = 0; i < n; ++i) {
+      // Plummer radius, truncated to 4.
+      const double u = rng.uniform(0.02, 1.0);
+      const double r0 =
+          std::min(4.0, 1.0 / std::sqrt(std::pow(u, -2.0 / 3.0) - 1.0));
+      const double z = rng.uniform(-1, 1);
+      const double phi = rng.uniform(0.0, 6.283185307179586);
+      const double s = std::sqrt(1.0 - z * z);
+      bodies_.push_back({Vec3{s * std::cos(phi), s * std::sin(phi), z}, r0,
+                         1.5 * std::sqrt(std::pow(r0 * r0 + 1.0, 1.5) / 2.0),
+                         0.05 * (0.5 + rng.uniform()) * std::sqrt(r0),
+                         rng.uniform() < 0.15 ? rng.uniform(0.3, 1.2) : 0.0,
+                         rng.uniform(2.0, 6.0), rng.uniform(0.0, 6.3)});
+    }
+  }
+
+  std::span<const Vec3> operator()(std::size_t step) {
+    const double t =
+        dt_ * (static_cast<double>(std::min(step, loud_)) +
+               1e-3 * static_cast<double>(step - std::min(step, loud_)));
+    for (std::size_t i = 0; i < bodies_.size(); ++i) {
+      const Body& b = bodies_[i];
+      const double x = t / b.tff;
+      const double r =
+          x < 1.0 ? std::max(b.r0 * std::pow(1.0 - x * x, 2.0 / 3.0), b.rcore)
+                  : b.rcore * (1.0 + 0.3 * std::sin(b.omega * (t - b.tff) +
+                                                    b.phase)) +
+                        b.vej * (t - b.tff);
+      pos_[i] = std::min(r, 15.0) * b.dir;
+    }
+    return pos_;
+  }
+
+ private:
+  struct Body {
+    Vec3 dir;
+    double r0, tff, rcore, vej, omega, phase;
+  };
+  double dt_;
+  std::size_t loud_;
+  std::vector<Body> bodies_;
+  std::vector<Vec3> pos_;
+};
+
+TEST(ReplayStrategy, SharedListCacheMatchesUncachedLoop) {
+  constexpr std::size_t kBodies = 20000;
+  constexpr std::size_t kSteps = 40;
+  TreeConfig tc;
+  tc.root_center = {0, 0, 0};
+  tc.root_half = 16.0;
+  const NodeSimulator node(bench::system_a_cpu(10),
+                           GpuSystemConfig::uniform(4));
+  const ExpansionContext ctx(4);
+  const TraversalConfig traversal;
+
+  bool observation = false, empties = false, refreshes = false;
+  int enforce_ops = 0, fgo_ops = 0;
+  for (LbStrategy strategy :
+       {LbStrategy::kStatic, LbStrategy::kEnforceOnly, LbStrategy::kFull}) {
+    SCOPED_TRACE(to_string(strategy));
+    LoadBalancerConfig lb_config;
+    lb_config.strategy = strategy;
+    lb_config.initial_S = 64;
+    Collapse cached_cloud(kBodies, 0.25, 30);
+    const auto got = bench::replay_strategy(cached_cloud, kSteps, tc,
+                                            lb_config, node, ctx, traversal);
+
+    // The loop without a cache: fresh lists for every observation, and a
+    // balancer whose dry runs walk the tree themselves.
+    Collapse cloud(kBodies, 0.25, 30);
+    auto observe = [&](const AdaptiveOctree& t) {
+      return node.observe_step(ctx, t, build_interaction_lists(t, traversal),
+                               20.0, 1);
+    };
+    AdaptiveOctree tree;
+    TreeConfig first = tc;
+    first.leaf_capacity = lb_config.initial_S;
+    tree.build(cloud(0), first);
+    LoadBalancer balancer(lb_config, traversal);
+    ObservedStepTimes observed = observe(tree);
+    std::uint64_t observed_structure = tree.structure_version();
+    ASSERT_EQ(got.size(), kSteps);
+    for (std::size_t step = 1; step <= kSteps; ++step) {
+      const std::span<const Vec3> pos = cloud(step);
+      std::vector<char> empty(tree.num_nodes());
+      for (int i = 0; i < tree.num_nodes(); ++i)
+        empty[i] = tree.node(i).count == 0;
+      tree.rebin(pos);
+      bool flipped = false;
+      for (int i = 0; i < tree.num_nodes(); ++i)
+        flipped |= empty[i] != (tree.node(i).count == 0);
+
+      const LbStepReport lb = balancer.post_step(tree, pos, observed, node);
+      // With no node flipped between empty and non-empty and the structure
+      // last observed, the shared cache refreshes its counts, not its lists.
+      empties |= flipped;
+      refreshes |= !flipped && tree.structure_version() == observed_structure;
+      observed_structure = tree.structure_version();
+      observed = observe(tree);
+      observation |= lb.state_after == LbState::kObservation;
+      enforce_ops += lb.enforce_ops;
+      fgo_ops += lb.fgo_ops;
+
+      const bench::ReplayRecord& r = got[step - 1];
+      SCOPED_TRACE(step);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.compute_seconds),
+                std::bit_cast<std::uint64_t>(observed.compute_seconds()));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cpu_seconds),
+                std::bit_cast<std::uint64_t>(observed.cpu_seconds));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.gpu_seconds),
+                std::bit_cast<std::uint64_t>(observed.gpu_seconds));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.lb_seconds),
+                std::bit_cast<std::uint64_t>(0.0 + lb.lb_seconds));
+      EXPECT_EQ(r.S, lb.S);
+      EXPECT_EQ(r.state, lb.state_after);
+    }
+  }
+  // The trajectory covers what the cache must get right: Observation with
+  // Enforce_S and FGO structure changes, and rebins with and without a
+  // node flipping between empty and non-empty.
+  EXPECT_TRUE(observation);
+  EXPECT_GT(enforce_ops, 0);
+  EXPECT_GT(fgo_ops, 0);
+  EXPECT_TRUE(empties);
+  EXPECT_TRUE(refreshes);
 }
 
 }  // namespace

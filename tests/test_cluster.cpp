@@ -132,8 +132,10 @@ TEST(Halo, PlanIsDeterministicAndCrossesBoundaries) {
   const std::uint32_t n = static_cast<std::uint32_t>(engine.tree().num_bodies());
   const ShardMap map = ShardMap::uniform(n, 2);
 
-  const HaloPlan a = build_halo_plan(engine.tree(), lists, map);
-  const HaloPlan b = build_halo_plan(engine.tree(), lists, map);
+  const HaloPlan a = build_halo_plan(engine.tree(), lists, map,
+                                     cfg.fmm.order, GravityProblem::kRhs);
+  const HaloPlan b = build_halo_plan(engine.tree(), lists, map,
+                                     cfg.fmm.order, GravityProblem::kRhs);
   EXPECT_GT(a.body_halo, 0u);
   EXPECT_GT(a.multipole_halo, 0u);
   EXPECT_GT(a.total_bytes, 0u);
@@ -147,9 +149,51 @@ TEST(Halo, PlanIsDeterministicAndCrossesBoundaries) {
   }
   // A single-shard map has no boundary to cross.
   const HaloPlan none =
-      build_halo_plan(engine.tree(), lists, ShardMap::uniform(n, 1));
+      build_halo_plan(engine.tree(), lists, ShardMap::uniform(n, 1),
+                      cfg.fmm.order, GravityProblem::kRhs);
   EXPECT_EQ(none.total_bytes, 0u);
   EXPECT_TRUE(none.messages.empty());
+}
+
+// A halo body carries its position and one value per rhs; a multipole
+// carries every coefficient of order <= p, per rhs.
+template <class Problem>
+void expect_halo_bytes_follow_order_and_rhs(Problem problem, int nrhs) {
+  EngineConfig cfg = base_config();
+  cfg.fmm.order = 5;
+  ClusterConfig cc;
+  cc.num_nodes = 3;
+  ClusterEngine<Problem> cluster(cfg, cc, std::move(problem));
+  const ClusterStepRecord rec = cluster.step();
+  ASSERT_GT(rec.halo_bodies, 0u);
+  ASSERT_GT(rec.halo_multipoles, 0u);
+  const std::uint64_t ncoef = 56;  // (p+1)(p+2)(p+3)/6 at p = 5
+  EXPECT_EQ(rec.halo_bytes,
+            8 * (rec.halo_bodies * (3 + nrhs) +
+                 rec.halo_multipoles * ncoef * nrhs));
+}
+
+TEST(Halo, BytesFollowOrderAndRhsCount) {
+  {
+    SCOPED_TRACE("gravity");
+    EngineConfig cfg = base_config();
+    cfg.fmm.order = 5;
+    expect_halo_bytes_follow_order_and_rhs(make_problem(cfg), 1);
+  }
+  {
+    SCOPED_TRACE("Stokes");
+    FmmConfig fmm;
+    fmm.order = 5;
+    Rng rng(5);
+    std::vector<Vec3> pos;
+    for (int i = 0; i < 600; ++i)
+      pos.push_back(
+          {rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-4, 4)});
+    expect_halo_bytes_follow_order_and_rhs(
+        StokesProblem(fmm, 0.05, 1.0, default_node(), pos,
+                      constant_force({0, 0, -1})),
+        4);
+  }
 }
 
 TEST(Interconnect, RetriesAreDeterministicPerSeed) {

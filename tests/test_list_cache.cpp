@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/fmm_solver.hpp"
@@ -61,7 +63,61 @@ std::vector<int> bottom_parents(const AdaptiveOctree& tree, int at_most) {
   return out;
 }
 
-// ------------------------------------------- serial vs parallel identity ----
+// ------------------------------------------ split walk vs plain recursion ----
+
+// The traversal's recursion rule as a plain depth-first walk, with no split
+// and no OpenMP, grouped as the library groups: M2L pairs into CSR by
+// target, P2P pairs into per-target items in order of first appearance.
+InteractionLists reference_lists(const AdaptiveOctree& tree, double theta) {
+  constexpr double kSqrt3 = 1.7320508075688772;
+  std::vector<std::pair<int, int>> m2l, p2p;
+  auto walk = [&](auto&& self, int ta, int sb) -> void {
+    const OctreeNode& a = tree.node(ta);
+    const OctreeNode& b = tree.node(sb);
+    if (a.count == 0 || b.count == 0) return;
+    const double s = (a.half * kSqrt3 + b.half * kSqrt3) / theta;
+    if (norm2(a.center - b.center) > s * s) {
+      m2l.emplace_back(ta, sb);
+      return;
+    }
+    const bool la = tree.is_effective_leaf(ta);
+    const bool lb = tree.is_effective_leaf(sb);
+    if (la && lb) {
+      p2p.emplace_back(ta, sb);
+    } else if (lb || (!la && a.half >= b.half)) {
+      for (int ch : a.children) self(self, ch, sb);
+    } else {
+      for (int ch : b.children) self(self, ta, ch);
+    }
+  };
+  walk(walk, tree.root(), tree.root());
+
+  const int n = tree.num_nodes();
+  InteractionLists out;
+  out.m2l_offset.assign(n + 1, 0);
+  for (const auto& [t, s] : m2l) ++out.m2l_offset[t + 1];
+  for (int i = 0; i < n; ++i) out.m2l_offset[i + 1] += out.m2l_offset[i];
+  std::vector<std::uint32_t> cursor(out.m2l_offset.begin(),
+                                    out.m2l_offset.end() - 1);
+  out.m2l_sources.resize(m2l.size());
+  for (const auto& [t, s] : m2l) out.m2l_sources[cursor[t]++] = s;
+  out.total_m2l_pairs = m2l.size();
+
+  std::vector<int> work_of(n, -1);
+  for (const auto& [t, s] : p2p) {
+    if (work_of[t] < 0) {
+      work_of[t] = static_cast<int>(out.p2p.size());
+      out.p2p.push_back({t, {}, 0});
+    }
+    P2PWork& w = out.p2p[work_of[t]];
+    w.sources.push_back(s);
+    w.interactions +=
+        static_cast<std::uint64_t>(tree.node(t).count) * tree.node(s).count;
+    out.total_p2p_interactions +=
+        static_cast<std::uint64_t>(tree.node(t).count) * tree.node(s).count;
+  }
+  return out;
+}
 
 struct WalkCase {
   const char* name;
@@ -72,7 +128,7 @@ struct WalkCase {
 
 class ParallelWalk : public ::testing::TestWithParam<WalkCase> {};
 
-TEST_P(ParallelWalk, MatchesSerialWalkBitForBit) {
+TEST_P(ParallelWalk, MatchesReferenceWalkBitForBit) {
   const auto& wc = GetParam();
   Rng rng(wc.n + wc.S);
   std::vector<Vec3> pts;
@@ -91,16 +147,14 @@ TEST_P(ParallelWalk, MatchesSerialWalkBitForBit) {
   AdaptiveOctree tree;
   tree.build(pts, tc);
 
-  InteractionLists serial, parallel;
-  {
-    OmpThreads one(1);
-    serial = build_interaction_lists(tree);
+  const TraversalConfig cfg;
+  const InteractionLists ref = reference_lists(tree, cfg.theta);
+  ASSERT_GT(ref.total_m2l_pairs, 0u);
+  for (int threads : {1, 4}) {
+    OmpThreads scope(threads);
+    SCOPED_TRACE(threads);
+    expect_lists_equal(build_interaction_lists(tree, cfg), ref);
   }
-  {
-    OmpThreads four(4);
-    parallel = build_interaction_lists(tree);
-  }
-  expect_lists_equal(serial, parallel);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,7 +164,9 @@ INSTANTIATE_TEST_SUITE_P(
                       WalkCase{"plummer_fine", 20000, 16, true},
                       WalkCase{"plummer_coarse", 20000, 128, true},
                       WalkCase{"uniform_s8", 12000, 8, false},
-                      WalkCase{"plummer_s8", 12000, 8, true}),
+                      WalkCase{"plummer_s8", 12000, 8, true},
+                      // A dense core whose pairs split several levels deep.
+                      WalkCase{"plummer_deep_split", 60000, 512, true}),
     [](const auto& info) { return info.param.name; });
 
 // ------------------------------------------------------------- the cache ----

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "dist/distributions.hpp"
 #include "octree/octree.hpp"
@@ -455,6 +457,46 @@ TEST(Octree, RebinKeepsStructureAndCounts) {
   std::uint64_t total = 0;
   for (int leaf : tree.effective_leaves()) total += tree.node(leaf).count;
   EXPECT_EQ(total, 2000u);
+}
+
+TEST(Octree, ParallelAndSerialRebinsAgree) {
+  // Large enough that rebin re-splits subtrees as tasks.
+  Rng rng(19);
+  auto set = plummer(100000, rng);
+  const TreeConfig tc = fit_cube(set.positions, unit_config(32));
+  AdaptiveOctree serial;
+  serial.build(set.positions, tc);
+  AdaptiveOctree parallel = serial;
+  std::vector<std::uint32_t> built_counts;
+  for (int i = 0; i < serial.num_nodes(); ++i)
+    built_counts.push_back(serial.node(i).count);
+  // Every body moves toward the center and stays inside the root box; many
+  // change leaf.
+  for (auto& p : set.positions)
+    p = tc.root_center + 0.9 * (p - tc.root_center);
+  {
+    OmpThreads one(1);
+    serial.rebin(set.positions);
+  }
+  {
+    OmpThreads four(4);
+    parallel.rebin(set.positions);
+  }
+  expect_valid(parallel);
+  expect_geometric_containment(parallel);
+  for (std::size_t t = 0; t < parallel.num_bodies(); ++t)
+    ASSERT_EQ(parallel.sorted_positions()[t],
+              set.positions[parallel.perm()[t]]);
+  ASSERT_EQ(serial.num_nodes(), parallel.num_nodes());
+  int changed = 0;
+  for (int i = 0; i < serial.num_nodes(); ++i) {
+    changed += serial.node(i).count != built_counts[i];
+    EXPECT_EQ(serial.node(i).begin, parallel.node(i).begin) << "node " << i;
+    EXPECT_EQ(serial.node(i).count, parallel.node(i).count) << "node " << i;
+  }
+  EXPECT_GT(changed, 100);
+  EXPECT_TRUE(std::equal(serial.perm().begin(), serial.perm().end(),
+                         parallel.perm().begin(), parallel.perm().end()));
 }
 
 TEST(Octree, RebinRejectsChangedBodyCount) {
