@@ -133,6 +133,7 @@ int main(int argc, char** argv) {
     opt.max_radius = 8.0;
     const auto set = plummer(static_cast<std::size_t>(n), rng, opt);
     NodeSimulator node(system_a_cpu(12), GpuSystemConfig::uniform(2));
+    node.set_overlap(OverlapMode::kOn);
     const ExpansionContext ctx(order);
     std::printf("gate B (honest win):        serialized timeline = launch + "
                 "max(CPU far, upload + kernel) + download\n");
@@ -144,7 +145,6 @@ int main(int argc, char** argv) {
       AdaptiveOctree tree;
       tree.build(set.positions, tc);
       const auto lists = build_interaction_lists(tree, {});
-      ObservedStepTimes t = node.simulate_far_field(ctx, tree, lists, 1);
       const auto gpu = simulate_p2p_timing(tree, lists.p2p, 20.0, node.gpus(),
                                            &node.health());
       if (gpu.cpu_fallback) {
@@ -152,8 +152,7 @@ int main(int argc, char** argv) {
         std::printf("  S=%-4d UNEXPECTED CPU FALLBACK\n", s);
         continue;
       }
-      t.gpu_seconds = gpu.max_kernel_seconds;
-      node.overlap_step(ctx, tree, lists, gpu, 1, t);
+      const ObservedStepTimes t = node.observe(ctx, tree, lists, gpu, 1);
       const double serialized = gpu.timeline.step_seconds(t.cpu_seconds);
       const bool below = t.cpu_seconds > 0.0 && t.gpu_seconds > 0.0 &&
                          t.overlap_seconds < serialized;

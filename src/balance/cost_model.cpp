@@ -39,24 +39,6 @@ void CostModel::observe(const ObservedStepTimes& t, int num_cores) {
                             ? eff
                             : (alpha_ * eff + (1 - alpha_) * c_.cpu_efficiency);
   }
-  // Per-sweep efficiencies, observed whenever the sweep makespans are
-  // reported (the serialized builder always fills them).
-  const double up_work = t.t_p2m + t.t_m2m;
-  if (t.cpu_up_seconds > 0.0 && num_cores > 0 && std::isfinite(up_work)) {
-    const double eff =
-        std::clamp(up_work / (t.cpu_up_seconds * num_cores), 0.05, 1.0);
-    c_.up_efficiency = (observations_ == 0)
-                           ? eff
-                           : (alpha_ * eff + (1 - alpha_) * c_.up_efficiency);
-  }
-  const double down_work = t.t_m2l + t.t_l2l + t.t_l2p;
-  if (t.cpu_down_seconds > 0.0 && num_cores > 0 && std::isfinite(down_work)) {
-    const double eff =
-        std::clamp(down_work / (t.cpu_down_seconds * num_cores), 0.05, 1.0);
-    c_.down_efficiency =
-        (observations_ == 0) ? eff
-                             : (alpha_ * eff + (1 - alpha_) * c_.down_efficiency);
-  }
   // Overlap-executor observables, learned only from steps the merged DAG
   // actually ran (they describe the relaxed-barrier schedule, which the
   // serialized path never produces).
@@ -116,21 +98,6 @@ double CostModel::predict_near(const OpCounts& m) const {
 
 double CostModel::predict_compute(const OpCounts& m, int num_cores) const {
   return std::max(predict_cpu(m, num_cores), predict_gpu(m));
-}
-
-CostModel::FarPhasePrediction CostModel::predict_far_phases(
-    const OpCounts& m, int num_cores) const {
-  FarPhasePrediction out;
-  const double up_work = c_.p2m_per_body * static_cast<double>(m.p2m_bodies) +
-                         c_.m2m * static_cast<double>(m.m2m);
-  const double down_work =
-      c_.m2l * static_cast<double>(m.m2l) +
-      c_.l2l * static_cast<double>(m.l2l) +
-      c_.l2p_per_body * static_cast<double>(m.l2p_bodies);
-  const double cores = static_cast<double>(num_cores);
-  out.up_seconds = up_work / std::max(1e-9, cores * c_.up_efficiency);
-  out.down_seconds = down_work / std::max(1e-9, cores * c_.down_efficiency);
-  return out;
 }
 
 double CostModel::predict_far_overlap(const OpCounts& m, int num_cores) const {

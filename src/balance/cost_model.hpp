@@ -34,11 +34,6 @@ struct CostCoefficients {
   double p2p_cpu = 0.0;
   // Observed parallel efficiency of the far-field task schedule.
   double cpu_efficiency = 1.0;
-  // Per-sweep parallel efficiencies (up = P2M+M2M, down = the rest): the
-  // overlap model predicts the sweeps separately because the merged DAG
-  // relaxes the inter-sweep barrier.
-  double up_efficiency = 1.0;
-  double down_efficiency = 1.0;
   // Parallel efficiency of the CPU side of the merged overlap DAG (far-field
   // work / (last CPU task finish * cores)); learned only from steps the
   // overlap executor actually ran.
@@ -98,16 +93,6 @@ class CostModel {
   double predict_far(const OpCounts& m, int num_cores) const;
   double predict_near(const OpCounts& m) const;
   double predict_compute(const OpCounts& m, int num_cores) const;
-
-  // Per-phase far-field decomposition (DESIGN.md section 14): predicted
-  // wall clock of the up sweep and the down sweep separately, using the
-  // per-sweep efficiencies.
-  struct FarPhasePrediction {
-    double up_seconds = 0.0;
-    double down_seconds = 0.0;
-  };
-  FarPhasePrediction predict_far_phases(const OpCounts& m,
-                                        int num_cores) const;
 
   // Overlap-aware analogs of predict_far / predict_compute: the far field
   // priced at the merged-DAG efficiency (falls back to cpu_efficiency until

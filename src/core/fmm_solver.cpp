@@ -296,15 +296,8 @@ void FmmSolver<Kernel>::run(const AdaptiveOctree& tree,
                     node_.gpus(), std::span<Accum>(near), &node_.health(),
                     arm_p2p ? &p2p_hooks : nullptr);
 
-  out.times = node_.simulate_far_field(far_.context(), tree, lists, nrhs);
-  if (out.gpu.cpu_fallback)
-    out.times.cpu_p2p_seconds = node_.cpu_p2p_seconds(out.gpu.total_interactions);
-  else
-    out.times.gpu_seconds = out.gpu.max_kernel_seconds;
-  out.times.transfer_retries = out.gpu.timeline.retries;
-  if (node_.overlap_enabled())
-    out.dag = node_.overlap_step(far_.context(), tree, lists, out.gpu, nrhs,
-                                 out.times);
+  out.times =
+      node_.observe(far_.context(), tree, lists, out.gpu, nrhs, &out.dag);
   out.stats = make_stats(tree, lists);
 }
 

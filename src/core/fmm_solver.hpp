@@ -111,7 +111,6 @@ class FmmSolver {
  public:
   NodeSimulator& node() { return node_; }
   const NodeSimulator& node() const { return node_; }
-  const Kernel& kernel() const { return kernel_; }
 
   // Share an external interaction-list cache (e.g. with the load balancer so
   // its dry runs and the next solve reuse one traversal); nullptr returns to

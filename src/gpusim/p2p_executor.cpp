@@ -46,7 +46,6 @@ GpuRunResult simulate_p2p_timing(const AdaptiveOctree& tree,
   }
 
   const auto assignment = partition_p2p_work(work, weights);
-  result.imbalance = partition_imbalance(work, assignment, weights);
 
   std::vector<GpuTransferShape> transfers;
   result.transfers.assign(system.devices.size(), GpuTransferShape{});

@@ -71,7 +71,6 @@ struct GpuRunResult {
   std::vector<GpuKernelTiming> per_gpu;
   double max_kernel_seconds = 0.0;  // the paper's "GPU Time"
   std::uint64_t total_interactions = 0;
-  double imbalance = 1.0;
   // All GPUs lost: the near field ran on the CPU; max_kernel_seconds is 0
   // and the caller charges total_interactions through the CPU cost model.
   bool cpu_fallback = false;
@@ -103,12 +102,13 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // Runs all P2P work. `sources` and `ids` are tree-ordered (node spans index
 // into them); `out` accumulates per tree-ordered body.
 //
-// Host execution: every device's share (or, with every GPU lost, every work
-// item) is gathered into one list that runs under an OpenMP dynamic loop,
-// one thread-private staging buffer per thread. Bits do not depend on the
-// thread count or the device split: each target node has exactly one work
-// item, so items write disjoint spans of `out`, and each target visits its
-// sources in the item's own order.
+// Host execution: the work list runs in list order under an OpenMP dynamic
+// loop -- the device shares are contiguous runs of it (the paper's walk), so
+// their concatenation is the list itself -- with one thread-private staging
+// buffer per thread. Bits do not depend on the thread count or the device
+// split: each target node has exactly one work item, so items write
+// disjoint spans of `out`, and each target visits its sources in the item's
+// own order.
 //
 // ABFT (sdc/): each work item -- one "batch", the unit a device would hand
 // back -- is computed into a staging buffer, checksummed at production, and
@@ -201,24 +201,14 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
   GpuRunResult result =
       simulate_p2p_timing(tree, work, Kernel::flops_per_interaction(), system,
                           health);
-  std::vector<int> items;
-  if (result.cpu_fallback) {
-    items.resize(work.size());
-    for (std::size_t i = 0; i < items.size(); ++i)
-      items[i] = static_cast<int>(i);
-  } else {
-    const auto weights = device_weights(system, health);
-    for (const auto& assigned : partition_p2p_work(work, weights))
-      items.insert(items.end(), assigned.begin(), assigned.end());
-  }
 
+  const int items = static_cast<int>(work.size());
   int injected = 0, detected = 0, repaired = 0, unrepaired = 0;
 #pragma omp parallel reduction(+ : injected, detected, repaired, unrepaired)
   {
     std::vector<Accum> batch;
 #pragma omp for schedule(dynamic)
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      const int wi = items[i];
+    for (int wi = 0; wi < items; ++wi) {
       compute_batch(wi, batch);
       const std::size_t bytes = batch.size() * sizeof(Accum);
       // ABFT checksum at production time (before the batch "leaves the

@@ -68,14 +68,6 @@ struct MachineHealth {
     ++fault_epoch;
   }
 
-  bool nominal() const {
-    if (cpu_cores_available < cpu_cores_provisioned) return false;
-    if (transfer_fault_prob > 0.0) return false;
-    for (const auto& g : gpus)
-      if (!g.alive || g.clock_scale < 1.0) return false;
-    return true;
-  }
-
   int num_alive_gpus() const {
     int n = 0;
     for (const auto& g : gpus) n += g.alive ? 1 : 0;

@@ -38,22 +38,15 @@ double CpuModelConfig::task_seconds(double flops, int p) const {
 
 namespace {
 
-// Builds the up-sweep and down-sweep task graphs and returns their combined
-// makespan plus per-op totals. Work per task:
-//   up-sweep   : leaf -> P2M over its bodies; internal -> one M2M per
-//                nonempty child
-//   down-sweep : every node -> its M2L list + one incoming L2L (if parent);
-//                leaf -> additionally L2P over its bodies
-struct FarFieldBreakdown {
-  double up_makespan = 0.0;
-  double down_makespan = 0.0;
-  double t_p2m = 0.0, t_m2m = 0.0, t_m2l = 0.0, t_l2l = 0.0, t_l2p = 0.0;
-};
+CpuModelConfig with_cores(CpuModelConfig cpu, int cores) {
+  cpu.num_cores = cores;
+  return cpu;
+}
 
 // Per-operation flops of one node's sweep tasks. up()/down() sum their
 // addends in the exact order the historical builder accumulated them, so
 // task durations stay bitwise identical across the serialized and overlap
-// builders.
+// graphs.
 struct NodeSweepFlops {
   double p2m = 0.0, m2m = 0.0;             // up-sweep
   double m2l = 0.0, l2l = 0.0, l2p = 0.0;  // down-sweep
@@ -61,6 +54,9 @@ struct NodeSweepFlops {
   double down() const { return l2p + m2l + l2l; }
 };
 
+// Work per node: leaf -> P2M and L2P over its bodies; every node -> its M2L
+// list; nonroot -> one M2M into the parent and one L2L from it (both run
+// after the child's own subtree and are charged on the child's tasks).
 NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
                                 const AdaptiveOctree& tree,
                                 const InteractionLists& lists, int id,
@@ -74,127 +70,85 @@ NodeSweepFlops node_sweep_flops(const ExpansionContext& ctx,
   const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
   if (m2l_count > 0) f.m2l = passes * ctx.flops_m2l() * m2l_count;
   if (n.parent >= 0) {
-    // M2M into the parent is charged on the child task (it runs after the
-    // child subtree completes); L2L from the parent on the child as well.
     f.m2m = passes * ctx.flops_m2m();
     f.l2l = passes * ctx.flops_l2l();
   }
   return f;
 }
 
-FarFieldBreakdown build_and_schedule(const ExpansionContext& ctx,
-                                     const AdaptiveOctree& tree,
-                                     const InteractionLists& lists,
-                                     const CpuModelConfig& cpu,
-                                     int m2l_passes) {
-  FarFieldBreakdown out;
-  const int p = cpu.num_cores;
-  const double ov = cpu.task_overhead_us * 1e-6;
+// One nonempty effective-tree node; `parent` is the parent's index in the
+// same list (-1 at the root).
+struct SweepNode {
+  int id = -1;
+  int parent = -1;
+  NodeSweepFlops flops;
+};
+
+// The nonempty effective-tree nodes in preorder, collected once per
+// observation. The serialized sweeps, the op totals and the overlap DAG all
+// read this list, and a node's index in it is its task id in each sweep
+// graph.
+std::vector<SweepNode> sweep_nodes(const ExpansionContext& ctx,
+                                   const AdaptiveOctree& tree,
+                                   const InteractionLists& lists,
+                                   int m2l_passes) {
   const double passes = static_cast<double>(m2l_passes);
-
-  TaskGraphSim up;
-  TaskGraphSim down;
-  // task ids per node (only nonempty effective-tree nodes get tasks)
-  std::vector<int> up_id(tree.num_nodes(), -1);
-  std::vector<int> down_id(tree.num_nodes(), -1);
-
-  auto visit = [&](auto&& self, int id) -> void {
+  std::vector<SweepNode> out;
+  auto visit = [&](auto&& self, int id, int parent) -> void {
     const OctreeNode& n = tree.node(id);
     if (n.count == 0) return;
-
-    const NodeSweepFlops f = node_sweep_flops(ctx, tree, lists, id, passes);
-    out.t_p2m += cpu.task_seconds(f.p2m, p);
-    out.t_l2p += cpu.task_seconds(f.l2p, p);
-    out.t_m2l += cpu.task_seconds(f.m2l, p);
-    out.t_m2m += cpu.task_seconds(f.m2m, p);
-    out.t_l2l += cpu.task_seconds(f.l2l, p);
-
-    up_id[id] = up.add_task(cpu.task_seconds(f.up(), p));
-    down_id[id] = down.add_task(cpu.task_seconds(f.down(), p));
-    if (n.parent >= 0 && up_id[n.parent] >= 0) {
-      up.add_dependency(up_id[id], up_id[n.parent]);
-      down.add_dependency(down_id[n.parent], down_id[id]);
-    }
+    const int at = static_cast<int>(out.size());
+    out.push_back({id, parent, node_sweep_flops(ctx, tree, lists, id, passes)});
     if (!tree.is_effective_leaf(id))
-      for (int c : n.children) self(self, c);
+      for (int c : n.children) self(self, c, at);
   };
-  if (!tree.empty()) visit(visit, tree.root());
-
-  out.up_makespan = up.num_tasks() ? up.makespan(p, ov) : 0.0;
-  out.down_makespan = down.num_tasks() ? down.makespan(p, ov) : 0.0;
+  if (!tree.empty()) visit(visit, tree.root(), -1);
   return out;
 }
 
-}  // namespace
-
-ObservedStepTimes NodeSimulator::simulate_far_field(
-    const ExpansionContext& ctx, const AdaptiveOctree& tree,
-    const InteractionLists& lists, int m2l_passes) const {
+// The serialized far field on `cpu.num_cores` cores: the up-sweep graph
+// (edges child -> parent) and then the down-sweep graph (parent -> child),
+// a barrier between them, plus the per-op totals and counts.
+ObservedStepTimes far_field(const std::vector<SweepNode>& nodes,
+                            const AdaptiveOctree& tree,
+                            const InteractionLists& lists,
+                            const CpuModelConfig& cpu) {
   ObservedStepTimes t;
-  // Preempted cores do not schedule tasks: the graph runs on what is left.
-  CpuModelConfig cpu = cpu_;
-  cpu.num_cores = effective_cores();
-  const auto bd = build_and_schedule(ctx, tree, lists, cpu, m2l_passes);
-  t.cpu_seconds = bd.up_makespan + bd.down_makespan;
-  t.cpu_up_seconds = bd.up_makespan;
-  t.cpu_down_seconds = bd.down_makespan;
-  t.counts = count_operations(tree, lists);
-  t.t_p2m = bd.t_p2m;
-  t.t_m2m = bd.t_m2m;
-  t.t_m2l = bd.t_m2l;
-  t.t_l2l = bd.t_l2l;
-  t.t_l2p = bd.t_l2p;
-  return t;
-}
-
-double NodeSimulator::serial_all_cpu_seconds(const ExpansionContext& ctx,
-                                             const AdaptiveOctree& tree,
-                                             const InteractionLists& lists,
-                                             int m2l_passes) const {
-  CpuModelConfig serial = cpu_;
-  serial.num_cores = 1;
-  const auto bd = build_and_schedule(ctx, tree, lists, serial, m2l_passes);
-  const auto counts = count_operations(tree, lists);
-  const double p2p = serial.task_seconds(
-      static_cast<double>(counts.p2p_interactions) * serial.p2p_flops, 1);
-  return bd.up_makespan + bd.down_makespan + p2p;
-}
-
-double NodeSimulator::cpu_p2p_seconds(std::uint64_t interactions) const {
-  const int p = effective_cores();
-  // Direct interactions parallelize embarrassingly over target nodes, so the
-  // wall clock is the contended per-core time divided by the active cores.
-  return cpu_.task_seconds(static_cast<double>(interactions) * cpu_.p2p_flops,
-                           p) /
-         static_cast<double>(p);
-}
-
-ObservedStepTimes NodeSimulator::observe_step(const ExpansionContext& ctx,
-                                              const AdaptiveOctree& tree,
-                                              const InteractionLists& lists,
-                                              double flops_per_interaction,
-                                              int m2l_passes) const {
-  ObservedStepTimes t = simulate_far_field(ctx, tree, lists, m2l_passes);
-  const auto gpu = simulate_p2p_timing(tree, lists.p2p, flops_per_interaction,
-                                       gpus_, &health_);
-  if (gpu.cpu_fallback) {
-    t.cpu_p2p_seconds = cpu_p2p_seconds(gpu.total_interactions);
-  } else {
-    t.gpu_seconds = gpu.max_kernel_seconds;
+  const int p = cpu.num_cores;
+  TaskGraphSim up;
+  TaskGraphSim down;
+  for (const SweepNode& s : nodes) {
+    const NodeSweepFlops& f = s.flops;
+    t.t_p2m += cpu.task_seconds(f.p2m, p);
+    t.t_l2p += cpu.task_seconds(f.l2p, p);
+    t.t_m2l += cpu.task_seconds(f.m2l, p);
+    t.t_m2m += cpu.task_seconds(f.m2m, p);
+    t.t_l2l += cpu.task_seconds(f.l2l, p);
+    const int task = up.add_task(cpu.task_seconds(f.up(), p));
+    down.add_task(cpu.task_seconds(f.down(), p));
+    if (s.parent >= 0) {
+      up.add_dependency(task, s.parent);
+      down.add_dependency(s.parent, task);
+    }
   }
-  t.transfer_retries = gpu.timeline.retries;
+  const double ov = cpu.task_overhead_us * 1e-6;
+  const double up_makespan = nodes.empty() ? 0.0 : up.makespan(p, ov);
+  const double down_makespan = nodes.empty() ? 0.0 : down.makespan(p, ov);
+  t.cpu_seconds = up_makespan + down_makespan;
+  t.counts = count_operations(tree, lists);
   return t;
 }
 
-std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
-    const ExpansionContext& ctx, const AdaptiveOctree& tree,
-    const InteractionLists& lists, const GpuRunResult& gpu, int m2l_passes,
-    ObservedStepTimes& times) const {
-  CpuModelConfig cpu = cpu_;
-  cpu.num_cores = effective_cores();
+// The merged step DAG on `cpu.num_cores` workers plus one serial lane per
+// alive GPU, re-timing the work `times` already carries (its cpu_p2p_seconds
+// is the fallback near field). Fills times.overlap_* and returns the
+// executed schedule.
+std::shared_ptr<const DagSchedule> overlap_dag(
+    const std::vector<SweepNode>& nodes, const AdaptiveOctree& tree,
+    const InteractionLists& lists, const GpuRunResult& gpu,
+    const CpuModelConfig& cpu, ObservedStepTimes& times) {
   const int p = cpu.num_cores;
   const double ov = cpu.task_overhead_us * 1e-6;
-  const double passes = static_cast<double>(m2l_passes);
 
   TaskGraphSim dag;
   struct TaskInfo {
@@ -252,56 +206,43 @@ std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
     // All GPUs lost: the near field is P embarrassingly parallel CPU shares
     // competing with the far-field tasks from t = 0 (no barrier between
     // them -- that is the point of the data-driven executor).
-    const double share = cpu_p2p_seconds(gpu.total_interactions);
-    for (int i = 0; i < p; ++i) add_cpu(DagTaskKind::kCpuP2p, i, share);
+    for (int i = 0; i < p; ++i)
+      add_cpu(DagTaskKind::kCpuP2p, i, times.cpu_p2p_seconds);
   }
 
-  // Merged far field: same per-node task durations as build_and_schedule,
-  // but one graph. Up edges child -> parent, down edges parent -> child,
-  // and a cross edge from each M2L source's up task into the consumer's
-  // down task (the source multipole must be complete before translation).
-  // All up tasks take lower ids than any down task: equal-readiness ties
-  // break toward the up sweep, whose results unlock the M2L-gated down
-  // tasks (a list-scheduling priority, not a barrier -- a ready down task
-  // still runs the moment a worker has no up work to take).
-  std::vector<int> up_id(tree.num_nodes(), -1);
-  std::vector<int> down_id(tree.num_nodes(), -1);
-  auto visit_up = [&](auto&& self, int id) -> void {
-    const OctreeNode& n = tree.node(id);
-    if (n.count == 0) return;
-    const NodeSweepFlops f = node_sweep_flops(ctx, tree, lists, id, passes);
-    up_id[id] = add_cpu(DagTaskKind::kUp, id, cpu.task_seconds(f.up(), p));
-    if (n.parent >= 0 && up_id[n.parent] >= 0)
-      dag.add_dependency(up_id[id], up_id[n.parent]);
-    if (!tree.is_effective_leaf(id))
-      for (int c : n.children) self(self, c);
-  };
-  auto visit_down = [&](auto&& self, int id) -> void {
-    const OctreeNode& n = tree.node(id);
-    if (n.count == 0) return;
-    const NodeSweepFlops f = node_sweep_flops(ctx, tree, lists, id, passes);
-    down_id[id] =
-        add_cpu(DagTaskKind::kDown, id, cpu.task_seconds(f.down(), p));
-    if (n.parent >= 0 && down_id[n.parent] >= 0)
-      dag.add_dependency(down_id[n.parent], down_id[id]);
-    if (!tree.is_effective_leaf(id))
-      for (int c : n.children) self(self, c);
-  };
-  if (!tree.empty()) {
-    visit_up(visit_up, tree.root());
-    visit_down(visit_down, tree.root());
+  // Merged far field: the serialized graphs' per-node task durations in one
+  // graph. Up edges child -> parent, down edges parent -> child, and a cross
+  // edge from each M2L source's up task into the consumer's down task (the
+  // source multipole must be complete before translation). All up tasks
+  // take lower ids than any down task: equal-readiness ties break toward the
+  // up sweep, whose results unlock the M2L-gated down tasks (a
+  // list-scheduling priority, not a barrier -- a ready down task still runs
+  // the moment a worker has no up work to take).
+  const int up0 = dag.num_tasks();
+  for (const SweepNode& s : nodes) {
+    const int task =
+        add_cpu(DagTaskKind::kUp, s.id, cpu.task_seconds(s.flops.up(), p));
+    if (s.parent >= 0) dag.add_dependency(task, up0 + s.parent);
   }
+  const int down0 = dag.num_tasks();
+  for (const SweepNode& s : nodes) {
+    const int task = add_cpu(DagTaskKind::kDown, s.id,
+                             cpu.task_seconds(s.flops.down(), p));
+    if (s.parent >= 0) dag.add_dependency(down0 + s.parent, task);
+  }
+  std::vector<int> at(tree.num_nodes(), -1);
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    at[nodes[i].id] = static_cast<int>(i);
   for (int id = 0; id < tree.num_nodes(); ++id) {
-    if (down_id[id] < 0) continue;
+    if (at[id] < 0) continue;
     for (std::uint32_t e = lists.m2l_offset[id]; e < lists.m2l_offset[id + 1];
          ++e) {
       const int src = lists.m2l_sources[e];
-      if (up_id[src] >= 0) dag.add_dependency(up_id[src], down_id[id]);
+      if (at[src] >= 0) dag.add_dependency(up0 + at[src], down0 + at[id]);
     }
   }
 
   auto schedule = std::make_shared<DagSchedule>();
-  schedule->cpu_workers = p;
   schedule->gpu_lanes = lanes;
   if (dag.num_tasks() == 0) return schedule;
 
@@ -323,6 +264,67 @@ std::shared_ptr<const DagSchedule> NodeSimulator::overlap_step(
   times.overlap_cpu_seconds = cpu_finish;
   times.overlap_near_seconds = lane_finish;
   return schedule;
+}
+
+}  // namespace
+
+ObservedStepTimes NodeSimulator::simulate_far_field(
+    const ExpansionContext& ctx, const AdaptiveOctree& tree,
+    const InteractionLists& lists, int m2l_passes) const {
+  // Preempted cores do not schedule tasks: the graph runs on what is left.
+  return far_field(sweep_nodes(ctx, tree, lists, m2l_passes), tree, lists,
+                   with_cores(cpu_, effective_cores()));
+}
+
+double NodeSimulator::serial_all_cpu_seconds(const ExpansionContext& ctx,
+                                             const AdaptiveOctree& tree,
+                                             const InteractionLists& lists,
+                                             int m2l_passes) const {
+  const CpuModelConfig serial = with_cores(cpu_, 1);
+  const ObservedStepTimes t =
+      far_field(sweep_nodes(ctx, tree, lists, m2l_passes), tree, lists, serial);
+  const double p2p = serial.task_seconds(
+      static_cast<double>(t.counts.p2p_interactions) * serial.p2p_flops, 1);
+  return t.cpu_seconds + p2p;
+}
+
+double NodeSimulator::cpu_p2p_seconds(std::uint64_t interactions) const {
+  const int p = effective_cores();
+  // Direct interactions parallelize embarrassingly over target nodes, so the
+  // wall clock is the contended per-core time divided by the active cores.
+  return cpu_.task_seconds(static_cast<double>(interactions) * cpu_.p2p_flops,
+                           p) /
+         static_cast<double>(p);
+}
+
+ObservedStepTimes NodeSimulator::observe(
+    const ExpansionContext& ctx, const AdaptiveOctree& tree,
+    const InteractionLists& lists, const GpuRunResult& gpu, int m2l_passes,
+    std::shared_ptr<const DagSchedule>* dag) const {
+  const CpuModelConfig cpu = with_cores(cpu_, effective_cores());
+  const auto nodes = sweep_nodes(ctx, tree, lists, m2l_passes);
+  ObservedStepTimes t = far_field(nodes, tree, lists, cpu);
+  if (gpu.cpu_fallback)
+    t.cpu_p2p_seconds = cpu_p2p_seconds(gpu.total_interactions);
+  else
+    t.gpu_seconds = gpu.max_kernel_seconds;
+  t.transfer_retries = gpu.timeline.retries;
+  if (overlap_enabled()) {
+    auto schedule = overlap_dag(nodes, tree, lists, gpu, cpu, t);
+    if (dag) *dag = std::move(schedule);
+  }
+  return t;
+}
+
+ObservedStepTimes NodeSimulator::observe_step(const ExpansionContext& ctx,
+                                              const AdaptiveOctree& tree,
+                                              const InteractionLists& lists,
+                                              double flops_per_interaction,
+                                              int m2l_passes) const {
+  return observe(ctx, tree, lists,
+                 simulate_p2p_timing(tree, lists.p2p, flops_per_interaction,
+                                     gpus_, &health_),
+                 m2l_passes);
 }
 
 double NodeSimulator::rebuild_seconds(std::size_t bodies, int nodes) const {

@@ -97,7 +97,6 @@ struct DagTaskSpan {
 struct DagSchedule {
   std::vector<DagTaskSpan> tasks;
   double makespan = 0.0;
-  int cpu_workers = 0;
   int gpu_lanes = 0;
 };
 
@@ -111,10 +110,6 @@ struct ObservedStepTimes {
   double cpu_p2p_seconds = 0.0;
   // Failed transfer attempts charged by the retry model this step.
   int transfer_retries = 0;
-  // Per-sweep split of cpu_seconds (up = P2M+M2M, down = the rest); the
-  // overlap cost model predicts the sweeps separately.
-  double cpu_up_seconds = 0.0;
-  double cpu_down_seconds = 0.0;
   // Event-driven makespan of the merged step DAG (zero when overlap
   // execution is off). When set it IS the step's compute time; the
   // serialized quantities above are still reported for comparison.
@@ -174,9 +169,8 @@ class NodeSimulator {
   }
 
   // Far-field timing: builds the up/down-sweep task graphs for `tree` with
-  // `lists` and returns CPU time + op totals. `flops_per_interaction` of the
-  // active physics kernel is needed only for the all-on-CPU baseline.
-  // `m2l_passes` scales the expansion work (4 for the Stokeslet solver).
+  // `lists` and returns CPU time + op totals. `m2l_passes` scales the
+  // expansion work (4 for the Stokeslet solver).
   ObservedStepTimes simulate_far_field(const ExpansionContext& ctx,
                                        const AdaptiveOctree& tree,
                                        const InteractionLists& lists,
@@ -194,28 +188,30 @@ class NodeSimulator {
   // (graceful-degradation fallback; embarrassingly parallel over targets).
   double cpu_p2p_seconds(std::uint64_t interactions) const;
 
-  // Full timing-only observation of one solve on `tree`: far-field task
-  // graphs on the effective cores plus the P2P phase on the surviving GPUs
-  // (capability-weighted partition, throttled clocks, transfer retries) or
-  // the CPU fallback. This is exactly what a real solve reports, minus the
-  // numerics -- benches and balancer tests drive the machine through it.
+  // The one place a step's times are assembled: the far-field task graphs
+  // on the effective cores, the near field `gpu` ran (kernel time, or the
+  // CPU fallback's cpu_p2p_seconds) with its transfer retries, and, when
+  // the node overlaps, the merged step DAG (see the header comment) re-timing
+  // that same work -- task durations equal the serialized ones, only the
+  // ordering changes. The executed schedule goes to `*dag` when the DAG ran
+  // and `dag` is non-null.
+  ObservedStepTimes observe(const ExpansionContext& ctx,
+                            const AdaptiveOctree& tree,
+                            const InteractionLists& lists,
+                            const GpuRunResult& gpu, int m2l_passes,
+                            std::shared_ptr<const DagSchedule>* dag =
+                                nullptr) const;
+
+  // Full timing-only observation of one solve on `tree`: observe() on the
+  // P2P timing of the surviving GPUs (capability-weighted partition,
+  // throttled clocks, transfer retries) or the CPU fallback. This is exactly
+  // what a real solve reports, minus the numerics -- benches and balancer
+  // tests drive the machine through it.
   ObservedStepTimes observe_step(const ExpansionContext& ctx,
                                  const AdaptiveOctree& tree,
                                  const InteractionLists& lists,
                                  double flops_per_interaction = 20.0,
                                  int m2l_passes = 1) const;
-
-  // Data-driven re-execution of one already-simulated step as a merged task
-  // DAG on the effective CPU cores plus one serial lane per alive GPU (see
-  // the header comment). Task durations are byte-identical to the ones
-  // simulate_far_field / simulate_p2p_timing charged -- only the *ordering*
-  // changes, so the event-driven makespan is a pure re-timing of the same
-  // work. Fills times.overlap_* (times must carry this step's counts and
-  // gpu/cpu_p2p fields already) and returns the executed schedule.
-  std::shared_ptr<const DagSchedule> overlap_step(
-      const ExpansionContext& ctx, const AdaptiveOctree& tree,
-      const InteractionLists& lists, const GpuRunResult& gpu, int m2l_passes,
-      ObservedStepTimes& times) const;
 
   // Tree maintenance cost model (rebuilds / rebins / enforce passes), used
   // to charge load-balancing time. Coarse per-body / per-node constants.

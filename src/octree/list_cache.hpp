@@ -31,13 +31,9 @@ class InteractionListCache {
  public:
   // Returns the lists for (tree, config), re-running the traversal only when
   // the structure version or the list-shaping config fields changed since
-  // the cached build. The reference stays valid until the next get() or
-  // invalidate().
+  // the cached build. The reference stays valid until the next get().
   const InteractionLists& get(const AdaptiveOctree& tree,
                               const TraversalConfig& config);
-
-  // Drops the cached lists; the next get() rebuilds unconditionally.
-  void invalidate() { valid_ = false; }
 
   // Instrumentation: full traversals run, memoized returns, and in-place
   // post-rebin count refreshes (a refresh is also counted as a hit).

@@ -101,9 +101,11 @@ int splice_subtree(std::vector<OctreeNode>& dst,
 }
 }  // namespace
 
-void AdaptiveOctree::build(std::span<const Vec3> positions,
-                           const TreeConfig& config) {
-  validate_tree_config(config, "AdaptiveOctree::build");
+// The one partition recursion behind build() and build_uniform(); they
+// differ only in `is_leaf(count, level)`. Nodes come out in preorder.
+template <class LeafTest>
+void AdaptiveOctree::build_tree(std::span<const Vec3> positions,
+                                const TreeConfig& config, LeafTest is_leaf) {
   config_ = config;
   const auto n = static_cast<std::uint32_t>(positions.size());
   sorted_pos_.assign(positions.begin(), positions.end());
@@ -114,8 +116,6 @@ void AdaptiveOctree::build(std::span<const Vec3> positions,
   nodes_.clear();
 
   // Recursive lambda returning a self-contained subtree.
-  const int s_cap = config_.leaf_capacity;
-  const int max_depth = config_.max_depth;
   auto build_rec = [&](auto&& self, std::uint32_t begin, std::uint32_t end,
                        Vec3 center, double half, int level) -> Subtree {
     Subtree out;
@@ -125,8 +125,7 @@ void AdaptiveOctree::build(std::span<const Vec3> positions,
     node.level = level;
     node.begin = begin;
     node.count = end - begin;
-    if (node.count <= static_cast<std::uint32_t>(s_cap) ||
-        level >= max_depth) {
+    if (is_leaf(node.count, level)) {
       out.nodes.push_back(node);
       return out;
     }
@@ -170,47 +169,24 @@ void AdaptiveOctree::build(std::span<const Vec3> positions,
   bump_structure();
 }
 
+void AdaptiveOctree::build(std::span<const Vec3> positions,
+                           const TreeConfig& config) {
+  validate_tree_config(config, "AdaptiveOctree::build");
+  const auto s_cap = static_cast<std::uint32_t>(config.leaf_capacity);
+  const int max_depth = config.max_depth;
+  build_tree(positions, config, [=](std::uint32_t count, int level) {
+    return count <= s_cap || level >= max_depth;
+  });
+}
+
 void AdaptiveOctree::build_uniform(std::span<const Vec3> positions,
                                    const TreeConfig& config, int depth) {
   validate_tree_config(config, "AdaptiveOctree::build_uniform");
   if (depth < 0 || depth > config.max_depth)
     throw std::invalid_argument(
         "build_uniform: depth must be in [0, config.max_depth]");
-  config_ = config;
-  const auto n = static_cast<std::uint32_t>(positions.size());
-  sorted_pos_.assign(positions.begin(), positions.end());
-  perm_.resize(n);
-  std::iota(perm_.begin(), perm_.end(), 0u);
-  scratch_pos_.resize(n);
-  scratch_perm_.resize(n);
-  nodes_.clear();
-
-  auto build_rec = [&](auto&& self, std::uint32_t begin, std::uint32_t end,
-                       Vec3 center, double half, int level) -> int {
-    OctreeNode node;
-    node.center = center;
-    node.half = half;
-    node.level = level;
-    node.begin = begin;
-    node.count = end - begin;
-    const int id = static_cast<int>(nodes_.size());
-    nodes_.push_back(node);
-    if (level >= depth) return id;
-
-    std::uint32_t bucket[9];
-    partition_range(begin, end, center, bucket);
-    for (int o = 0; o < 8; ++o) {
-      const int child = self(self, bucket[o], bucket[o + 1],
-                             child_box_center(center, half, o), half * 0.5,
-                             level + 1);
-      nodes_[id].children[o] = child;
-      nodes_[child].parent = id;
-    }
-    nodes_[id].has_children = true;
-    return id;
-  };
-  build_rec(build_rec, 0, n, config_.root_center, config_.root_half, 0);
-  bump_structure();
+  build_tree(positions, config,
+             [=](std::uint32_t, int level) { return level >= depth; });
 }
 
 void AdaptiveOctree::rebin(std::span<const Vec3> positions) {

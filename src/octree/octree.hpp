@@ -193,6 +193,10 @@ class AdaptiveOctree {
   void bump_structure();
   void bump_content();
 
+  template <class LeafTest>
+  void build_tree(std::span<const Vec3> positions, const TreeConfig& config,
+                  LeafTest is_leaf);
+
   void partition_range(std::uint32_t begin, std::uint32_t end,
                        const Vec3& center, std::uint32_t bucket_begin[9]);
   int allocate_children(int node);

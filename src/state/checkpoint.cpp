@@ -38,12 +38,11 @@ void fields(auto& ar, Is<OpCounts> auto& c) {
 }
 
 // Not declaration order: the counts and the per-operation totals come
-// before the per-sweep split and the overlap makespans.
+// before the overlap makespans.
 void fields(auto& ar, Is<ObservedStepTimes> auto& t) {
   ar(t.cpu_seconds, t.gpu_seconds, t.cpu_p2p_seconds, t.transfer_retries,
-     t.counts, t.t_p2m, t.t_m2m, t.t_m2l, t.t_l2l, t.t_l2p, t.cpu_up_seconds,
-     t.cpu_down_seconds, t.overlap_seconds, t.overlap_cpu_seconds,
-     t.overlap_near_seconds);
+     t.counts, t.t_p2m, t.t_m2m, t.t_m2l, t.t_l2l, t.t_l2p, t.overlap_seconds,
+     t.overlap_cpu_seconds, t.overlap_near_seconds);
 }
 
 void fields(auto& ar, Is<OctreeNode> auto& n) {
@@ -59,8 +58,7 @@ void fields(auto& ar, Is<OctreeSnapshot> auto& t) {
 
 void fields(auto& ar, Is<CostCoefficients> auto& c) {
   ar(c.p2m_per_body, c.m2m, c.m2l, c.l2l, c.l2p_per_body, c.p2p, c.p2p_cpu,
-     c.cpu_efficiency, c.up_efficiency, c.down_efficiency,
-     c.overlap_efficiency, c.near_overhead_seconds);
+     c.cpu_efficiency, c.overlap_efficiency, c.near_overhead_seconds);
 }
 
 void fields(auto& ar, Is<LoadBalancerSnapshot> auto& b) {

@@ -63,7 +63,9 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4D4D4641;  // "AFMM"
 // operators are gone).
 // v8: tree section drops the parallel-build byte (the build always runs its
 // parallel region).
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+// v9: observed section drops the per-sweep split (cpu_up/cpu_down_seconds)
+// and balancer section the per-sweep efficiencies; nothing read them.
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 enum class SimKind : std::uint32_t { kGravity = 0, kStokes = 1 };
 

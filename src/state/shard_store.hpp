@@ -50,6 +50,8 @@ inline constexpr std::uint32_t kShardMagic = 0x534D4641;  // "AFMS"
 // v5: the manifest nests the global checkpoint in the checkpoint format
 // (which carries the injector's fired mark v4 dropped) instead of its own
 // control and tree sections; the shard table carries the body-array flags.
+// Since v5 a checkpoint format change needs no shard version of its own: the
+// nested checkpoint carries its version, and decoding it checks that.
 inline constexpr std::uint32_t kShardVersion = 5;
 
 // What a coordinated save captures: the full single-engine checkpoint, the

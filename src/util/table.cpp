@@ -12,22 +12,23 @@ Table::Table(std::vector<std::string> columns) : columns_(std::move(columns)) {}
 
 void Table::mirror_csv(const std::string& path) {
   csv_.open(path);
-  if (!csv_) return;
-  for (std::size_t i = 0; i < columns_.size(); ++i)
-    csv_ << (i ? "," : "") << columns_[i];
-  csv_ << '\n';
+  write_csv_line(columns_);
+  for (const auto& row : rows_) write_csv_line(row);
 }
 
 void Table::add_row(const std::vector<std::string>& cells) {
   if (cells.size() != columns_.size())
     throw std::invalid_argument("Table::add_row: wrong cell count");
   rows_.push_back(cells);
-  if (csv_) {
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      csv_ << (i ? "," : "") << cells[i];
-    csv_ << '\n';
-    csv_.flush();
-  }
+  write_csv_line(cells);
+}
+
+void Table::write_csv_line(const std::vector<std::string>& cells) {
+  if (!csv_) return;
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    csv_ << (i ? "," : "") << cells[i];
+  csv_ << '\n';
+  csv_.flush();
 }
 
 std::string Table::num(double v, int precision) {

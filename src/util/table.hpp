@@ -15,8 +15,9 @@ class Table {
  public:
   explicit Table(std::vector<std::string> columns);
 
-  // Mirror all rows to `path` as CSV (best effort; failures are ignored so a
-  // read-only working directory never breaks a bench run).
+  // Mirror all rows to `path` as CSV: the header, the rows added so far and
+  // every later one (best effort; failures are ignored so a read-only
+  // working directory never breaks a bench run).
   void mirror_csv(const std::string& path);
 
   void add_row(const std::vector<std::string>& cells);
@@ -29,6 +30,8 @@ class Table {
   void print(const std::string& title = "") const;
 
  private:
+  void write_csv_line(const std::vector<std::string>& cells);
+
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
   std::ofstream csv_;

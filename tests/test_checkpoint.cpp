@@ -585,8 +585,6 @@ SimCheckpoint every_field_set() {
   o.gpu_seconds = 0.25;
   o.cpu_p2p_seconds = 0.125;
   o.transfer_retries = 3;
-  o.cpu_up_seconds = 0.1875;
-  o.cpu_down_seconds = 0.3125;
   o.overlap_seconds = 0.4375;
   o.overlap_cpu_seconds = 0.375;
   o.overlap_near_seconds = 0.40625;
@@ -632,7 +630,7 @@ SimCheckpoint every_field_set() {
   b.last_epoch = 7;
   b.epoch_pending = 2;
   CostCoefficients& k = b.model.coefficients;
-  k = {1e-7, 2e-6, 3e-6, 4e-6, 5e-7, 6e-9, 7e-8, 0.9, 0.8, 0.7, 0.6, 1e-4};
+  k = {1e-7, 2e-6, 3e-6, 4e-6, 5e-7, 6e-9, 7e-8, 0.9, 0.6, 1e-4};
   b.model.observations = 11;
   b.model.overlap_observations = 4;
 
@@ -654,8 +652,8 @@ SimCheckpoint every_field_set() {
 
 TEST(WireFormat, CheckpointBytesAreUnchanged) {
   const auto bytes = encode_checkpoint(every_field_set());
-  EXPECT_EQ(bytes.size(), 2202u);
-  EXPECT_EQ(fnv1a(bytes), 3145694611740305910ull);
+  EXPECT_EQ(bytes.size(), 2170u);
+  EXPECT_EQ(fnv1a(bytes), 6244022093949936885ull);
   // Every field decodes back into its own place.
   std::string error;
   const auto back = decode_checkpoint(bytes, &error);
@@ -681,8 +679,8 @@ TEST(WireFormat, ShardSetBytesAreUnchanged) {
     ASSERT_TRUE(bytes.has_value()) << name;
     image.insert(image.end(), bytes->begin(), bytes->end());
   }
-  EXPECT_EQ(image.size(), 2527u);
-  EXPECT_EQ(fnv1a(image), 2235420220278482043ull);
+  EXPECT_EQ(image.size(), 2495u);
+  EXPECT_EQ(fnv1a(image), 7937278073830744779ull);
   const auto back = store.load_latest(&error);
   ASSERT_TRUE(back.has_value()) << error;
   EXPECT_EQ(encode_checkpoint(back->global), encode_checkpoint(sc.global));

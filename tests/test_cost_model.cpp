@@ -262,8 +262,8 @@ TEST(CostModel, NotReadyBeforeFirstObservation) {
   EXPECT_EQ(model.observations(), 1);
 }
 
-// Canonical observation with per-sweep makespans and overlap fields filled
-// the way the machine model fills them.
+// Canonical observation with the overlap fields filled the way the machine
+// model fills them.
 ObservedStepTimes overlap_obs() {
   ObservedStepTimes t;
   t.t_p2m = 0.2;
@@ -278,8 +278,6 @@ ObservedStepTimes overlap_obs() {
   t.counts.l2p_bodies = 1000;
   t.counts.p2p_interactions = 50000;
   t.cpu_seconds = 1.0;       // (0.4 + 1.2) work on 2 cores, eff 0.8
-  t.cpu_up_seconds = 0.25;   // up work 0.4 on 2 cores, eff 0.8
-  t.cpu_down_seconds = 0.75; // down work 1.2 on 2 cores, eff 0.8
   t.gpu_seconds = 0.5;
   t.overlap_seconds = 0.9;
   t.overlap_cpu_seconds = 0.9;   // work 1.6 / (0.9 * 2) ~= 0.889 eff
@@ -287,22 +285,16 @@ ObservedStepTimes overlap_obs() {
   return t;
 }
 
-TEST(CostModel, SweepAndOverlapCoefficientsAreObservedRatios) {
+TEST(CostModel, OverlapCoefficientsAreObservedRatios) {
   CostModel model(1.0);
   const auto t = overlap_obs();
   model.observe(t, 2);
   const auto& c = model.coefficients();
-  EXPECT_DOUBLE_EQ(c.up_efficiency, 0.4 / (0.25 * 2));
-  EXPECT_DOUBLE_EQ(c.down_efficiency, 1.2 / (0.75 * 2));
   EXPECT_DOUBLE_EQ(c.overlap_efficiency, 1.6 / (0.9 * 2));
   EXPECT_DOUBLE_EQ(c.near_overhead_seconds, 0.52 - 0.5);
   EXPECT_EQ(model.overlap_observations(), 1);
 
-  // Self-prediction: the phase split reproduces the sweep makespans and the
-  // overlap predictor reproduces the event-driven step.
-  const auto phases = model.predict_far_phases(t.counts, 2);
-  EXPECT_NEAR(phases.up_seconds, 0.25, 1e-12);
-  EXPECT_NEAR(phases.down_seconds, 0.75, 1e-12);
+  // Self-prediction: the overlap predictor reproduces the event-driven step.
   EXPECT_NEAR(model.predict_far_overlap(t.counts, 2), 0.9, 1e-12);
   EXPECT_NEAR(model.predict_compute_overlap(t.counts, 2), 0.9, 1e-12);
 }
@@ -317,9 +309,6 @@ TEST(CostModel, SerializedStepsNeverTouchOverlapCoefficients) {
   EXPECT_EQ(model.overlap_observations(), 0);
   EXPECT_DOUBLE_EQ(model.coefficients().overlap_efficiency, 1.0);
   EXPECT_DOUBLE_EQ(model.coefficients().near_overhead_seconds, 0.0);
-  // The per-sweep efficiencies still learn (the serialized builder reports
-  // the sweep makespans on every step).
-  EXPECT_DOUBLE_EQ(model.coefficients().up_efficiency, 0.8);
   // Before any overlap observation the overlap predictor falls back to the
   // serialized efficiency.
   EXPECT_NEAR(model.predict_far_overlap(t.counts, 2),
@@ -345,8 +334,6 @@ TEST(CostModel, SnapshotRoundTripsOverlapState) {
   EXPECT_EQ(other.overlap_observations(), 1);
   const auto& a = model.coefficients();
   const auto& b = other.coefficients();
-  EXPECT_DOUBLE_EQ(a.up_efficiency, b.up_efficiency);
-  EXPECT_DOUBLE_EQ(a.down_efficiency, b.down_efficiency);
   EXPECT_DOUBLE_EQ(a.overlap_efficiency, b.overlap_efficiency);
   EXPECT_DOUBLE_EQ(a.near_overhead_seconds, b.near_overhead_seconds);
 }

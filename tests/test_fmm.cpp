@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/fmm_solver.hpp"
 #include "dist/distributions.hpp"
@@ -265,6 +268,49 @@ TEST(Fmm, TimesAndStatsPopulated) {
   EXPECT_GT(res.stats.nodes, 0);
   EXPECT_GT(res.stats.m2l_pairs, 0u);
   EXPECT_EQ(res.gpu.per_gpu.size(), 2u);
+}
+
+// Every ObservedStepTimes field as raw bits, so EXPECT_EQ compares exactly.
+std::vector<std::uint64_t> time_bits(const ObservedStepTimes& t) {
+  const OpCounts& c = t.counts;
+  std::vector<std::uint64_t> bits = {
+      c.p2m, c.p2m_bodies, c.m2m, c.m2l, c.l2l, c.l2p, c.l2p_bodies,
+      c.p2p_interactions, c.p2p_node_pairs,
+      static_cast<std::uint64_t>(t.transfer_retries)};
+  for (const double v :
+       {t.cpu_seconds, t.gpu_seconds, t.cpu_p2p_seconds, t.overlap_seconds,
+        t.overlap_cpu_seconds, t.overlap_near_seconds, t.t_p2m, t.t_m2m,
+        t.t_m2l, t.t_l2l, t.t_l2p})
+    bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
+TEST(Fmm, SolveAndObserveStepReportTheSameTimes) {
+  // A solve and the timing-only observation of the same tree assemble the
+  // step's times in one place, so they agree bit for bit whether the node
+  // charges the serialized timeline or the overlap DAG's makespan.
+  Rng rng(43);
+  PlummerOptions opt;
+  opt.scale_radius = 0.05;
+  opt.center = {0.5, 0.5, 0.5};
+  const auto set = plummer(3000, rng, opt);
+  AdaptiveOctree tree;
+  tree.build(set.positions, fit_cube(set.positions, unit_config(32)));
+  FmmConfig cfg;
+  cfg.order = 4;
+  const ExpansionContext ctx(cfg.order);
+  const auto lists = build_interaction_lists(tree, cfg.traversal);
+  for (const OverlapMode mode : {OverlapMode::kOff, OverlapMode::kOn}) {
+    SCOPED_TRACE(mode == OverlapMode::kOn ? "overlap" : "serialized");
+    GravitySolver solver(cfg, default_node(2));
+    solver.node().set_overlap(mode);
+    const auto res = solver.solve(tree, set.positions, set.masses);
+    const auto observed = solver.node().observe_step(
+        ctx, tree, lists, GravityKernel::flops_per_interaction(), 1);
+    EXPECT_EQ(time_bits(res.times), time_bits(observed));
+    EXPECT_EQ(observed.overlap_seconds > 0.0, mode == OverlapMode::kOn);
+    EXPECT_EQ(res.dag != nullptr, mode == OverlapMode::kOn);
+  }
 }
 
 TEST(Fmm, TransferTimelineIsPopulatedAndConsistent) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -140,12 +141,12 @@ TEST_F(MachineFixture, OverlapIsOffUntilSetAndSwitchesBothWays) {
 TEST_F(MachineFixture, OverlapStepScheduleIsWellFormed) {
   ExpansionContext ctx(4);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
+  node.set_overlap(OverlapMode::kOn);
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_FALSE(gpu.cpu_fallback);
-  t.gpu_seconds = gpu.max_kernel_seconds;
-  const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
+  std::shared_ptr<const DagSchedule> sched;
+  const ObservedStepTimes t = node.observe(ctx, tree_, lists_, gpu, 1, &sched);
   ASSERT_TRUE(sched);
   ASSERT_FALSE(sched->tasks.empty());
   EXPECT_EQ(sched->gpu_lanes, 2);
@@ -187,20 +188,19 @@ TEST_F(MachineFixture, OverlapStepScheduleIsWellFormed) {
 
 TEST_F(MachineFixture, OverlapBeatsSerializedSweepsOnCpuDominantStep) {
   // With a modest GPU near field, the serialized timeline pays
-  // up_makespan + down_makespan (barrier between the sweeps); the merged
-  // DAG lets down-sweep tasks start as soon as their own sources are done,
-  // so the event-driven makespan lands strictly below the barrier sum while
-  // never beating the physics lower bounds.
+  // up_makespan + down_makespan (cpu_seconds: a barrier between the sweeps);
+  // the merged DAG lets down-sweep tasks start as soon as their own sources
+  // are done, so the event-driven makespan lands strictly below the barrier
+  // sum while never beating the physics lower bounds.
   ExpansionContext ctx(4);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
+  node.set_overlap(OverlapMode::kOn);
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_FALSE(gpu.cpu_fallback);
-  t.gpu_seconds = gpu.max_kernel_seconds;
+  const ObservedStepTimes t = node.observe(ctx, tree_, lists_, gpu, 1);
   ASSERT_GT(t.cpu_seconds, t.gpu_seconds);  // CPU-dominant as constructed
-  node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
-  EXPECT_LT(t.overlap_seconds, t.cpu_up_seconds + t.cpu_down_seconds);
+  EXPECT_LT(t.overlap_seconds, t.cpu_seconds);
   EXPECT_GE(t.overlap_seconds, t.gpu_seconds);  // kernels still ran
 }
 
@@ -209,14 +209,16 @@ TEST_F(MachineFixture, OverlapStepCoversCpuFallback) {
   // with the far field -- still one DAG, no lanes.
   ExpansionContext ctx(4);
   NodeSimulator node(CpuModelConfig{}, GpuSystemConfig::uniform(2));
+  node.set_overlap(OverlapMode::kOn);
   node.health().gpus[0].alive = false;
   node.health().gpus[1].alive = false;
-  ObservedStepTimes t = node.simulate_far_field(ctx, tree_, lists_);
   const auto gpu =
       simulate_p2p_timing(tree_, lists_.p2p, 20.0, node.gpus(), &node.health());
   ASSERT_TRUE(gpu.cpu_fallback);
-  t.cpu_p2p_seconds = node.cpu_p2p_seconds(gpu.total_interactions);
-  const auto sched = node.overlap_step(ctx, tree_, lists_, gpu, 1, t);
+  std::shared_ptr<const DagSchedule> sched;
+  const ObservedStepTimes t = node.observe(ctx, tree_, lists_, gpu, 1, &sched);
+  EXPECT_EQ(t.cpu_p2p_seconds, node.cpu_p2p_seconds(gpu.total_interactions));
+  ASSERT_TRUE(sched);
   EXPECT_EQ(sched->gpu_lanes, 0);
   EXPECT_GT(t.overlap_seconds, 0.0);
   // No barrier between near and far shares: at most the serialized sum

@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -165,6 +166,13 @@ TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::integer(42), "42");
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
 TEST(Table, CsvMirrorWritesHeaderAndRows) {
   const std::string path = ::testing::TempDir() + "/afmm_table_test.csv";
   {
@@ -173,15 +181,19 @@ TEST(Table, CsvMirrorWritesHeaderAndRows) {
     t.add_row({"1", "x"});
     t.add_row({"2", "y"});
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1,x");
-  std::getline(in, line);
-  EXPECT_EQ(line, "2,y");
+  EXPECT_EQ(read_lines(path),
+            (std::vector<std::string>{"a,b", "1,x", "2,y"}));
+
+  // Rows added before the mirror opens reach the file too, in order.
+  {
+    Table t({"a", "b"});
+    t.add_row({"1", "x"});
+    t.add_row({"2", "y"});
+    t.mirror_csv(path);
+    t.add_row({"3", "z"});
+  }
+  EXPECT_EQ(read_lines(path),
+            (std::vector<std::string>{"a,b", "1,x", "2,y", "3,z"}));
 }
 
 TEST(Table, CsvMirrorToUnwritablePathIsIgnored) {
