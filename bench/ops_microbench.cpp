@@ -13,6 +13,7 @@
 
 #include "expansion/operators.hpp"
 #include "kernels/gravity.hpp"
+#include "kernels/lanes.hpp"
 #include "kernels/stokeslet.hpp"
 #include "util/rng.hpp"
 
@@ -103,17 +104,22 @@ void BM_L2P(benchmark::State& state) {
 // One P2P work item through the lane routine: a 48-body target leaf against
 // the 27 leaves of a 3x3x3 block of unit cells (48 random bodies each), the
 // target the centre leaf, so its self pairs are among the sources. Targets
-// go kLanes at a time, one accumulate_lanes() call per source leaf (the
+// go W at a time, one accumulate_lanes<W>() call per source leaf (the
 // executor's case when no two source leaves are adjacent in tree order).
-// Items are interactions.
+// Each benchmark runs once per width; the 4-lane (AVX2) case is skipped on a
+// CPU without AVX2. Items are interactions.
 constexpr std::size_t kLeafBodies = 48;
 constexpr std::size_t kSourceLeaves = 27;
 
-template <typename Kernel, typename MakeSource>
+template <int W, typename Kernel, typename MakeSource>
 void p2p_leaf(benchmark::State& state, const Kernel& kernel,
               MakeSource make_source) {
   using Source = typename Kernel::Source;
-  constexpr std::size_t kLanes = Kernel::kLanes;
+  constexpr std::size_t kLanes = W;
+  if (W > lane_width()) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
+  }
   Rng rng(3);
   std::vector<Source> src;
   for (std::size_t c = 0; c < kSourceLeaves; ++c) {
@@ -140,7 +146,7 @@ void p2p_leaf(benchmark::State& state, const Kernel& kernel,
         tid[l] = ids[target + j0 + l];
       }
       for (std::size_t c = 0; c < kSourceLeaves; ++c)
-        kernel.accumulate_lanes(
+        kernel.template accumulate_lanes<W>(
             xt, tid, sources.subspan(c * kLeafBodies, kLeafBodies),
             source_ids.subspan(c * kLeafBodies, kLeafBodies), acc);
       benchmark::DoNotOptimize(acc);
@@ -150,14 +156,16 @@ void p2p_leaf(benchmark::State& state, const Kernel& kernel,
                           kLeafBodies);
 }
 
+template <int W>
 void BM_P2P_Gravity(benchmark::State& state) {
-  p2p_leaf(state, GravityKernel(1e-6), [](const Vec3& x, Rng& rng) {
+  p2p_leaf<W>(state, GravityKernel(1e-6), [](const Vec3& x, Rng& rng) {
     return GravitySource{x, rng.uniform(0.5, 1.5)};
   });
 }
 
+template <int W>
 void BM_P2P_Stokeslet(benchmark::State& state) {
-  p2p_leaf(state, StokesletKernel(1e-2), [](const Vec3& x, Rng& rng) {
+  p2p_leaf<W>(state, StokesletKernel(1e-2), [](const Vec3& x, Rng& rng) {
     return StokesletSource{
         x, {rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)}};
   });
@@ -171,6 +179,8 @@ BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
-BENCHMARK(BM_P2P_Gravity);
-BENCHMARK(BM_P2P_Stokeslet);
+BENCHMARK_TEMPLATE(BM_P2P_Gravity, 2);
+BENCHMARK_TEMPLATE(BM_P2P_Gravity, 4);
+BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 2);
+BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 4);
 BENCHMARK_MAIN();

@@ -5,14 +5,15 @@
 // source-list order (the lock-step tile march visits sources in that order
 // for every lane), so results are deterministic and association-order
 // faithful to the device kernel. On the host the lanes are SIMD lanes:
-// Kernel::kLanes consecutive targets of the item advance together through
-// the kernel's accumulate_lanes(), each source broadcast to every lane in
-// order, and each lane performs accumulate()'s exact operation sequence for
-// its own target. Gravity's self pair is masked, not branched on: keep = 0
-// adds 1 to r^2 (no division by zero) and scales the contribution to +-0,
-// which leaves an accumulator that started at +0.0 unchanged (such a sum can
-// never reach -0.0); keep = 1 adds +0 to r^2 >= +0 and scales by 1, both
-// exact. The output is bit-identical to the scalar per-target loop.
+// lane_width() consecutive targets of the item (4 with AVX2, else 2) advance
+// together through the kernel's accumulate_lanes(), each source broadcast to
+// every lane in order, and each lane performs accumulate()'s exact operation
+// sequence for its own target, so the width moves no bit. Gravity's self
+// pair is masked, not branched on: keep = 0 adds 1 to r^2 (no division by
+// zero) and scales the contribution to +-0, which leaves an accumulator that
+// started at +0.0 unchanged (such a sum can never reach -0.0); keep = 1 adds
+// +0 to r^2 >= +0 and scales by 1, both exact. The output is bit-identical
+// to the scalar per-target loop.
 //
 // Timing: each device's share is expanded into block shapes and passed to
 // simulate_kernel(); the reported GPU Time is the maximum kernel time over
@@ -37,6 +38,7 @@
 #include "gpusim/gpu_model.hpp"
 #include "gpusim/partition.hpp"
 #include "gpusim/transfer.hpp"
+#include "kernels/lanes.hpp"
 #include "machine/health.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"
@@ -99,8 +101,9 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
                                          const std::vector<P2PWork>& work,
                                          const std::vector<int>& assigned);
 
-// Runs all P2P work. `sources` and `ids` are tree-ordered (node spans index
-// into them); `out` accumulates per tree-ordered body.
+// run_p2p with W targets per lane block (2 or 4; 4 only where lane_width()
+// is 4). `sources` and `ids` are tree-ordered (node spans index into them);
+// `out` accumulates per tree-ordered body.
 //
 // Host execution: the work list runs in list order under an OpenMP dynamic
 // loop -- the device shares are contiguous runs of it (the paper's walk), so
@@ -116,22 +119,23 @@ std::vector<GpuWorkShape> collect_shapes(const AdaptiveOctree& tree,
 // simulated kSdcGpuBatch event flips a bit post-"transfer") is detected by
 // the checksum mismatch and SURGICALLY REPAIRED by re-executing just that
 // batch on the CPU; `sdc->detect->p2p_verify_stride` additionally re-evaluates
-// one target body of every Nth batch from scratch with the scalar
-// accumulate() as an independent end-to-end sample, which also checks the
-// lane routine. The staging buffer changes no arithmetic: per-target
-// accumulation order and the `out[bt] += batch[j]` flush are the exact
-// operations of the direct path, so results stay bit-identical with hooks
-// on, off, or null. The report's counters are reduced over threads after
-// the loop.
-template <typename Kernel>
-GpuRunResult run_p2p(const AdaptiveOctree& tree,
-                     const std::vector<P2PWork>& work, const Kernel& kernel,
-                     std::span<const typename Kernel::Source> sources,
-                     std::span<const std::uint32_t> ids,
-                     const GpuSystemConfig& system,
-                     std::span<typename Kernel::Accum> out,
-                     const MachineHealth* health = nullptr,
-                     const SdcHooks* sdc = nullptr) {
+// one target body of every Nth batch (the k-th sampled batch its target
+// k mod count) from scratch with the scalar accumulate() as an independent
+// end-to-end sample, which also checks every lane of the lane routine. The
+// staging buffer changes no arithmetic: per-target accumulation order and
+// the `out[bt] += batch[j]` flush are the exact operations of the direct
+// path, so results stay bit-identical with hooks on, off, or null. The
+// report's counters are reduced over threads after the loop.
+template <int W, typename Kernel>
+GpuRunResult run_p2p_lanes(const AdaptiveOctree& tree,
+                           const std::vector<P2PWork>& work,
+                           const Kernel& kernel,
+                           std::span<const typename Kernel::Source> sources,
+                           std::span<const std::uint32_t> ids,
+                           const GpuSystemConfig& system,
+                           std::span<typename Kernel::Accum> out,
+                           const MachineHealth* health = nullptr,
+                           const SdcHooks* sdc = nullptr) {
   using Accum = typename Kernel::Accum;
   const bool check_sums = sdc && sdc->detect && sdc->detect->p2p_checks;
   const int sample_stride =
@@ -144,13 +148,13 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
 
   // Compute one batch (work item) into `batch`, exactly as the direct path
   // would: every target body accumulates its sources in concatenated
-  // source-list order. Targets run kLanes at a time through the kernel's
-  // lane routine, one call per contiguous run of source nodes; a ragged
-  // last block repeats its last target and drops the copies.
+  // source-list order. Targets run W at a time through the kernel's W-lane
+  // routine, one call per contiguous run of source nodes; a ragged last
+  // block repeats its last target and drops the copies.
   // Value-initializing the elements keeps any padding bytes deterministic
   // for raw-byte checksums.
   auto compute_batch = [&](int wi, std::vector<Accum>& batch) {
-    constexpr std::uint32_t kLanes = Kernel::kLanes;
+    constexpr std::uint32_t kLanes = W;
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);
     batch.assign(t.count, Accum{});
@@ -171,8 +175,9 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
         for (; k < w.sources.size() && tree.node(w.sources[k]).begin == end;
              ++k)
           end += tree.node(w.sources[k]).count;
-        kernel.accumulate_lanes(xt, tid, sources.subspan(begin, end - begin),
-                                ids.subspan(begin, end - begin), acc);
+        kernel.template accumulate_lanes<W>(
+            xt, tid, sources.subspan(begin, end - begin),
+            ids.subspan(begin, end - begin), acc);
       }
       for (std::uint32_t l = 0; l < kLanes && j0 + l < t.count; ++l)
         batch[j0 + l] = acc[l];
@@ -182,12 +187,15 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
   // Recompute one target body of the batch from scratch with the scalar
   // accumulate() (the sampled CPU re-evaluation, which thereby also checks
   // the lane routine); returns true when it matches the staged result
-  // bitwise.
+  // bitwise. The sampled target rotates over the sampled batches, so every
+  // lane of a block and of a ragged tail gets checked, not only lane 0.
   auto sample_matches = [&](int wi, const std::vector<Accum>& batch) {
     const P2PWork& w = work[wi];
     const OctreeNode& t = tree.node(w.target);
     if (t.count == 0) return true;
-    const std::uint32_t bt = t.begin;
+    const std::uint32_t j =
+        static_cast<std::uint32_t>(wi / sample_stride) % t.count;
+    const std::uint32_t bt = t.begin + j;
     Accum acc{};
     const Vec3 xt = sources[bt].x;
     for (int s : w.sources) {
@@ -195,7 +203,7 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
       for (std::uint32_t bs = sn.begin; bs < sn.begin + sn.count; ++bs)
         kernel.accumulate(xt, ids[bt], sources[bs], ids[bs], acc);
     }
-    return std::memcmp(&acc, batch.data(), sizeof(Accum)) == 0;
+    return std::memcmp(&acc, &batch[j], sizeof(Accum)) == 0;
   };
 
   GpuRunResult result =
@@ -248,6 +256,23 @@ GpuRunResult run_p2p(const AdaptiveOctree& tree,
   if (sdc && sdc->report)
     sdc->report->merge({injected, detected, repaired, unrepaired});
   return result;
+}
+
+// Runs all P2P work: run_p2p_lanes at lane_width(), chosen once per call.
+template <typename Kernel>
+GpuRunResult run_p2p(const AdaptiveOctree& tree,
+                     const std::vector<P2PWork>& work, const Kernel& kernel,
+                     std::span<const typename Kernel::Source> sources,
+                     std::span<const std::uint32_t> ids,
+                     const GpuSystemConfig& system,
+                     std::span<typename Kernel::Accum> out,
+                     const MachineHealth* health = nullptr,
+                     const SdcHooks* sdc = nullptr) {
+  return lane_width() == 4
+             ? run_p2p_lanes<4>(tree, work, kernel, sources, ids, system, out,
+                                health, sdc)
+             : run_p2p_lanes<2>(tree, work, kernel, sources, ids, system, out,
+                                health, sdc);
 }
 
 }  // namespace afmm

@@ -112,24 +112,19 @@ std::vector<std::vector<int>> partition_p2p_work(
 }
 
 double partition_imbalance(const std::vector<P2PWork>& work,
-                           const std::vector<std::vector<int>>& assignment) {
-  const std::vector<double> weights(assignment.size(), 1.0);
-  return partition_imbalance(work, assignment, weights);
-}
-
-double partition_imbalance(const std::vector<P2PWork>& work,
                            const std::vector<std::vector<int>>& assignment,
                            std::span<const double> weights) {
   std::uint64_t total = 0;
   for (const auto& w : work) total += w.interactions;
   if (total == 0 || assignment.empty()) return 1.0;
-  double weight_sum = 0.0;
+  const bool equal = weights.empty();
+  double weight_sum = equal ? static_cast<double>(assignment.size()) : 0.0;
   for (double w : weights) weight_sum += std::max(0.0, w);
   if (weight_sum <= 0.0) return 1.0;
 
   double worst = 0.0;
   for (std::size_t g = 0; g < assignment.size(); ++g) {
-    const double w = g < weights.size() ? weights[g] : 0.0;
+    const double w = equal ? 1.0 : g < weights.size() ? weights[g] : 0.0;
     std::uint64_t load = 0;
     for (int i : assignment[g]) load += work[i].interactions;
     if (w <= 0.0) continue;  // dead GPUs hold no work by contract

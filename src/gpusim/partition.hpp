@@ -48,12 +48,10 @@ std::vector<std::vector<int>> partition_p2p_work(
     PartitionScheme scheme = PartitionScheme::kInteractionWalk);
 
 // Max over GPUs of assigned interactions divided by the ideal share;
-// 1.0 = perfectly balanced. The weighted overload measures against each
-// GPU's capability-proportional share (zero-weight GPUs are skipped).
-double partition_imbalance(const std::vector<P2PWork>& work,
-                           const std::vector<std::vector<int>>& assignment);
+// 1.0 = perfectly balanced. The ideal share is proportional to weights[g]
+// (zero-weight GPUs are skipped); empty `weights` means equal weights.
 double partition_imbalance(const std::vector<P2PWork>& work,
                            const std::vector<std::vector<int>>& assignment,
-                           std::span<const double> weights);
+                           std::span<const double> weights = {});
 
 }  // namespace afmm

@@ -2,22 +2,26 @@
 
 #include <stdexcept>
 
+#include "kernels/lanes.hpp"
+
 namespace afmm {
 
 // Defined here, not in the header, so that it is always compiled with the
 // library's flags: `std::sqrt` vectorizes only under -fno-math-errno.
-void GravityKernel::accumulate_lanes(std::span<const Vec3, kLanes> xt,
-                                     std::span<const std::uint32_t, kLanes> tid,
+template <int W>
+void GravityKernel::accumulate_lanes(std::span<const Vec3, W> xt,
+                                     std::span<const std::uint32_t, W> tid,
                                      std::span<const Source> src,
                                      std::span<const std::uint32_t> sid,
-                                     std::span<Accum, kLanes> acc) const {
-  double tx[kLanes], ty[kLanes], tz[kLanes], tids[kLanes];
-  double pot[kLanes], gx[kLanes], gy[kLanes], gz[kLanes];
+                                     std::span<Accum, W> acc) const {
+  double tx[W], ty[W], tz[W], tids[W];
+  double pot[W], gx[W], gy[W], gz[W];
   // Unrolled before vectorization, so the lane arrays become registers;
   // otherwise GCC 12 vectorizes this loop into the arrays and keeps the
-  // accumulators in memory across the whole source loop.
-#pragma GCC unroll kLanes
-  for (int l = 0; l < kLanes; ++l) {
+  // accumulators in memory across the whole source loop. (The count must be
+  // a literal: GCC 12 rejects a template parameter. 4 covers every W.)
+#pragma GCC unroll 4
+  for (int l = 0; l < W; ++l) {
     tx[l] = xt[l].x;
     ty[l] = xt[l].y;
     tz[l] = xt[l].z;
@@ -32,7 +36,7 @@ void GravityKernel::accumulate_lanes(std::span<const Vec3, kLanes> xt,
     const double q = src[j].q;
     const double sids = sid[j];
 #pragma omp simd
-    for (int l = 0; l < kLanes; ++l) {
+    for (int l = 0; l < W; ++l) {
       const double keep = static_cast<double>(tids[l] != sids);
       const Accum c = term(sx - Vec3{tx[l], ty[l], tz[l]}, q, 1.0 - keep);
       pot[l] += c.pot * keep;
@@ -41,8 +45,18 @@ void GravityKernel::accumulate_lanes(std::span<const Vec3, kLanes> xt,
       gz[l] += c.grad.z * keep;
     }
   }
-  for (int l = 0; l < kLanes; ++l) acc[l] = {pot[l], {gx[l], gy[l], gz[l]}};
+  for (int l = 0; l < W; ++l) acc[l] = {pot[l], {gx[l], gy[l], gz[l]}};
 }
+
+// The two widths, one body: the 4-lane copy is compiled for AVX2.
+template void GravityKernel::accumulate_lanes<2>(
+    std::span<const Vec3, 2>, std::span<const std::uint32_t, 2>,
+    std::span<const Source>, std::span<const std::uint32_t>,
+    std::span<Accum, 2>) const;
+template AFMM_TARGET_AVX2 void GravityKernel::accumulate_lanes<4>(
+    std::span<const Vec3, 4>, std::span<const std::uint32_t, 4>,
+    std::span<const Source>, std::span<const std::uint32_t>,
+    std::span<Accum, 4>) const;
 
 void gravity_direct(const GravityKernel& kernel, std::span<const Vec3> targets,
                     std::span<const std::uint32_t> target_ids,

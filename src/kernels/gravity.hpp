@@ -41,10 +41,6 @@ class GravityKernel {
   explicit GravityKernel(double softening = 0.0)
       : eps2_(softening * softening) {}
 
-  // Targets one accumulate_lanes() call advances together (one SSE2
-  // register of doubles).
-  static constexpr int kLanes = 2;
-
   // One target <- source interaction; `tid`/`sid` are global body ids used to
   // skip self-interaction exactly (coincident distinct bodies still count).
   void accumulate(const Vec3& xt, std::uint32_t tid, const Source& s,
@@ -55,15 +51,17 @@ class GravityKernel {
 
   // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
   // source j in order, with bit-identical results: the source is broadcast
-  // and the lanes run in SIMD. The self pair is masked, not branched on:
-  // keep = 0 adds 1 to r^2 (no division by zero) and contributes term * 0 =
-  // +-0, which leaves an accumulator that started at +0.0 unchanged; keep =
-  // 1 adds +0 to r^2 >= +0 and multiplies by 1, both exact.
-  void accumulate_lanes(std::span<const Vec3, kLanes> xt,
-                        std::span<const std::uint32_t, kLanes> tid,
+  // and the W lanes run in SIMD. Built for W = 2 and W = 4; W = 4 needs AVX2
+  // (kernels/lanes.hpp). The self pair is masked, not branched on: keep = 0
+  // adds 1 to r^2 (no division by zero) and contributes term * 0 = +-0,
+  // which leaves an accumulator that started at +0.0 unchanged; keep = 1
+  // adds +0 to r^2 >= +0 and multiplies by 1, both exact.
+  template <int W>
+  void accumulate_lanes(std::span<const Vec3, W> xt,
+                        std::span<const std::uint32_t, W> tid,
                         std::span<const Source> src,
                         std::span<const std::uint32_t> sid,
-                        std::span<Accum, kLanes> acc) const;
+                        std::span<Accum, W> acc) const;
 
   // FLOP estimate of one interaction (for the GPU cycle model); matches the
   // ~20 flop body of the classic all-pairs CUDA kernel [GPU Gems 3, ch.31].

@@ -2,17 +2,21 @@
 
 #include <stdexcept>
 
+#include "kernels/lanes.hpp"
+
 namespace afmm {
 
 // Defined here, not in the header, so that it is always compiled with the
 // library's flags: `std::sqrt` vectorizes only under -fno-math-errno.
-void StokesletKernel::accumulate_lanes(
-    std::span<const Vec3, kLanes> xt, std::span<const std::uint32_t, kLanes>,
-    std::span<const Source> src, std::span<const std::uint32_t>,
-    std::span<Accum, kLanes> acc) const {
-  double tx[kLanes], ty[kLanes], tz[kLanes];
-  double ux[kLanes], uy[kLanes], uz[kLanes];
-  for (int l = 0; l < kLanes; ++l) {
+template <int W>
+void StokesletKernel::accumulate_lanes(std::span<const Vec3, W> xt,
+                                       std::span<const std::uint32_t, W>,
+                                       std::span<const Source> src,
+                                       std::span<const std::uint32_t>,
+                                       std::span<Accum, W> acc) const {
+  double tx[W], ty[W], tz[W];
+  double ux[W], uy[W], uz[W];
+  for (int l = 0; l < W; ++l) {
     tx[l] = xt[l].x;
     ty[l] = xt[l].y;
     tz[l] = xt[l].z;
@@ -22,15 +26,25 @@ void StokesletKernel::accumulate_lanes(
   }
   for (const Source& s : src) {
 #pragma omp simd
-    for (int l = 0; l < kLanes; ++l) {
+    for (int l = 0; l < W; ++l) {
       const Vec3 c = term(Vec3{tx[l], ty[l], tz[l]} - s.x, s.f);
       ux[l] += c.x;
       uy[l] += c.y;
       uz[l] += c.z;
     }
   }
-  for (int l = 0; l < kLanes; ++l) acc[l].u = {ux[l], uy[l], uz[l]};
+  for (int l = 0; l < W; ++l) acc[l].u = {ux[l], uy[l], uz[l]};
 }
+
+// The two widths, one body: the 4-lane copy is compiled for AVX2.
+template void StokesletKernel::accumulate_lanes<2>(
+    std::span<const Vec3, 2>, std::span<const std::uint32_t, 2>,
+    std::span<const Source>, std::span<const std::uint32_t>,
+    std::span<Accum, 2>) const;
+template AFMM_TARGET_AVX2 void StokesletKernel::accumulate_lanes<4>(
+    std::span<const Vec3, 4>, std::span<const std::uint32_t, 4>,
+    std::span<const Source>, std::span<const std::uint32_t>,
+    std::span<Accum, 4>) const;
 
 std::vector<StokesletAccum> stokeslet_direct_all(
     const StokesletKernel& kernel, std::span<const Vec3> positions,

@@ -47,10 +47,6 @@ class StokesletKernel {
 
   explicit StokesletKernel(double epsilon) : eps2_(epsilon * epsilon) {}
 
-  // Targets one accumulate_lanes() call advances together (one SSE2
-  // register of doubles).
-  static constexpr int kLanes = 2;
-
   void accumulate(const Vec3& xt, std::uint32_t tid, const Source& s,
                   std::uint32_t sid, Accum& a) const {
     (void)tid;
@@ -60,12 +56,14 @@ class StokesletKernel {
 
   // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
   // source j in order, with bit-identical results: the source is broadcast
-  // and the lanes run in SIMD.
-  void accumulate_lanes(std::span<const Vec3, kLanes> xt,
-                        std::span<const std::uint32_t, kLanes> tid,
+  // and the W lanes run in SIMD. Built for W = 2 and W = 4; W = 4 needs AVX2
+  // (kernels/lanes.hpp).
+  template <int W>
+  void accumulate_lanes(std::span<const Vec3, W> xt,
+                        std::span<const std::uint32_t, W> tid,
                         std::span<const Source> src,
                         std::span<const std::uint32_t> sid,
-                        std::span<Accum, kLanes> acc) const;
+                        std::span<Accum, W> acc) const;
 
   static double flops_per_interaction() { return 32.0; }
 

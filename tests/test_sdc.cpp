@@ -85,10 +85,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, SdcThreads, ::testing::Values(1, 4),
 
 // The fault-free detection tests at 1 and 4 threads, with the sampled
 // scalar re-evaluation on every 8th batch and on every batch
-// (p2p_verify_stride = 1): each sampled batch's first target is recomputed
-// with the scalar accumulate() and compared bytewise with the lane
-// routine's result, so stride 1 checks the lane routine on every batch of
-// real engine steps.
+// (p2p_verify_stride = 1): one target of each sampled batch, rotating over
+// the batch's targets (and so over every lane), is recomputed with the
+// scalar accumulate() and compared bytewise with the lane routine's result,
+// so stride 1 checks the lane routine on every batch of real engine steps.
 class SdcDetection : public ::testing::TestWithParam<std::tuple<int, int>> {
  protected:
   OmpThreads threads_{std::get<0>(GetParam())};
