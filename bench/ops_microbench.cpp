@@ -8,13 +8,14 @@
 // coefficients of Section IV.D usable for prediction.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <numeric>
 #include <span>
 
 #include "expansion/operators.hpp"
 #include "kernels/gravity.hpp"
-#include "kernels/lanes.hpp"
 #include "kernels/stokeslet.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -79,6 +80,60 @@ void BM_M2L_Multi4(benchmark::State& state) {
     s.ctx.m2l_multi({0, 0, 0}, {3, 1, 0}, m.data(), out.data(), 4, nc);
     benchmark::DoNotOptimize(out.data());
   }
+}
+
+// W distinct M2L offsets around (3, 1, 0), one per lane.
+template <int W>
+std::array<Vec3, W> lane_offsets() {
+  std::array<Vec3, W> r;
+  for (int l = 0; l < W; ++l)
+    r[l] = Vec3{3, 1, 0} + static_cast<double>(l) * Vec3{0.25, -0.5, 0.125};
+  return r;
+}
+
+// The derivative tensor of 1/r alone, W offsets per evaluate_lanes<W> call,
+// at the order 2p an order-p M2L needs. Items are tensors; the 4-lane (AVX2)
+// case is skipped on a CPU without AVX2.
+template <int W>
+void BM_DerivTensor(benchmark::State& state) {
+  if (W > lane_width()) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
+  }
+  const MultiIndexSet set(2 * static_cast<int>(state.range(0)));
+  const LaplaceDerivatives derivs(set);
+  const auto r = lane_offsets<W>();
+  std::vector<double> out(static_cast<std::size_t>(W) * set.size());
+  for (auto _ : state) {
+    derivs.evaluate_lanes<W>(r, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * W);
+}
+
+// One single-rhs M2L lane call: W sources into one local. Items are pairs,
+// so the per-item time compares with BM_M2L's per-call time.
+template <int W>
+void BM_M2L_Lanes(benchmark::State& state) {
+  if (W > lane_width()) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
+  }
+  Setup s(static_cast<int>(state.range(0)));
+  const auto r = lane_offsets<W>();
+  std::array<Vec3, W> src;
+  std::array<const double*, W> m;
+  for (int l = 0; l < W; ++l) {
+    src[l] = Vec3{3, 1, 0} - r[l];
+    m[l] = s.M.data();
+  }
+  std::vector<double> out(s.ctx.ncoef(), 0.0);
+  for (auto _ : state) {
+    s.ctx.m2l_lanes<W>(src, {3, 1, 0}, m.data(), out.data(), 1,
+                       s.ctx.ncoef());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * W);
 }
 
 void BM_L2L(benchmark::State& state) {
@@ -177,6 +232,11 @@ BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2L)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_DerivTensor, 1)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_DerivTensor, 2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_DerivTensor, 4)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_M2L_Lanes, 2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_M2L_Lanes, 4)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_P2P_Gravity, 2);

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
+
+#include "util/lanes.hpp"
 
 namespace afmm {
 
@@ -75,6 +78,28 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
     }
   };
 
+  // ---- M2L into one node: its list in order, W sources per m2l_lanes call
+  // (a ragged tail goes in one shorter call), at the lane width chosen once
+  // per evaluate (4 with AVX2, else 2).
+  const int width = lane_width();
+  auto m2l_list = [&](int id, auto lanes) {
+    constexpr int W = decltype(lanes)::value;
+    const Vec3& dst = tree.node(id).center;
+    const std::uint32_t end = lists.m2l_offset[id + 1];
+    for (std::uint32_t e = lists.m2l_offset[id]; e < end; e += W) {
+      const int live = static_cast<int>(std::min<std::uint32_t>(W, end - e));
+      Vec3 src[W];
+      const double* m[W];
+      for (int l = 0; l < live; ++l) {
+        const int s = lists.m2l_sources[e + l];
+        src[l] = tree.node(s).center;
+        m[l] = mcoef(s, 0);
+      }
+      ctx_.m2l_lanes<W>({src, static_cast<std::size_t>(live)}, dst, m,
+                        lcoef(id, 0), nrhs, nc);
+    }
+  };
+
   // ---- down sweep: M2L + L2L at each node, L2P at effective leaves -------
   auto downsweep = [&](auto&& self, int id) -> void {
     const OctreeNode& n = tree.node(id);
@@ -83,12 +108,10 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
       const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
       OpTimers::Scoped timer(m2l_count ? timers : nullptr, FmmOp::kM2L,
                              m2l_count);
-      for (std::uint32_t e = lists.m2l_offset[id];
-           e < lists.m2l_offset[id + 1]; ++e) {
-        const int src = lists.m2l_sources[e];
-        ctx_.m2l_multi(tree.node(src).center, n.center, mcoef(src, 0),
-                       lcoef(id, 0), nrhs, nc);
-      }
+      if (width == 4)
+        m2l_list(id, std::integral_constant<int, 4>{});
+      else
+        m2l_list(id, std::integral_constant<int, 2>{});
     }
     if (n.parent >= 0) {
       OpTimers::Scoped timer(timers, FmmOp::kL2L);

@@ -4,7 +4,11 @@
 // scalar charge vectors ("right-hand sides"), it runs P2M -> M2M -> (M2L,
 // L2L) -> L2P with OpenMP tasks spawned per child and a taskwait at each
 // parent -- exactly the recursive pattern of the paper's Section III.B --
-// and returns potential + gradient per body for each rhs.
+// and returns potential + gradient per body for each rhs. Each node's M2L
+// list goes lane_width() sources at a time (4 with AVX2, else 2) through
+// ExpansionContext::m2l_lanes: their derivative tensors are evaluated
+// together in SIMD lanes and contracted one at a time in list order, so the
+// width moves no bit.
 //
 // FmmSolver<Kernel> runs the one solve pipeline around it; the two solvers
 // derive from it and differ only in their inputs and field assembly:

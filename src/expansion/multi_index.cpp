@@ -5,13 +5,12 @@
 namespace afmm {
 
 MultiIndexSet::MultiIndexSet(int max_order) : p_(max_order) {
-  if (max_order < 0 || max_order > 40)
+  if (max_order < 0 || max_order > kMaxOrder)
     throw std::invalid_argument("MultiIndexSet: order out of range");
 
-  // Graded lexicographic enumeration: all orders o = 0..p, and within an
-  // order i descending is NOT used -- we use i ascending? Pick i from o..0 so
-  // that x-heavy monomials come first within a grade; any fixed order works
-  // as long as lookups agree.
+  // Graded lexicographic enumeration: orders o = 0..p ascending, and within
+  // an order i descending, then j descending, so x-heavy monomials come
+  // first. Graded order puts the count(o) indices of order <= o first.
   for (int o = 0; o <= p_; ++o)
     for (int i = o; i >= 0; --i)
       for (int j = o - i; j >= 0; --j) {

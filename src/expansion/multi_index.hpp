@@ -31,6 +31,9 @@ struct MultiIndex {
 
 class MultiIndexSet {
  public:
+  static constexpr int kMaxOrder = 40;
+
+  // max_order must be in [0, kMaxOrder].
   explicit MultiIndexSet(int max_order);
 
   int max_order() const { return p_; }

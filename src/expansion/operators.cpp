@@ -1,5 +1,6 @@
 #include "expansion/operators.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -117,13 +118,39 @@ void ExpansionContext::m2l(const Vec3& src, const Vec3& dst, const double* M,
 void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  const double* M, double* L, int nrhs,
                                  int stride) const {
-  const int n = ncoef();
+  m2l_lanes<1>({&src, 1}, dst, &M, L, nrhs, stride);
+}
+
+template <int W>
+void ExpansionContext::m2l_lanes(std::span<const Vec3> src, const Vec3& dst,
+                                 const double* const* M, double* L, int nrhs,
+                                 int stride) const {
+  const int live = static_cast<int>(src.size());
+  Vec3 r[W];
+  for (int l = 0; l < W; ++l) r[l] = dst - src[std::min(l, live - 1)];
+  const std::size_t nq = set_q_.size();
   thread_local std::vector<double> T;
+  T.resize(W * nq);
+  derivs_.evaluate_lanes<W>(r, T.data());
+  for (int l = 0; l < live; ++l)
+    m2l_contract(T.data() + l * nq, M[l], L, nrhs, stride);
+}
+
+template void ExpansionContext::m2l_lanes<1>(std::span<const Vec3>,
+                                             const Vec3&, const double* const*,
+                                             double*, int, int) const;
+template void ExpansionContext::m2l_lanes<2>(std::span<const Vec3>,
+                                             const Vec3&, const double* const*,
+                                             double*, int, int) const;
+template void ExpansionContext::m2l_lanes<4>(std::span<const Vec3>,
+                                             const Vec3&, const double* const*,
+                                             double*, int, int) const;
+
+void ExpansionContext::m2l_contract(const double* t, const double* M,
+                                    double* L, int nrhs, int stride) const {
+  const int n = ncoef();
   thread_local std::vector<double> Ms;
-  T.resize(set_q_.size());
   Ms.resize(n);
-  derivs_.evaluate(dst - src, T.data());
-  const double* t = T.data();
   const double* ms = Ms.data();
   for (int r = 0; r < nrhs; ++r) {
     const double* m = M + static_cast<std::ptrdiff_t>(r) * stride;

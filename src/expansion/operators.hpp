@@ -13,6 +13,7 @@
 // immutable after construction and safe to share across threads.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "expansion/laplace_derivs.hpp"
@@ -63,14 +64,27 @@ class ExpansionContext {
   void m2m(const Vec3& from, const Vec3& to, const double* Mchild,
            double* Mparent) const;
 
-  // Convert a multipole about `src` into a local about `dst`.
+  // Convert a multipole about `src` into a local about `dst`: the one-lane,
+  // one-rhs m2l_lanes.
   void m2l(const Vec3& src, const Vec3& dst, const double* M, double* L) const;
 
   // Multi-rhs M2L sharing one derivative-tensor evaluation: applies the
   // conversion to `nrhs` expansions laid out with the given stride (in
-  // doubles) between consecutive rhs.
+  // doubles) between consecutive rhs. The one-lane m2l_lanes.
   void m2l_multi(const Vec3& src, const Vec3& dst, const double* M, double* L,
                  int nrhs, int stride) const;
+
+  // M2L into one destination from src.size() sources, 1 to W: source l's
+  // nrhs multipoles start at M[l], laid out as in m2l_multi. The W
+  // derivative tensors are evaluated together, one offset per SIMD lane
+  // (LaplaceDerivatives::evaluate_lanes<W>; spare lanes repeat the last
+  // source and are dropped), then contracted one at a time in source order,
+  // so every L[beta] ends bit-identical to src.size() m2l_multi calls in
+  // that order. Built for W = 1, 2 and 4; W = 4 needs AVX2 (util/lanes.hpp).
+  template <int W>
+  void m2l_lanes(std::span<const Vec3> src, const Vec3& dst,
+                 const double* const* M, double* L, int nrhs,
+                 int stride) const;
 
   // Shift parent local (about `from`) into child local (about `to`).
   void l2l(const Vec3& from, const Vec3& to, const double* Lparent,
@@ -120,6 +134,10 @@ class ExpansionContext {
   MultiIndexSet set_p_;  // expansion indices, order p
   MultiIndexSet set_q_;  // derivative indices, order 2p (covers M2L and M2P)
   LaplaceDerivatives derivs_;
+
+  // L += the M2L of one tensor `t` (over set_q_) for nrhs multipoles.
+  void m2l_contract(const double* t, const double* M, double* L, int nrhs,
+                    int stride) const;
 
   // (hi, lo, shift) with lo <= hi componentwise, shift = hi - lo.
   struct Triple {

@@ -38,7 +38,7 @@
 #include "gpusim/gpu_model.hpp"
 #include "gpusim/partition.hpp"
 #include "gpusim/transfer.hpp"
-#include "kernels/lanes.hpp"
+#include "util/lanes.hpp"
 #include "machine/health.hpp"
 #include "octree/octree.hpp"
 #include "octree/traversal.hpp"

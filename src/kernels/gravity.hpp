@@ -52,7 +52,7 @@ class GravityKernel {
   // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
   // source j in order, with bit-identical results: the source is broadcast
   // and the W lanes run in SIMD. Built for W = 2 and W = 4; W = 4 needs AVX2
-  // (kernels/lanes.hpp). The self pair is masked, not branched on: keep = 0
+  // (util/lanes.hpp). The self pair is masked, not branched on: keep = 0
   // adds 1 to r^2 (no division by zero) and contributes term * 0 = +-0,
   // which leaves an accumulator that started at +0.0 unchanged; keep = 1
   // adds +0 to r^2 >= +0 and multiplies by 1, both exact.

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "kernels/lanes.hpp"
+#include "util/lanes.hpp"
 
 namespace afmm {
 

@@ -57,7 +57,7 @@ class StokesletKernel {
   // Lane l does accumulate(xt[l], tid[l], src[j], sid[j], acc[l]) for every
   // source j in order, with bit-identical results: the source is broadcast
   // and the W lanes run in SIMD. Built for W = 2 and W = 4; W = 4 needs AVX2
-  // (kernels/lanes.hpp).
+  // (util/lanes.hpp).
   template <int W>
   void accumulate_lanes(std::span<const Vec3, W> xt,
                         std::span<const std::uint32_t, W> tid,

@@ -1,4 +1,4 @@
-#include "kernels/lanes.hpp"
+#include "util/lanes.hpp"
 
 namespace afmm {
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
 
 #include "expansion/laplace_derivs.hpp"
+#include "reference_derivs.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -153,6 +157,98 @@ TEST(LaplaceDerivatives, ThrowsAtOrigin) {
   LaplaceDerivatives ld(set);
   std::vector<double> out(set.size());
   EXPECT_THROW(ld.evaluate({0, 0, 0}, out.data()), std::domain_error);
+}
+
+// Offsets for the bit-identity checks: the seeded ones plus axis-aligned and
+// all-negative vectors at both ends of the |r| range.
+std::vector<Vec3> bit_identity_offsets() {
+  auto r = reference_offsets(7, 64);
+  for (const Vec3 v : {Vec3{1e-3, 0, 0}, Vec3{0, -1e3, 0}, Vec3{0, 0, 1},
+                       Vec3{-1, -1, -1}, Vec3{-1e-3, 1e-3, 0},
+                       Vec3{-1e3, 0, -1e3}})
+    r.push_back(v);
+  return r;
+}
+
+TEST(LaplaceDerivatives, EvaluateBitIdenticalToReference) {
+  const auto offsets = bit_identity_offsets();
+  for (int q = 0; q <= 16; ++q) {
+    MultiIndexSet set(q);
+    LaplaceDerivatives ld(set);
+    std::vector<double> got(set.size()), want(set.size());
+    for (std::size_t i = 0; i < offsets.size(); ++i) {
+      ld.evaluate(offsets[i], got.data());
+      reference_derivatives(set, offsets[i], want.data());
+      ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "Q=" << q << " offset " << i;
+    }
+  }
+}
+
+// evaluate_lanes<W> at both SIMD widths; width 4 runs the AVX2 routine, so
+// it is skipped on a CPU without AVX2.
+class LaplaceLanes : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > lane_width()) GTEST_SKIP() << "CPU lacks AVX2";
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Width, LaplaceLanes, ::testing::Values(2, 4),
+                         ::testing::PrintToStringParamName());
+
+// Every lane of every call, W distinct offsets per call, against the
+// reference evaluated one offset at a time.
+template <int W>
+void expect_lanes_match_reference() {
+  auto offsets = bit_identity_offsets();
+  while (offsets.size() % W != 0)
+    offsets.push_back(offsets[offsets.size() / 2]);
+  for (int q = 0; q <= 16; ++q) {
+    MultiIndexSet set(q);
+    LaplaceDerivatives ld(set);
+    const std::size_t n = set.size();
+    std::vector<double> got(W * n), want(n);
+    for (std::size_t i = 0; i < offsets.size(); i += W) {
+      ld.evaluate_lanes<W>(std::span<const Vec3, W>(&offsets[i], W),
+                           got.data());
+      for (int l = 0; l < W; ++l) {
+        reference_derivatives(set, offsets[i + l], want.data());
+        ASSERT_EQ(std::memcmp(got.data() + l * n, want.data(),
+                              n * sizeof(double)),
+                  0)
+            << "Q=" << q << " offset " << i + l << " lane " << l;
+      }
+    }
+  }
+}
+
+TEST_P(LaplaceLanes, EveryLaneBitIdenticalToReference) {
+  if (GetParam() == 4)
+    expect_lanes_match_reference<4>();
+  else
+    expect_lanes_match_reference<2>();
+}
+
+template <int W>
+void expect_zero_lane_throws() {
+  MultiIndexSet set(6);
+  LaplaceDerivatives ld(set);
+  std::vector<double> out(W * set.size());
+  for (int zero = 0; zero < W; ++zero) {
+    Vec3 r[W];
+    for (int l = 0; l < W; ++l) r[l] = l == zero ? Vec3{} : Vec3{1, 2, l + 1.0};
+    EXPECT_THROW(ld.evaluate_lanes<W>(r, out.data()), std::domain_error)
+        << "zero offset in lane " << zero;
+  }
+}
+
+TEST_P(LaplaceLanes, ZeroOffsetInAnyLaneThrows) {
+  if (GetParam() == 4)
+    expect_zero_lane_throws<4>();
+  else
+    expect_zero_lane_throws<2>();
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <cstring>
 
 #include "expansion/operators.hpp"
+#include "reference_derivs.hpp"
+#include "util/lanes.hpp"
 #include "util/rng.hpp"
 
 namespace afmm {
@@ -183,14 +185,15 @@ TEST(Operators, L2PGradientMatchesFiniteDifference) {
 }
 
 // The pairwise M2L contraction: one `L[beta] += sign * M[alpha] *
-// T[alpha + beta]` per term, beta-major, alpha ascending. The operator's row
+// T[alpha + beta]` per term, beta-major, alpha ascending, over the reference
+// tensor (reference_derivs.hpp). The operator's lane tensors and row
 // contraction must reproduce it bit for bit.
 void pairwise_m2l(const ExpansionContext& ctx, const Vec3& src,
                   const Vec3& dst, const double* M, double* L) {
   const MultiIndexSet& P = ctx.index_set();
   const MultiIndexSet& Q = ctx.derivative_set();
   std::vector<double> T(Q.size());
-  LaplaceDerivatives(Q).evaluate(dst - src, T.data());
+  reference_derivatives(Q, dst - src, T.data());
   const int n = P.size();
   std::vector<double> Ms(n);
   for (int a = 0; a < n; ++a) Ms[a] = (P.order(a) % 2 == 0 ? 1.0 : -1.0) * M[a];
@@ -223,6 +226,95 @@ TEST(Operators, M2LBitIdenticalToPairwiseContraction) {
       EXPECT_EQ(std::memcmp(multi.data(), want.data(), bytes), 0)
           << "m2l_multi p=" << p << " nrhs=" << nrhs;
     }
+  }
+}
+
+// m2l_lanes at every width: width 4 runs the AVX2 tensor routine, so it is
+// skipped on a CPU without AVX2.
+class M2LLanes : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > lane_width()) GTEST_SKIP() << "CPU lacks AVX2";
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Width, M2LLanes, ::testing::Values(1, 2, 4),
+                         ::testing::PrintToStringParamName());
+
+// One m2l_lanes<W> call with `live` sources against `live` pairwise M2Ls in
+// source order. The slots past `live` hold the destination itself, a zero
+// offset that throws if a spare lane ever reads it.
+template <int W>
+void expect_lanes_match_pairwise() {
+  const Vec3 dst{2.5, 1.0, -0.5};
+  const auto offsets = reference_offsets(11, W);
+  for (int p = 1; p <= 8; ++p) {
+    ExpansionContext ctx(p);
+    const int nc = ctx.ncoef();
+    for (int nrhs : {1, 4}) {
+      for (int live = 1; live <= W; ++live) {
+        Rng rng(100 * p + 10 * nrhs + live);
+        std::vector<double> M(static_cast<std::size_t>(W) * nrhs * nc);
+        std::vector<double> L0(static_cast<std::size_t>(nrhs) * nc);
+        for (auto& m : M) m = rng.uniform(-1, 1);
+        for (auto& l : L0) l = rng.uniform(-1, 1);  // M2L adds into L
+        Vec3 src[W];
+        const double* m[W];
+        for (int l = 0; l < W; ++l) {
+          // Unit-scale offsets, so each source's terms are comparable.
+          src[l] = l < live ? dst - offsets[l] / norm(offsets[l]) * 1.5 : dst;
+          m[l] = M.data() + static_cast<std::size_t>(l) * nrhs * nc;
+        }
+
+        std::vector<double> want = L0, got = L0;
+        for (int l = 0; l < live; ++l)
+          for (int r = 0; r < nrhs; ++r)
+            pairwise_m2l(ctx, src[l], dst, m[l] + r * nc,
+                         want.data() + r * nc);
+        ctx.m2l_lanes<W>({src, static_cast<std::size_t>(live)}, dst, m,
+                         got.data(), nrhs, nc);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "W=" << W << " p=" << p << " nrhs=" << nrhs
+            << " live=" << live;
+      }
+    }
+  }
+}
+
+TEST_P(M2LLanes, BitIdenticalToPairwiseInSourceOrder) {
+  switch (GetParam()) {
+    case 1: expect_lanes_match_pairwise<1>(); break;
+    case 2: expect_lanes_match_pairwise<2>(); break;
+    default: expect_lanes_match_pairwise<4>(); break;
+  }
+}
+
+// A zero offset in a live lane throws, whichever lane holds it.
+template <int W>
+void expect_zero_live_lane_throws() {
+  ExpansionContext ctx(3);
+  const int nc = ctx.ncoef();
+  const Vec3 dst{1, 1, 1};
+  std::vector<double> M(nc, 1.0), L(nc, 0.0);
+  for (int zero = 0; zero < W; ++zero) {
+    Vec3 src[W];
+    const double* m[W];
+    for (int l = 0; l < W; ++l) {
+      src[l] = l == zero ? dst : Vec3{-2.0 * (l + 1), 0, 0};
+      m[l] = M.data();
+    }
+    EXPECT_THROW(ctx.m2l_lanes<W>(src, dst, m, L.data(), 1, nc),
+                 std::domain_error)
+        << "zero offset in lane " << zero;
+  }
+}
+
+TEST_P(M2LLanes, ZeroOffsetInLiveLaneThrows) {
+  switch (GetParam()) {
+    case 1: expect_zero_live_lane_throws<1>(); break;
+    case 2: expect_zero_live_lane_throws<2>(); break;
+    default: expect_zero_live_lane_throws<4>(); break;
   }
 }
 

@@ -13,7 +13,7 @@
 
 #include "gpusim/p2p_executor.hpp"
 #include "kernels/gravity.hpp"
-#include "kernels/lanes.hpp"
+#include "util/lanes.hpp"
 #include "kernels/stokeslet.hpp"
 #include "omp_threads.hpp"
 #include "util/rng.hpp"

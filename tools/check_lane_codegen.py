@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Check that the P2P lane routines in libafmm.a are vectorized.
+"""Check that the SIMD lane routines in libafmm.a are vectorized.
 
-Each kernel builds accumulate_lanes<W>() twice from one body
-(src/kernels/*.cpp): W = 2 for baseline x86-64 and W = 4 for AVX2. A lost
-vectorization keeps every test green, because the lanes stay bit-identical,
-but it halves the near field's speed. So this disassembles the library with
-`objdump -d -C` and requires, in every kernel's routine:
+Two routines are built twice from one body each, W = 2 for baseline x86-64
+and W = 4 for AVX2 (src/util/lanes.hpp): every P2P kernel's
+accumulate_lanes<W>() (src/kernels/*.cpp) and the M2L derivative tensor's
+LaplaceDerivatives::evaluate_lanes<W>() (src/expansion/laplace_derivs.cpp).
+A lost vectorization keeps every test green, because the lanes stay
+bit-identical, but it throws away the lanes' speed. So this disassembles the
+library with `objdump -d -C` and requires:
 
-  * W = 2: packed SSE2 `sqrtpd` and `divpd` on xmm registers;
-  * W = 4: packed AVX `vsqrtpd` and `vdivpd` on ymm registers.
+  * accumulate_lanes<2>: packed SSE2 `sqrtpd` and `divpd` on xmm registers;
+  * accumulate_lanes<4>: packed AVX `vsqrtpd` and `vdivpd` on ymm registers;
+  * evaluate_lanes<2>: packed SSE2 `mulpd` and `addpd` on xmm registers;
+  * evaluate_lanes<4>: packed AVX `vmulpd` and `vaddpd` on ymm registers.
 
 Run it on a default build: under -march=native the 2-lane routines use the
-VEX forms (`vsqrtpd` on xmm) and fail the first rule.
+VEX forms (`vsqrtpd` on xmm) and fail the 2-lane rules.
 
 Usage: check_lane_codegen.py [path/to/libafmm.a]   (default build/src/libafmm.a)
 Exits 1 naming each routine that is missing or lacks an instruction.
@@ -20,10 +24,19 @@ import re
 import subprocess
 import sys
 
-KERNELS = ("GravityKernel", "StokesletKernel")
-REQUIRED = {
+P2P = {
     2: (r"\tsqrtpd\s.*%xmm", r"\tdivpd\s.*%xmm"),
     4: (r"\tvsqrtpd\s.*%ymm", r"\tvdivpd\s.*%ymm"),
+}
+TENSOR = {
+    2: (r"\tmulpd\s.*%xmm", r"\taddpd\s.*%xmm"),
+    4: (r"\tvmulpd\s.*%ymm", r"\tvaddpd\s.*%ymm"),
+}
+# Routine (without its template arguments) -> {width: required patterns}.
+ROUTINES = {
+    "afmm::GravityKernel::accumulate_lanes": P2P,
+    "afmm::StokesletKernel::accumulate_lanes": P2P,
+    "afmm::LaplaceDerivatives::evaluate_lanes": TENSOR,
 }
 HEADER = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 
@@ -47,9 +60,9 @@ def main():
                                  capture_output=True, text=True).stdout
     found = routines(disassembly)
     failures = []
-    for kernel in KERNELS:
-        for width, patterns in REQUIRED.items():
-            name = f"afmm::{kernel}::accumulate_lanes<{width}>("
+    for routine, required in ROUTINES.items():
+        for width, patterns in required.items():
+            name = f"{routine}<{width}>("
             body = [l for f, ls in found.items() if name in f for l in ls]
             if not body:
                 failures.append(f"{name}...): not found in {lib}")
@@ -58,7 +71,7 @@ def main():
                 if not any(re.search(pattern, l) for l in body):
                     failures.append(f"{name}...): no instruction matching "
                                     f"{pattern!r}")
-            print(f"check_lane_codegen: {kernel} width {width}: "
+            print(f"check_lane_codegen: {routine} width {width}: "
                   f"{len(body)} instructions")
     for f in failures:
         print(f"check_lane_codegen: FAIL {f}", file=sys.stderr)
