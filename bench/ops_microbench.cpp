@@ -111,8 +111,10 @@ void BM_DerivTensor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * W);
 }
 
-// One single-rhs M2L lane call: W sources into one local. Items are pairs,
-// so the per-item time compares with BM_M2L's per-call time.
+// One M2L lane call: W (source, target) pairs, one per lane, each adding
+// nrhs = range(1) expansions into its lane of one lane-interleaved local
+// block. Items are pairs, so the per-item time compares with BM_M2L's (1 rhs)
+// and BM_M2L_Multi4's (4 rhs) per-call time.
 template <int W>
 void BM_M2L_Lanes(benchmark::State& state) {
   if (W > lane_width()) {
@@ -120,18 +122,20 @@ void BM_M2L_Lanes(benchmark::State& state) {
     return;
   }
   Setup s(static_cast<int>(state.range(0)));
+  const int nrhs = static_cast<int>(state.range(1));
+  const int nc = s.ctx.ncoef();
+  std::vector<double> M(static_cast<std::size_t>(W) * nrhs * nc);
+  Rng rng(2);
+  for (auto& v : M) v = rng.uniform(-1, 1);
   const auto r = lane_offsets<W>();
-  std::array<Vec3, W> src;
   std::array<const double*, W> m;
-  for (int l = 0; l < W; ++l) {
-    src[l] = Vec3{3, 1, 0} - r[l];
-    m[l] = s.M.data();
-  }
-  std::vector<double> out(s.ctx.ncoef(), 0.0);
+  for (int l = 0; l < W; ++l)
+    m[l] = M.data() + static_cast<std::size_t>(l) * nrhs * nc;
+  std::vector<double> out(static_cast<std::size_t>(W) * nrhs * nc, 0.0);
   for (auto _ : state) {
-    s.ctx.m2l_lanes<W>(src, {3, 1, 0}, m.data(), out.data(), 1,
-                       s.ctx.ncoef());
+    s.ctx.m2l_lanes<W>(r, m.data(), out.data(), nrhs, nc);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * W);
 }
@@ -235,8 +239,10 @@ BENCHMARK(BM_M2L_Multi4)->Arg(2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_DerivTensor, 1)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_DerivTensor, 2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_DerivTensor, 4)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
-BENCHMARK_TEMPLATE(BM_M2L_Lanes, 2)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
-BENCHMARK_TEMPLATE(BM_M2L_Lanes, 4)->Arg(4)->Arg(5)->Arg(6)->Arg(8);
+BENCHMARK_TEMPLATE(BM_M2L_Lanes, 2)
+    ->ArgsProduct({{4, 5, 6, 8}, {1, 4}});
+BENCHMARK_TEMPLATE(BM_M2L_Lanes, 4)
+    ->ArgsProduct({{4, 5, 6, 8}, {1, 4}});
 BENCHMARK(BM_L2L)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK(BM_L2P)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
 BENCHMARK_TEMPLATE(BM_P2P_Gravity, 2);

@@ -78,41 +78,66 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
     }
   };
 
-  // ---- M2L into one node: its list in order, W sources per m2l_lanes call
-  // (a ragged tail goes in one shorter call), at the lane width chosen once
-  // per evaluate (4 with AVX2, else 2).
+  // ---- M2L: one flat pass between the sweeps, W target nodes per group
+  // (W = lane_width(), read once per evaluate: 4 with AVX2, else 2). The
+  // nodes with a list are sorted longest list first, ties by id, so a
+  // group's lanes end close together. Lane l walks node t[l]'s list in list
+  // order, one m2l_lanes<W> step per source, in a lane-interleaved block
+  // loaded from L[t[l]] and stored back on the step its list ends; after
+  // that the lane repeats its last source and its output is dropped. A
+  // short last group fills its spare lanes with a live node, never stored.
+  // So every L[id] gets its M2L terms in list order, as one m2l_multi per
+  // pair gives them, and then its L2L term in the down sweep.
+  auto list_len = [&](int id) {
+    return lists.m2l_offset[id + 1] - lists.m2l_offset[id];
+  };
+  std::vector<int> targets;
+  for (int id = 0; id < nn; ++id)
+    if (list_len(id) > 0) targets.push_back(id);
+  std::sort(targets.begin(), targets.end(), [&](int a, int b) {
+    return list_len(a) != list_len(b) ? list_len(a) > list_len(b) : a < b;
+  });
   const int width = lane_width();
-  auto m2l_list = [&](int id, auto lanes) {
+  const std::size_t groups = (targets.size() + width - 1) / width;
+
+  auto m2l_group = [&](std::size_t g, double* block, auto lanes) {
     constexpr int W = decltype(lanes)::value;
-    const Vec3& dst = tree.node(id).center;
-    const std::uint32_t end = lists.m2l_offset[id + 1];
-    for (std::uint32_t e = lists.m2l_offset[id]; e < end; e += W) {
-      const int live = static_cast<int>(std::min<std::uint32_t>(W, end - e));
-      Vec3 src[W];
+    const std::size_t first = g * W;
+    const int live = static_cast<int>(std::min<std::size_t>(
+        W, targets.size() - first));
+    int t[W];
+    std::uint32_t len[W];
+    std::uint64_t pairs = 0;
+    for (int l = 0; l < W; ++l) {
+      t[l] = targets[first + std::min(l, live - 1)];
+      len[l] = list_len(t[l]);
+      if (l < live) pairs += len[l];
+    }
+    OpTimers::Scoped timer(timers, FmmOp::kM2L, pairs);
+    for (std::size_t k = 0; k < per_node; ++k)
+      for (int l = 0; l < W; ++l) block[k * W + l] = L[per_node * t[l] + k];
+    // Lane 0 holds the group's longest list.
+    for (std::uint32_t step = 0; step < len[0]; ++step) {
+      Vec3 r[W];
       const double* m[W];
-      for (int l = 0; l < live; ++l) {
-        const int s = lists.m2l_sources[e + l];
-        src[l] = tree.node(s).center;
+      for (int l = 0; l < W; ++l) {
+        const int s = lists.m2l_sources[lists.m2l_offset[t[l]] +
+                                        std::min(step, len[l] - 1)];
+        r[l] = tree.node(t[l]).center - tree.node(s).center;
         m[l] = mcoef(s, 0);
       }
-      ctx_.m2l_lanes<W>({src, static_cast<std::size_t>(live)}, dst, m,
-                        lcoef(id, 0), nrhs, nc);
+      ctx_.m2l_lanes<W>(r, m, block, nrhs, nc);
+      for (int l = 0; l < live; ++l)
+        if (step + 1 == len[l])
+          for (std::size_t k = 0; k < per_node; ++k)
+            L[per_node * t[l] + k] = block[k * W + l];
     }
   };
 
-  // ---- down sweep: M2L + L2L at each node, L2P at effective leaves -------
+  // ---- down sweep: L2L at each node, L2P at effective leaves ------------
   auto downsweep = [&](auto&& self, int id) -> void {
     const OctreeNode& n = tree.node(id);
     if (n.count == 0) return;
-    {
-      const auto m2l_count = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
-      OpTimers::Scoped timer(m2l_count ? timers : nullptr, FmmOp::kM2L,
-                             m2l_count);
-      if (width == 4)
-        m2l_list(id, std::integral_constant<int, 4>{});
-      else
-        m2l_list(id, std::integral_constant<int, 2>{});
-    }
     if (n.parent >= 0) {
       OpTimers::Scoped timer(timers, FmmOp::kL2L);
       for (int r = 0; r < nrhs; ++r)
@@ -261,13 +286,24 @@ void HarmonicFarField::evaluate(const AdaptiveOctree& tree,
 
   if (tree.empty()) return;
 #pragma omp parallel
-#pragma omp single
   {
-    upsweep(upsweep, tree.root());
-    if (sdc && (sdc->inject ||
-                (sdc->detect && (sdc->detect->expansion_checks ||
-                                 sdc->detect->expansion_reaggregation))))
-      sdc_guard([&](int id) { upsweep(upsweep, id); });
+#pragma omp single
+    {
+      upsweep(upsweep, tree.root());
+      if (sdc && (sdc->inject ||
+                  (sdc->detect && (sdc->detect->expansion_checks ||
+                                   sdc->detect->expansion_reaggregation))))
+        sdc_guard([&](int id) { upsweep(upsweep, id); });
+    }
+    std::vector<double> block(per_node * width);
+#pragma omp for schedule(dynamic)
+    for (std::size_t g = 0; g < groups; ++g) {
+      if (width == 4)
+        m2l_group(g, block.data(), std::integral_constant<int, 4>{});
+      else
+        m2l_group(g, block.data(), std::integral_constant<int, 2>{});
+    }
+#pragma omp single
     downsweep(downsweep, tree.root());
   }
 }

@@ -1,14 +1,18 @@
 // The adaptive FMM solvers.
 //
 // HarmonicFarField is the expansion engine: given a tree and one or more
-// scalar charge vectors ("right-hand sides"), it runs P2M -> M2M -> (M2L,
-// L2L) -> L2P with OpenMP tasks spawned per child and a taskwait at each
-// parent -- exactly the recursive pattern of the paper's Section III.B --
-// and returns potential + gradient per body for each rhs. Each node's M2L
-// list goes lane_width() sources at a time (4 with AVX2, else 2) through
-// ExpansionContext::m2l_lanes: their derivative tensors are evaluated
-// together in SIMD lanes and contracted one at a time in list order, so the
-// width moves no bit.
+// scalar charge vectors ("right-hand sides"), it runs P2M -> M2M, then M2L,
+// then L2L -> L2P, and returns potential + gradient per body for each rhs.
+// The two sweeps spawn OpenMP tasks per child with a taskwait at each
+// parent, the recursive pattern of the paper's Section III.B. M2L runs
+// between them as one flat pass: the nodes with a list, longest first, go
+// lane_width() at a time (4 with AVX2, else 2) through
+// ExpansionContext::m2l_lanes, one target node per SIMD lane, each lane
+// walking its own list in order -- the lock-step, one-target-per-thread
+// scheme of the paper's Section III.C kernel -- so the width moves no bit.
+// The virtual clock models the paper's per-child task recursion, M2L inside
+// each node's down task (cpusched/, machine/); the host's order of work
+// moves no virtual time.
 //
 // FmmSolver<Kernel> runs the one solve pipeline around it; the two solvers
 // derive from it and differ only in their inputs and field assembly:

@@ -27,17 +27,19 @@ void LaplaceDerivatives::evaluate_lanes(std::span<const Vec3, W> r,
       throw std::domain_error("LaplaceDerivatives: r must be nonzero");
   }
 
-  // Scratch row a holds R^a. The recurrence fills R^a from R^(a+1) one order
-  // lower, so R^a is needed only at orders <= Q - a: the count(Q - a)
-  // indices graded order puts first. Entry idx of row a holds its W lanes
-  // side by side, at row[a][idx * W + lane].
+  // Row a holds R^a. The recurrence fills R^a from R^(a+1) one order lower,
+  // so R^a is needed only at orders <= Q - a: the count(Q - a) indices
+  // graded order puts first. Entry idx of row a holds its W lanes side by
+  // side, at row[a][idx * W + lane]. Row 0 is the tensor itself, written
+  // straight into `out`; rows 1..Q live in a per-thread scratch.
   std::size_t entries = 0;
-  for (int a = 0; a <= q; ++a) entries += MultiIndexSet::count(q - a);
+  for (int a = 1; a <= q; ++a) entries += MultiIndexSet::count(q - a);
   thread_local std::vector<double> work;
   work.resize(entries * W);
   double* row[MultiIndexSet::kMaxOrder + 1] = {};
-  row[0] = work.data();
-  for (int a = 0; a < q; ++a)
+  row[0] = out;
+  row[1] = work.data();
+  for (int a = 1; a < q; ++a)
     row[a + 1] = row[a] + MultiIndexSet::count(q - a) * W;
 
   // Base column: R^a_0 = (-1)^a (2a-1)!! / |r|^(2a+1).
@@ -83,10 +85,6 @@ void LaplaceDerivatives::evaluate_lanes(std::span<const Vec3, W> r,
       }
     }
   }
-
-  for (int l = 0; l < W; ++l)
-    for (int idx = 0; idx < n; ++idx)
-      out[static_cast<std::size_t>(l) * n + idx] = row[0][idx * W + l];
 }
 
 // The three widths, one body: the 4-lane copy is compiled for AVX2.

@@ -8,9 +8,10 @@
 //   T_alpha      = R^0_alpha
 //
 // which is exact in double precision (no truncation; only rounding). R^n is
-// needed only at orders <= Q - n, so the per-thread scratch holds that
-// triangle, C(Q+4, 4) entries per lane (1,001 at Q = 10), not the
-// (Q+1) x |set| rectangle (3,146).
+// needed only at orders <= Q - n, so the recurrence runs over that triangle,
+// C(Q+4, 4) entries per lane (1,001 at Q = 10), not the (Q+1) x |set|
+// rectangle (3,146). Its row 0 is the output; rows 1..Q sit in a per-thread
+// scratch.
 #pragma once
 
 #include <span>
@@ -31,11 +32,12 @@ class LaplaceDerivatives {
     evaluate_lanes<1>(std::span<const Vec3, 1>(&r, 1), out);
   }
 
-  // Lane l fills out[l * set.size() + idx] = D^alpha(1/|r[l]|)(r[l]). The W
-  // offsets run the recurrence in lock-step SIMD lanes, each lane doing the
-  // one-lane operations in the same order, so the width moves no bit. Built
-  // for W = 1, 2 and 4; W = 4 needs AVX2 (util/lanes.hpp). Throws
-  // std::domain_error if any r[l] is zero.
+  // Lane l fills out[idx * W + l] = D^alpha(1/|r[l]|)(r[l]): the W lanes of
+  // each entry side by side, the layout ExpansionContext::m2l_lanes<W>
+  // contracts. The W offsets run the recurrence in lock-step SIMD lanes,
+  // each lane doing the one-lane operations in the same order, so the width
+  // moves no bit. Built for W = 1, 2 and 4; W = 4 needs AVX2
+  // (util/lanes.hpp). Throws std::domain_error if any r[l] is zero.
   template <int W>
   void evaluate_lanes(std::span<const Vec3, W> r, double* out) const;
 

@@ -1,8 +1,9 @@
 #include "expansion/operators.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+
+#include "util/lanes.hpp"
 
 namespace afmm {
 
@@ -118,75 +119,84 @@ void ExpansionContext::m2l(const Vec3& src, const Vec3& dst, const double* M,
 void ExpansionContext::m2l_multi(const Vec3& src, const Vec3& dst,
                                  const double* M, double* L, int nrhs,
                                  int stride) const {
-  m2l_lanes<1>({&src, 1}, dst, &M, L, nrhs, stride);
+  const Vec3 r = dst - src;
+  m2l_lanes<1>(std::span<const Vec3, 1>(&r, 1), &M, L, nrhs, stride);
 }
+
+namespace {
+// W doubles as one SIMD register. It may sit at any double-aligned address
+// and alias doubles, so lane-interleaved double arrays are read and written
+// through it in place: element i of a V* is the W lanes of entry i. One lane
+// is a plain double (GCC compiles a one-element vector type through memory).
+template <int W>
+struct LaneVector {
+  typedef double V __attribute__((vector_size(W * sizeof(double)),
+                                  aligned(sizeof(double)), may_alias));
+};
+template <>
+struct LaneVector<1> {
+  using V = double;
+};
+}  // namespace
 
 template <int W>
-void ExpansionContext::m2l_lanes(std::span<const Vec3> src, const Vec3& dst,
+void ExpansionContext::m2l_lanes(std::span<const Vec3, W> r,
                                  const double* const* M, double* L, int nrhs,
                                  int stride) const {
-  const int live = static_cast<int>(src.size());
-  Vec3 r[W];
-  for (int l = 0; l < W; ++l) r[l] = dst - src[std::min(l, live - 1)];
-  const std::size_t nq = set_q_.size();
-  thread_local std::vector<double> T;
-  T.resize(W * nq);
-  derivs_.evaluate_lanes<W>(r, T.data());
-  for (int l = 0; l < live; ++l)
-    m2l_contract(T.data() + l * nq, M[l], L, nrhs, stride);
-}
-
-template void ExpansionContext::m2l_lanes<1>(std::span<const Vec3>,
-                                             const Vec3&, const double* const*,
-                                             double*, int, int) const;
-template void ExpansionContext::m2l_lanes<2>(std::span<const Vec3>,
-                                             const Vec3&, const double* const*,
-                                             double*, int, int) const;
-template void ExpansionContext::m2l_lanes<4>(std::span<const Vec3>,
-                                             const Vec3&, const double* const*,
-                                             double*, int, int) const;
-
-void ExpansionContext::m2l_contract(const double* t, const double* M,
-                                    double* L, int nrhs, int stride) const {
+  using V = typename LaneVector<W>::V;
   const int n = ncoef();
-  thread_local std::vector<double> Ms;
-  Ms.resize(n);
-  const double* ms = Ms.data();
-  for (int r = 0; r < nrhs; ++r) {
-    const double* m = M + static_cast<std::ptrdiff_t>(r) * stride;
-    double* l = L + static_cast<std::ptrdiff_t>(r) * stride;
-    for (int a = 0; a < n; ++a) Ms[a] = sign_[a] * m[a];
+  thread_local std::vector<double> T, Ms;
+  T.resize(W * set_q_.size());
+  Ms.resize(W * n);
+  derivs_.evaluate_lanes<W>(r, T.data());
+  const V* t = reinterpret_cast<const V*>(T.data());
+  const V* ms = reinterpret_cast<const V*>(Ms.data());
+  for (int k = 0; k < nrhs; ++k) {
+    const std::ptrdiff_t rhs = static_cast<std::ptrdiff_t>(k) * stride;
+    for (int a = 0; a < n; ++a)
+      for (int l = 0; l < W; ++l) Ms[a * W + l] = sign_[a] * M[l][rhs + a];
+    V* lv = reinterpret_cast<V*>(L) + rhs;
     // Each L[beta] is summed in a local accumulator that starts from the
     // incoming value and adds its row's terms in ascending alpha -- the same
     // floating-point sequence as one `L[beta] +=` per term, so results are
     // bit-identical to the pairwise contraction. Four rows at a time keep
-    // four independent add chains in flight.
+    // four independent add chains in flight; each chain is W lanes wide.
     int b = 0;
     for (; b + 4 <= n; b += 4) {
       const int* r0 = m2l_rows_.data() + static_cast<std::ptrdiff_t>(b) * n;
       const int* r1 = r0 + n;
       const int* r2 = r1 + n;
       const int* r3 = r2 + n;
-      double acc0 = l[b], acc1 = l[b + 1], acc2 = l[b + 2], acc3 = l[b + 3];
+      V acc0 = lv[b], acc1 = lv[b + 1], acc2 = lv[b + 2], acc3 = lv[b + 3];
       for (int a = 0; a < n; ++a) {
         acc0 += ms[a] * t[r0[a]];
         acc1 += ms[a] * t[r1[a]];
         acc2 += ms[a] * t[r2[a]];
         acc3 += ms[a] * t[r3[a]];
       }
-      l[b] = acc0;
-      l[b + 1] = acc1;
-      l[b + 2] = acc2;
-      l[b + 3] = acc3;
+      lv[b] = acc0;
+      lv[b + 1] = acc1;
+      lv[b + 2] = acc2;
+      lv[b + 3] = acc3;
     }
     for (; b < n; ++b) {
       const int* row = m2l_rows_.data() + static_cast<std::ptrdiff_t>(b) * n;
-      double acc = l[b];
+      V acc = lv[b];
       for (int a = 0; a < n; ++a) acc += ms[a] * t[row[a]];
-      l[b] = acc;
+      lv[b] = acc;
     }
   }
 }
+
+// The three widths, one body: the 4-lane copy is compiled for AVX2.
+template void ExpansionContext::m2l_lanes<1>(std::span<const Vec3, 1>,
+                                             const double* const*, double*,
+                                             int, int) const;
+template void ExpansionContext::m2l_lanes<2>(std::span<const Vec3, 2>,
+                                             const double* const*, double*,
+                                             int, int) const;
+template AFMM_TARGET_AVX2 void ExpansionContext::m2l_lanes<4>(
+    std::span<const Vec3, 4>, const double* const*, double*, int, int) const;
 
 void ExpansionContext::l2l(const Vec3& from, const Vec3& to,
                            const double* Lparent, double* Lchild) const {

@@ -74,17 +74,20 @@ class ExpansionContext {
   void m2l_multi(const Vec3& src, const Vec3& dst, const double* M, double* L,
                  int nrhs, int stride) const;
 
-  // M2L into one destination from src.size() sources, 1 to W: source l's
-  // nrhs multipoles start at M[l], laid out as in m2l_multi. The W
-  // derivative tensors are evaluated together, one offset per SIMD lane
-  // (LaplaceDerivatives::evaluate_lanes<W>; spare lanes repeat the last
-  // source and are dropped), then contracted one at a time in source order,
-  // so every L[beta] ends bit-identical to src.size() m2l_multi calls in
-  // that order. Built for W = 1, 2 and 4; W = 4 needs AVX2 (util/lanes.hpp).
+  // W independent M2Ls, one per SIMD lane. Lane l converts the nrhs
+  // multipoles starting at M[l] (laid out as in m2l_multi) at offset
+  // r[l] = dst - src and adds them into lane l of the lane-interleaved local
+  // block L: coefficient beta of rhs k of lane l is
+  // L[(k * stride + beta) * W + l]. The W derivative tensors are evaluated
+  // together (LaplaceDerivatives::evaluate_lanes<W>) and contracted together,
+  // each accumulator one W-wide vector, so every lane performs m2l_multi's
+  // operations in m2l_multi's order: lane l's column is bit-identical to one
+  // m2l_multi call, and no lane's input reaches another lane's column. Built
+  // for W = 1, 2 and 4; W = 4 needs AVX2 (util/lanes.hpp). Throws
+  // std::domain_error if any r[l] is zero.
   template <int W>
-  void m2l_lanes(std::span<const Vec3> src, const Vec3& dst,
-                 const double* const* M, double* L, int nrhs,
-                 int stride) const;
+  void m2l_lanes(std::span<const Vec3, W> r, const double* const* M,
+                 double* L, int nrhs, int stride) const;
 
   // Shift parent local (about `from`) into child local (about `to`).
   void l2l(const Vec3& from, const Vec3& to, const double* Lparent,
@@ -134,10 +137,6 @@ class ExpansionContext {
   MultiIndexSet set_p_;  // expansion indices, order p
   MultiIndexSet set_q_;  // derivative indices, order 2p (covers M2L and M2P)
   LaplaceDerivatives derivs_;
-
-  // L += the M2L of one tensor `t` (over set_q_) for nrhs multipoles.
-  void m2l_contract(const double* t, const double* M, double* L, int nrhs,
-                    int stride) const;
 
   // (hi, lo, shift) with lo <= hi componentwise, shift = hi - lo.
   struct Triple {

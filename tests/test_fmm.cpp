@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/fmm_solver.hpp"
 #include "dist/distributions.hpp"
+#include "omp_threads.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -123,6 +126,116 @@ TEST(Fmm, PlummerDistributionAccurate) {
   std::vector<double> a, b;
   flatten(res, ref, a, b);
   EXPECT_LT(rel_l2_error(a, b), 1e-4);
+}
+
+// The far field applied one operator at a time, serially: P2M at the
+// effective leaves and M2M in the library's child order; then, per node,
+// m2l_multi over its list in list order into a zeroed block, L2L from the
+// parent and L2P. HarmonicFarField::evaluate must give the same bits
+// whatever its M2L pass does with lane groups, sorting and padding.
+std::vector<std::vector<PointValue>> pairwise_far_field(
+    const ExpansionContext& ctx, const AdaptiveOctree& tree,
+    const InteractionLists& lists,
+    const std::vector<std::vector<double>>& charges) {
+  const int nrhs = static_cast<int>(charges.size());
+  const int nc = ctx.ncoef();
+  const std::size_t per_node = static_cast<std::size_t>(nrhs) * nc;
+  std::vector<double> M(per_node * tree.num_nodes(), 0.0);
+  std::vector<double> L(per_node * tree.num_nodes(), 0.0);
+  auto mcoef = [&](int id) { return M.data() + per_node * id; };
+  auto lcoef = [&](int id) { return L.data() + per_node * id; };
+  const auto pos = tree.sorted_positions();
+  std::vector<std::vector<PointValue>> out(
+      nrhs, std::vector<PointValue>(tree.num_bodies()));
+
+  auto up = [&](auto&& self, int id) -> void {
+    const OctreeNode& n = tree.node(id);
+    if (n.count == 0) return;
+    if (tree.is_effective_leaf(id)) {
+      for (int r = 0; r < nrhs; ++r)
+        ctx.p2m(n.center, pos.data() + n.begin, charges[r].data() + n.begin,
+                static_cast<int>(n.count), mcoef(id) + r * nc);
+      return;
+    }
+    for (int c : n.children) self(self, c);
+    for (int c : n.children) {
+      if (tree.node(c).count == 0) continue;
+      for (int r = 0; r < nrhs; ++r)
+        ctx.m2m(tree.node(c).center, n.center, mcoef(c) + r * nc,
+                mcoef(id) + r * nc);
+    }
+  };
+  auto down = [&](auto&& self, int id) -> void {
+    const OctreeNode& n = tree.node(id);
+    if (n.count == 0) return;
+    for (auto e = lists.m2l_offset[id]; e < lists.m2l_offset[id + 1]; ++e) {
+      const int s = lists.m2l_sources[e];
+      ctx.m2l_multi(tree.node(s).center, n.center, mcoef(s), lcoef(id), nrhs,
+                    nc);
+    }
+    if (n.parent >= 0)
+      for (int r = 0; r < nrhs; ++r)
+        ctx.l2l(tree.node(n.parent).center, n.center,
+                lcoef(n.parent) + r * nc, lcoef(id) + r * nc);
+    if (tree.is_effective_leaf(id)) {
+      for (std::uint32_t b = n.begin; b < n.begin + n.count; ++b)
+        for (int r = 0; r < nrhs; ++r)
+          out[r][b] = ctx.l2p(n.center, lcoef(id) + r * nc, pos[b]);
+      return;
+    }
+    for (int c : n.children) self(self, c);
+  };
+  up(up, tree.root());
+  down(down, tree.root());
+  return out;
+}
+
+TEST(Fmm, FarFieldBitIdenticalToPairwiseSweep) {
+  Rng rng(35);
+  PlummerOptions opt;
+  opt.scale_radius = 0.05;
+  opt.center = {0.5, 0.5, 0.5};
+  auto set = plummer(3000, rng, opt);
+  AdaptiveOctree tree;
+  tree.build(set.positions, fit_cube(set.positions, unit_config(24)));
+  FmmConfig cfg;
+  cfg.order = 4;
+  const InteractionLists lists =
+      build_interaction_lists(tree, cfg.traversal);
+
+  // A target count off every lane width gives a short last group; list
+  // lengths vary, so lanes end early inside groups as well.
+  int targets = 0;
+  std::uint32_t shortest = ~0u, longest = 0;
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    const auto len = lists.m2l_offset[id + 1] - lists.m2l_offset[id];
+    if (len == 0) continue;
+    ++targets;
+    shortest = std::min(shortest, len);
+    longest = std::max(longest, len);
+  }
+  ASSERT_NE(targets % 4, 0) << targets << " M2L targets";
+  ASSERT_LT(shortest, longest);
+
+  const HarmonicFarField far(cfg);
+  for (int nrhs : {1, 4}) {
+    std::vector<std::vector<double>> charges(
+        nrhs, std::vector<double>(tree.num_bodies()));
+    for (auto& q : charges)
+      for (auto& v : q) v = rng.uniform(-1.0, 1.0);
+    const auto want = pairwise_far_field(far.context(), tree, lists, charges);
+    for (int threads : {1, 4}) {
+      OmpThreads scoped(threads);
+      std::vector<std::vector<PointValue>> got;
+      far.evaluate(tree, lists, charges, got);
+      ASSERT_EQ(got.size(), want.size());
+      for (int r = 0; r < nrhs; ++r)
+        EXPECT_EQ(std::memcmp(got[r].data(), want[r].data(),
+                              want[r].size() * sizeof(PointValue)),
+                  0)
+            << "nrhs=" << nrhs << " threads=" << threads << " rhs " << r;
+    }
+  }
 }
 
 TEST(Fmm, CollapsedTreeStillCorrect) {

@@ -199,7 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Width, LaplaceLanes, ::testing::Values(2, 4),
                          ::testing::PrintToStringParamName());
 
 // Every lane of every call, W distinct offsets per call, against the
-// reference evaluated one offset at a time.
+// reference evaluated one offset at a time. Lane l of entry idx sits at
+// out[idx * W + l].
 template <int W>
 void expect_lanes_match_reference() {
   auto offsets = bit_identity_offsets();
@@ -209,14 +210,14 @@ void expect_lanes_match_reference() {
     MultiIndexSet set(q);
     LaplaceDerivatives ld(set);
     const std::size_t n = set.size();
-    std::vector<double> got(W * n), want(n);
+    std::vector<double> got(W * n), want(n), lane(n);
     for (std::size_t i = 0; i < offsets.size(); i += W) {
       ld.evaluate_lanes<W>(std::span<const Vec3, W>(&offsets[i], W),
                            got.data());
       for (int l = 0; l < W; ++l) {
         reference_derivatives(set, offsets[i + l], want.data());
-        ASSERT_EQ(std::memcmp(got.data() + l * n, want.data(),
-                              n * sizeof(double)),
+        for (std::size_t idx = 0; idx < n; ++idx) lane[idx] = got[idx * W + l];
+        ASSERT_EQ(std::memcmp(lane.data(), want.data(), n * sizeof(double)),
                   0)
             << "Q=" << q << " offset " << i + l << " lane " << l;
       }

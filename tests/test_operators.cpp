@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -229,8 +230,8 @@ TEST(Operators, M2LBitIdenticalToPairwiseContraction) {
   }
 }
 
-// m2l_lanes at every width: width 4 runs the AVX2 tensor routine, so it is
-// skipped on a CPU without AVX2.
+// m2l_lanes at every width: width 4 runs the AVX2 routine, so it is skipped
+// on a CPU without AVX2.
 class M2LLanes : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
@@ -240,72 +241,113 @@ class M2LLanes : public ::testing::TestWithParam<int> {
 INSTANTIATE_TEST_SUITE_P(Width, M2LLanes, ::testing::Values(1, 2, 4),
                          ::testing::PrintToStringParamName());
 
-// One m2l_lanes<W> call with `live` sources against `live` pairwise M2Ls in
-// source order. The slots past `live` hold the destination itself, a zero
-// offset that throws if a spare lane ever reads it.
+// W lanes, each converting into its own target, driven as the solver's M2L
+// pass drives them: lane l < live walks its own source sequence (2 + l
+// sources) in order, one m2l_lanes<W> step per source, then repeats its last
+// source and is read no more. Lanes from `live` up are spare: NaN multipoles
+// at a valid offset. Each live lane's column must equal pairwise M2Ls in
+// that lane's order, starting from the same nonzero local.
 template <int W>
-void expect_lanes_match_pairwise() {
-  const Vec3 dst{2.5, 1.0, -0.5};
-  const auto offsets = reference_offsets(11, W);
+void expect_lanes_match_pairwise(int live) {
+  constexpr int kMaxLen = 2 + W;
+  const auto offsets = reference_offsets(11, W * kMaxLen);
   for (int p = 1; p <= 8; ++p) {
     ExpansionContext ctx(p);
     const int nc = ctx.ncoef();
     for (int nrhs : {1, 4}) {
-      for (int live = 1; live <= W; ++live) {
-        Rng rng(100 * p + 10 * nrhs + live);
-        std::vector<double> M(static_cast<std::size_t>(W) * nrhs * nc);
-        std::vector<double> L0(static_cast<std::size_t>(nrhs) * nc);
-        for (auto& m : M) m = rng.uniform(-1, 1);
-        for (auto& l : L0) l = rng.uniform(-1, 1);  // M2L adds into L
-        Vec3 src[W];
+      Rng rng(100 * p + 10 * nrhs + live);
+      const std::size_t col = static_cast<std::size_t>(nrhs) * nc;
+      Vec3 dst[W];
+      Vec3 src[W][kMaxLen];
+      std::vector<double> M[W][kMaxLen];
+      std::vector<double> L0[W];
+      int len[W];
+      int steps = 0;
+      for (int l = 0; l < W; ++l) {
+        dst[l] = Vec3{2.5 - l, 1.0 + 0.5 * l, -0.5 + 0.25 * l};
+        len[l] = l < live ? 2 + l : 1;
+        steps = std::max(steps, len[l]);
+        for (int s = 0; s < kMaxLen; ++s) {
+          // Unit-scale offsets, so each source's terms are comparable.
+          const Vec3& o = offsets[l * kMaxLen + s];
+          src[l][s] = dst[l] - o / norm(o) * 1.5;
+          M[l][s].resize(col);
+          for (auto& m : M[l][s])
+            m = l < live ? rng.uniform(-1, 1) : std::nan("");
+        }
+        L0[l].resize(col);
+        for (auto& v : L0[l]) v = rng.uniform(-1, 1);  // M2L adds into L
+      }
+
+      std::vector<double> block(col * W);
+      for (std::size_t k = 0; k < col; ++k)
+        for (int l = 0; l < W; ++l) block[k * W + l] = L0[l][k];
+      std::vector<double> got[W];
+      for (int step = 0; step < steps; ++step) {
+        Vec3 r[W];
         const double* m[W];
         for (int l = 0; l < W; ++l) {
-          // Unit-scale offsets, so each source's terms are comparable.
-          src[l] = l < live ? dst - offsets[l] / norm(offsets[l]) * 1.5 : dst;
-          m[l] = M.data() + static_cast<std::size_t>(l) * nrhs * nc;
+          const int s = std::min(step, len[l] - 1);
+          r[l] = dst[l] - src[l][s];
+          m[l] = M[l][s].data();
         }
+        ctx.m2l_lanes<W>(r, m, block.data(), nrhs, nc);
+        for (int l = 0; l < live; ++l) {
+          if (step + 1 != len[l]) continue;
+          got[l].resize(col);
+          for (std::size_t k = 0; k < col; ++k) got[l][k] = block[k * W + l];
+        }
+      }
 
-        std::vector<double> want = L0, got = L0;
-        for (int l = 0; l < live; ++l)
-          for (int r = 0; r < nrhs; ++r)
-            pairwise_m2l(ctx, src[l], dst, m[l] + r * nc,
-                         want.data() + r * nc);
-        ctx.m2l_lanes<W>({src, static_cast<std::size_t>(live)}, dst, m,
-                         got.data(), nrhs, nc);
-        EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                              want.size() * sizeof(double)),
+      for (int l = 0; l < live; ++l) {
+        std::vector<double> want = L0[l];
+        for (int s = 0; s < len[l]; ++s)
+          for (int k = 0; k < nrhs; ++k)
+            pairwise_m2l(ctx, src[l][s], dst[l], M[l][s].data() + k * nc,
+                         want.data() + k * nc);
+        EXPECT_EQ(std::memcmp(got[l].data(), want.data(),
+                              col * sizeof(double)),
                   0)
             << "W=" << W << " p=" << p << " nrhs=" << nrhs
-            << " live=" << live;
+            << " live=" << live << " lane=" << l;
       }
     }
   }
 }
 
-TEST_P(M2LLanes, BitIdenticalToPairwiseInSourceOrder) {
+TEST_P(M2LLanes, EachLaneBitIdenticalToPairwiseInItsOrder) {
   switch (GetParam()) {
-    case 1: expect_lanes_match_pairwise<1>(); break;
-    case 2: expect_lanes_match_pairwise<2>(); break;
-    default: expect_lanes_match_pairwise<4>(); break;
+    case 1: expect_lanes_match_pairwise<1>(1); break;
+    case 2: expect_lanes_match_pairwise<2>(2); break;
+    default: expect_lanes_match_pairwise<4>(4); break;
   }
 }
 
-// A zero offset in a live lane throws, whichever lane holds it.
+TEST_P(M2LLanes, NaNSpareLanesLeaveLiveColumnsUnchanged) {
+  const int w = GetParam();
+  if (w == 1) GTEST_SKIP() << "one lane has no spare";
+  for (int live = 1; live < w; ++live) {
+    if (w == 2)
+      expect_lanes_match_pairwise<2>(live);
+    else
+      expect_lanes_match_pairwise<4>(live);
+  }
+}
+
+// A zero offset throws, whichever lane holds it.
 template <int W>
 void expect_zero_live_lane_throws() {
   ExpansionContext ctx(3);
   const int nc = ctx.ncoef();
-  const Vec3 dst{1, 1, 1};
-  std::vector<double> M(nc, 1.0), L(nc, 0.0);
+  std::vector<double> M(nc, 1.0), L(W * nc, 0.0);
   for (int zero = 0; zero < W; ++zero) {
-    Vec3 src[W];
+    Vec3 r[W];
     const double* m[W];
     for (int l = 0; l < W; ++l) {
-      src[l] = l == zero ? dst : Vec3{-2.0 * (l + 1), 0, 0};
+      r[l] = l == zero ? Vec3{} : Vec3{2.0 * (l + 1), 0, 0};
       m[l] = M.data();
     }
-    EXPECT_THROW(ctx.m2l_lanes<W>(src, dst, m, L.data(), 1, nc),
-                 std::domain_error)
+    EXPECT_THROW(ctx.m2l_lanes<W>(r, m, L.data(), 1, nc), std::domain_error)
         << "zero offset in lane " << zero;
   }
 }

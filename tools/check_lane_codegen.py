@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Check that the SIMD lane routines in libafmm.a are vectorized.
 
-Two routines are built twice from one body each, W = 2 for baseline x86-64
-and W = 4 for AVX2 (src/util/lanes.hpp): every P2P kernel's
-accumulate_lanes<W>() (src/kernels/*.cpp) and the M2L derivative tensor's
-LaplaceDerivatives::evaluate_lanes<W>() (src/expansion/laplace_derivs.cpp).
-A lost vectorization keeps every test green, because the lanes stay
-bit-identical, but it throws away the lanes' speed. So this disassembles the
-library with `objdump -d -C` and requires:
+Three routines are built twice from one body each, W = 2 for baseline
+x86-64 and W = 4 for AVX2 (src/util/lanes.hpp): every P2P kernel's
+accumulate_lanes<W>() (src/kernels/*.cpp), the M2L derivative tensor's
+LaplaceDerivatives::evaluate_lanes<W>() (src/expansion/laplace_derivs.cpp)
+and the M2L contraction, ExpansionContext::m2l_lanes<W>()
+(src/expansion/operators.cpp). A lost vectorization keeps every test green,
+because the lanes stay bit-identical, but it throws away the lanes' speed.
+So this disassembles the library with `objdump -d -C` and requires:
 
   * accumulate_lanes<2>: packed SSE2 `sqrtpd` and `divpd` on xmm registers;
   * accumulate_lanes<4>: packed AVX `vsqrtpd` and `vdivpd` on ymm registers;
-  * evaluate_lanes<2>: packed SSE2 `mulpd` and `addpd` on xmm registers;
-  * evaluate_lanes<4>: packed AVX `vmulpd` and `vaddpd` on ymm registers.
+  * evaluate_lanes<2>, m2l_lanes<2>: packed SSE2 `mulpd` and `addpd` on xmm
+    registers;
+  * evaluate_lanes<4>, m2l_lanes<4>: packed AVX `vmulpd` and `vaddpd` on ymm
+    registers.
 
 Run it on a default build: under -march=native the 2-lane routines use the
 VEX forms (`vsqrtpd` on xmm) and fail the 2-lane rules.
@@ -28,7 +31,7 @@ P2P = {
     2: (r"\tsqrtpd\s.*%xmm", r"\tdivpd\s.*%xmm"),
     4: (r"\tvsqrtpd\s.*%ymm", r"\tvdivpd\s.*%ymm"),
 }
-TENSOR = {
+MUL_ADD = {
     2: (r"\tmulpd\s.*%xmm", r"\taddpd\s.*%xmm"),
     4: (r"\tvmulpd\s.*%ymm", r"\tvaddpd\s.*%ymm"),
 }
@@ -36,7 +39,8 @@ TENSOR = {
 ROUTINES = {
     "afmm::GravityKernel::accumulate_lanes": P2P,
     "afmm::StokesletKernel::accumulate_lanes": P2P,
-    "afmm::LaplaceDerivatives::evaluate_lanes": TENSOR,
+    "afmm::LaplaceDerivatives::evaluate_lanes": MUL_ADD,
+    "afmm::ExpansionContext::m2l_lanes": MUL_ADD,
 }
 HEADER = re.compile(r"^[0-9a-f]+ <(.*)>:$")
 
