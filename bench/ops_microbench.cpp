@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <numeric>
 #include <span>
 
@@ -230,6 +231,41 @@ void BM_P2P_Stokeslet(benchmark::State& state) {
   });
 }
 
+// The divider floor under the P2P lane routines: each interaction costs one
+// packed sqrt and one packed division per W lanes (1 / sqrt(r^2)). Here both
+// run over independent operands, with nothing else in the loop, so no
+// dependency chain or other work hides the divider's throughput. Items are
+// lane-elements, so the per-item time compares with BM_P2P_*<W>'s per
+// interaction. The 4-lane (AVX2) case is skipped on a CPU without AVX2.
+constexpr std::size_t kFloorOperands = 1024;
+
+template <int W>
+void inv_sqrt_lanes(const double* x, double* y) {
+  for (std::size_t i = 0; i < kFloorOperands; i += W) {
+#pragma omp simd
+    for (int l = 0; l < W; ++l) y[i + l] = 1.0 / std::sqrt(x[i + l]);
+  }
+}
+template void inv_sqrt_lanes<2>(const double*, double*);
+template AFMM_TARGET_AVX2 void inv_sqrt_lanes<4>(const double*, double*);
+
+template <int W>
+void BM_SqrtDivFloor(benchmark::State& state) {
+  if (W > lane_width()) {
+    state.SkipWithError("CPU lacks AVX2");
+    return;
+  }
+  Rng rng(4);
+  std::vector<double> x(kFloorOperands), y(kFloorOperands);
+  for (double& v : x) v = rng.uniform(0.5, 3.0);
+  for (auto _ : state) {
+    inv_sqrt_lanes<W>(x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFloorOperands);
+}
+
 }  // namespace
 
 BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
@@ -249,4 +285,6 @@ BENCHMARK_TEMPLATE(BM_P2P_Gravity, 2);
 BENCHMARK_TEMPLATE(BM_P2P_Gravity, 4);
 BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 2);
 BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 4);
+BENCHMARK_TEMPLATE(BM_SqrtDivFloor, 2);
+BENCHMARK_TEMPLATE(BM_SqrtDivFloor, 4);
 BENCHMARK_MAIN();

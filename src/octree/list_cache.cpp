@@ -2,42 +2,54 @@
 
 namespace afmm {
 
-bool InteractionListCache::usable(const AdaptiveOctree& tree,
-                                  const TraversalConfig& config) const {
-  if (!valid_ || structure_version_ != tree.structure_version() ||
-      !config_.same_lists_as(config))
-    return false;
-  if (content_version_ == tree.content_version()) return true;
-
-  // Bodies were rebinned inside the same structure. The walk is count-blind
-  // except for empty-box pruning.
-  for (int i = 0; i < tree.num_nodes(); ++i)
-    if (empty_at_build_[i] != (tree.node(i).count == 0)) return false;
-  return true;
+bool InteractionListCache::take_emptiness(const AdaptiveOctree& tree) {
+  bool flipped = false;
+  for (int i = 0; i < tree.num_nodes(); ++i) {
+    const char e = tree.node(i).count == 0;
+    flipped |= e != empty_[i];
+    empty_[i] = e;
+  }
+  return flipped;
 }
 
 const InteractionLists& InteractionListCache::get(
     const AdaptiveOctree& tree, const TraversalConfig& config) {
-  if (usable(tree, config)) {
-    if (content_version_ != tree.content_version()) {
-      // Same structure, moved bodies: refresh Interactions(t) in O(pairs).
-      count_p2p_interactions(tree, lists_);
-      content_version_ = tree.content_version();
-      ++refreshes_;
-    }
+  if (!valid_ || structure_version_ != tree.structure_version() ||
+      !config_.same_lists_as(config)) {
+    lists_ = build_interaction_lists(tree, config);
+    config_ = config;
+    structure_version_ = tree.structure_version();
+    content_version_ = tree.content_version();
+    empty_.assign(static_cast<std::size_t>(tree.num_nodes()), 0);
+    take_emptiness(tree);
+    walked_ = false;
+    valid_ = true;
+    ++builds_;
+    return lists_;
+  }
+  if (content_version_ == tree.content_version()) {
     ++hits_;
     return lists_;
   }
 
-  lists_ = build_interaction_lists(tree, config);
-  config_ = config;
-  structure_version_ = tree.structure_version();
+  // Bodies were rebinned inside the same structure. When a box emptied or
+  // filled, the pruned walk's pairs changed: re-filter the count-blind
+  // pairs, walked on the structure's first flip.
   content_version_ = tree.content_version();
-  empty_at_build_.assign(static_cast<std::size_t>(tree.num_nodes()), 0);
-  for (int i = 0; i < tree.num_nodes(); ++i)
-    empty_at_build_[i] = tree.node(i).count == 0;
-  valid_ = true;
-  ++builds_;
+  const bool flipped = take_emptiness(tree);
+  if (flipped && !walked_) {
+    walk_count_blind(tree, config_, all_pairs_);
+    walked_ = true;
+    lists_ = filter_interaction_lists(tree, all_pairs_, empty_);
+    ++builds_;
+    return lists_;
+  }
+  if (flipped)
+    lists_ = filter_interaction_lists(tree, all_pairs_, empty_);
+  else
+    count_p2p_interactions(tree, lists_);
+  ++refreshes_;
+  ++hits_;
   return lists_;
 }
 

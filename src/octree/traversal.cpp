@@ -23,33 +23,34 @@ bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
 using PairStream = std::vector<std::pair<int, int>>;
 
 // The traversal's one recursion rule, depth first from (ta, sb). Empty pairs
-// end; v.settled(m2l, ta, sb) receives each well-separated (M2L) and
-// leaf-leaf (P2P) pair; any other pair descends into the larger box (target
-// preferred on ties) so both sides shrink evenly, which keeps list sizes
-// bounded for adaptive trees -- unless v.open(ta, sb) returns false.
-template <class Visitor>
+// end unless kCountBlind; v.settled(m2l, ta, sb) receives each
+// well-separated (M2L) and leaf-leaf (P2P) pair; any other pair descends
+// into the larger box (target preferred on ties) so both sides shrink
+// evenly, which keeps list sizes bounded for adaptive trees -- unless
+// v.open(ta, sb) returns false.
+template <bool kCountBlind = false, class Visitor>
 void dual_walk(const AdaptiveOctree& tree, double theta, int ta, int sb,
                Visitor& v) {
   const OctreeNode& a = tree.node(ta);
   const OctreeNode& b = tree.node(sb);
-  if (a.count == 0 || b.count == 0) return;
+  if (!kCountBlind && (a.count == 0 || b.count == 0)) return;
   if (well_separated(a, b, theta)) return v.settled(true, ta, sb);
   const bool la = tree.is_effective_leaf(ta);
   const bool lb = tree.is_effective_leaf(sb);
   if (la && lb) return v.settled(false, ta, sb);
   if (!v.open(ta, sb)) return;
   if (lb || (!la && a.half >= b.half)) {
-    for (int ch : a.children) dual_walk(tree, theta, ch, sb, v);
+    for (int ch : a.children) dual_walk<kCountBlind>(tree, theta, ch, sb, v);
   } else {
-    for (int ch : b.children) dual_walk(tree, theta, ta, ch, v);
+    for (int ch : b.children) dual_walk<kCountBlind>(tree, theta, ta, ch, v);
   }
 }
 
-// Flat (target, source) pair streams of one walk.
+// Collects one walk's flat (target, source) pair streams.
 struct PairBufs {
-  PairStream m2l, p2p;
+  WalkedPairs pairs;
   void settled(bool is_m2l, int ta, int sb) {
-    (is_m2l ? m2l : p2p).emplace_back(ta, sb);
+    (is_m2l ? pairs.m2l : pairs.p2p).emplace_back(ta, sb);
   }
   bool open(int, int) { return true; }
 };
@@ -86,56 +87,69 @@ void count_walk(const AdaptiveOctree& tree, int id, OpCounts& c) {
     count_walk(tree, ch, c);
   }
 }
-}  // namespace
 
-InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
-                                         const TraversalConfig& config) {
-  InteractionLists out;
-  if (tree.empty()) return out;
-
-  // Split the walk serially, then walk the parts in parallel. Each part
-  // fills a buffer local to its thread before moving into its own slot:
-  // threads pushing into adjacent slots would share cache lines. Reading the
-  // slots in split order gives the serial walk's pair streams exactly.
-  const double theta = config.theta;
+// Splits the walk serially, then walks the parts in parallel. Each part
+// fills a buffer local to its thread before moving into its own slot:
+// threads pushing into adjacent slots would share cache lines. Reading the
+// slots in split order gives the serial walk's pair streams exactly, so the
+// counts steer only how the work is shared.
+template <bool kCountBlind>
+std::vector<WalkedPairs> walk_parts(const AdaptiveOctree& tree,
+                                    double theta) {
   Splitter split{tree, {}};
-  dual_walk(tree, theta, tree.root(), tree.root(), split);
+  dual_walk<kCountBlind>(tree, theta, tree.root(), tree.root(), split);
   const auto& parts = split.parts;
-  std::vector<PairBufs> walked(parts.size());
+  std::vector<WalkedPairs> walked(parts.size());
   if (parts.size() < 2) {
-    for (std::size_t i = 0; i < parts.size(); ++i)
-      dual_walk(tree, theta, parts[i].first, parts[i].second, walked[i]);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      PairBufs bufs;
+      dual_walk<kCountBlind>(tree, theta, parts[i].first, parts[i].second,
+                             bufs);
+      walked[i] = std::move(bufs.pairs);
+    }
   } else {
 #pragma omp parallel
     {
       PairBufs local;
 #pragma omp for schedule(dynamic)
       for (std::size_t i = 0; i < parts.size(); ++i) {
-        dual_walk(tree, theta, parts[i].first, parts[i].second, local);
-        walked[i] = std::exchange(local, {});
+        dual_walk<kCountBlind>(tree, theta, parts[i].first, parts[i].second,
+                               local);
+        walked[i] = std::exchange(local.pairs, {});
       }
     }
   }
-  auto for_each_pair = [&](PairStream PairBufs::*stream, auto&& fn) {
-    for (const PairBufs& w : walked)
-      for (const auto& [t, s] : w.*stream) fn(t, s);
+  return walked;
+}
+
+// The one grouping of a walk's pairs into lists: M2L pairs into CSR by
+// target, P2P pairs into per-target items in order of first appearance,
+// reading the parts in order. Pairs for which keep(t, s) is false are left
+// out.
+template <class Keep>
+InteractionLists group_pairs(const AdaptiveOctree& tree,
+                             std::span<const WalkedPairs> parts, Keep keep) {
+  auto for_each_pair = [&](PairStream WalkedPairs::*stream, auto&& fn) {
+    for (const WalkedPairs& w : parts)
+      for (const auto& [t, s] : w.*stream)
+        if (keep(t, s)) fn(t, s);
   };
 
-  // Group the M2L pairs into CSR by target.
+  InteractionLists out;
   const int n = tree.num_nodes();
   out.m2l_offset.assign(n + 1, 0);
-  for_each_pair(&PairBufs::m2l, [&](int t, int) { ++out.m2l_offset[t + 1]; });
+  for_each_pair(&WalkedPairs::m2l,
+                [&](int t, int) { ++out.m2l_offset[t + 1]; });
   for (int i = 0; i < n; ++i) out.m2l_offset[i + 1] += out.m2l_offset[i];
   out.total_m2l_pairs = out.m2l_offset[n];
   out.m2l_sources.resize(out.total_m2l_pairs);
   std::vector<std::uint32_t> cursor(out.m2l_offset.begin(),
                                     out.m2l_offset.end() - 1);
-  for_each_pair(&PairBufs::m2l,
+  for_each_pair(&WalkedPairs::m2l,
                 [&](int t, int s) { out.m2l_sources[cursor[t]++] = s; });
 
-  // Group P2P pairs into per-target work items.
   std::vector<int> work_of(n, -1);
-  for_each_pair(&PairBufs::p2p, [&](int t, int s) {
+  for_each_pair(&WalkedPairs::p2p, [&](int t, int s) {
     if (work_of[t] < 0) {
       work_of[t] = static_cast<int>(out.p2p.size());
       out.p2p.push_back({t, {}, 0});
@@ -144,6 +158,44 @@ InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
   });
   count_p2p_interactions(tree, out);
   return out;
+}
+}  // namespace
+
+InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
+                                         const TraversalConfig& config) {
+  if (tree.empty()) return {};
+  return group_pairs(tree, walk_parts<false>(tree, config.theta),
+                     [](int, int) { return true; });
+}
+
+void walk_count_blind(const AdaptiveOctree& tree,
+                      const TraversalConfig& config, WalkedPairs& all) {
+  all.m2l.clear();
+  all.p2p.clear();
+  if (tree.empty()) return;
+  // Concatenated once, because one flat stream re-filters faster than the
+  // scattered parts, and a structure is re-filtered many times.
+  std::vector<WalkedPairs> parts = walk_parts<true>(tree, config.theta);
+  std::size_t m2l = 0, p2p = 0;
+  for (const WalkedPairs& w : parts) {
+    m2l += w.m2l.size();
+    p2p += w.p2p.size();
+  }
+  all.m2l.reserve(m2l);
+  all.p2p.reserve(p2p);
+  for (WalkedPairs& w : parts) {
+    all.m2l.insert(all.m2l.end(), w.m2l.begin(), w.m2l.end());
+    all.p2p.insert(all.p2p.end(), w.p2p.begin(), w.p2p.end());
+    w = {};
+  }
+}
+
+InteractionLists filter_interaction_lists(const AdaptiveOctree& tree,
+                                          const WalkedPairs& all,
+                                          std::span<const char> empty) {
+  if (tree.empty()) return {};
+  return group_pairs(tree, {&all, 1},
+                     [&](int t, int s) { return !(empty[t] | empty[s]); });
 }
 
 void count_p2p_interactions(const AdaptiveOctree& tree,

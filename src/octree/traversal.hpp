@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "octree/octree.hpp"
@@ -56,6 +57,29 @@ struct InteractionLists {
 // Runs the dual traversal; lists index nodes of `tree` (effective view).
 InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
                                          const TraversalConfig& config = {});
+
+// (target, source) node pairs that a dual walk settles, each stream in walk
+// order.
+struct WalkedPairs {
+  std::vector<std::pair<int, int>> m2l, p2p;
+};
+
+// The dual walk without its cut at empty boxes: every pair the walk settles
+// on `tree`'s effective structure whatever its body counts, into `all`
+// (whose storage is reused). It depends on the structure and on config
+// alone, so it stays valid across rebins.
+void walk_count_blind(const AdaptiveOctree& tree,
+                      const TraversalConfig& config, WalkedPairs& all);
+
+// The lists build_interaction_lists(tree, config) returns, made without a
+// walk from the pairs walk_count_blind(tree, config, all) wrote: drops every
+// pair with a side flagged in `empty` (empty[i] must be
+// tree.node(i).count == 0) and groups the rest as the build does. Equal field for field, because the
+// walk reads only geometry and leafness between non-empty boxes, and every
+// box under an empty box is empty.
+InteractionLists filter_interaction_lists(const AdaptiveOctree& tree,
+                                          const WalkedPairs& all,
+                                          std::span<const char> empty);
 
 // Recomputes every P2P item's Interactions(t) and the list total from the
 // tree's current body counts; the lists' pairs are left as they are.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -46,6 +47,13 @@ void expect_counts_equal(const OpCounts& a, const OpCounts& b) {
   EXPECT_EQ(a.l2p_bodies, b.l2p_bodies);
   EXPECT_EQ(a.p2p_interactions, b.p2p_interactions);
   EXPECT_EQ(a.p2p_node_pairs, b.p2p_node_pairs);
+}
+
+// Per node: its count is zero (the emptiness filter_interaction_lists takes).
+std::vector<char> emptiness(const AdaptiveOctree& tree) {
+  std::vector<char> out(static_cast<std::size_t>(tree.num_nodes()));
+  for (int i = 0; i < tree.num_nodes(); ++i) out[i] = tree.node(i).count == 0;
+  return out;
 }
 
 // A few bottom parents (every child an effective leaf): the collapse
@@ -154,6 +162,12 @@ TEST_P(ParallelWalk, MatchesReferenceWalkBitForBit) {
     OmpThreads scope(threads);
     SCOPED_TRACE(threads);
     expect_lists_equal(build_interaction_lists(tree, cfg), ref);
+    // The count-blind pairs, filtered by the tree's emptiness, give the
+    // same lists.
+    WalkedPairs all;
+    walk_count_blind(tree, cfg, all);
+    expect_lists_equal(filter_interaction_lists(tree, all, emptiness(tree)),
+                       ref);
   }
 }
 
@@ -283,10 +297,10 @@ TEST(ListCache, RebinRefreshesInteractionCounts) {
   expect_lists_equal(refreshed, build_interaction_lists(tree, cfg));
 }
 
-TEST(ListCache, RebinThatEmptiesALeafRebuilds) {
-  // One lone body in octant 7 keeps that leaf barely non-empty; moving it
-  // out empties the leaf, which changes the traversal's pruning -- the cache
-  // must notice and re-traverse instead of serving stale lists.
+// Two bodies in each of octants 0-6 of the unit cube and one lone body in
+// octant 7, none near a face: S = 8 gives one level of eight non-empty
+// leaves.
+std::vector<Vec3> octant_bodies() {
   std::vector<Vec3> pts;
   for (int o = 0; o < 7; ++o) {
     const Vec3 c{(o & 1) ? 0.75 : 0.25, (o & 2) ? 0.75 : 0.25,
@@ -295,6 +309,15 @@ TEST(ListCache, RebinThatEmptiesALeafRebuilds) {
     pts.push_back(c + Vec3{+0.05, 0.0, 0.0});
   }
   pts.push_back({0.75, 0.75, 0.75});
+  return pts;
+}
+
+TEST(ListCache, RebinThatEmptiesALeafRebuilds) {
+  // The lone body keeps octant 7 barely non-empty; moving it out empties the
+  // leaf, which changes the traversal's pruning -- the cache must notice
+  // instead of serving stale lists. The first flip on a structure walks it
+  // once, count-blind.
+  std::vector<Vec3> pts = octant_bodies();
   AdaptiveOctree tree;
   tree.build(pts, unit_config(8));
 
@@ -307,6 +330,98 @@ TEST(ListCache, RebinThatEmptiesALeafRebuilds) {
   const auto& rebuilt = cache.get(tree, cfg);
   EXPECT_EQ(cache.builds(), 2u);
   expect_lists_equal(rebuilt, build_interaction_lists(tree, cfg));
+}
+
+TEST(ListCache, SecondFlipThatFillsALeafNeedsNoWalk) {
+  std::vector<Vec3> pts = octant_bodies();
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(8));
+  InteractionListCache cache;
+  TraversalConfig cfg;
+  cache.get(tree, cfg);
+
+  pts.back() = {0.45, 0.75, 0.75};  // octant 7 empties: the first flip walks
+  tree.rebin(pts);
+  cache.get(tree, cfg);
+  ASSERT_EQ(cache.builds(), 2u);
+  const std::uint64_t refreshes = cache.refreshes();
+
+  pts.back() = {0.75, 0.75, 0.75};  // the empty octant 7 fills again
+  tree.rebin(pts);
+  const auto& refiltered = cache.get(tree, cfg);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.refreshes(), refreshes + 1);
+  expect_lists_equal(refiltered, build_interaction_lists(tree, cfg));
+}
+
+TEST(ListCache, SecondFlipThatEmptiesALeafNeedsNoWalk) {
+  std::vector<Vec3> pts = octant_bodies();
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(8));
+  InteractionListCache cache;
+  TraversalConfig cfg;
+  cache.get(tree, cfg);
+
+  pts.back() = {0.45, 0.75, 0.75};  // octant 7 empties: the first flip walks
+  tree.rebin(pts);
+  cache.get(tree, cfg);
+  ASSERT_EQ(cache.builds(), 2u);
+  const std::uint64_t refreshes = cache.refreshes();
+
+  pts[0] = {0.55, 0.25, 0.25};  // both bodies of octant 0 leave for octant 1
+  pts[1] = {0.60, 0.25, 0.25};
+  tree.rebin(pts);
+  const auto& refiltered = cache.get(tree, cfg);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.refreshes(), refreshes + 1);
+  expect_lists_equal(refiltered, build_interaction_lists(tree, cfg));
+}
+
+TEST(ListCache, RandomMotionMatchesFreshBuilds) {
+  // Bodies jitter inside one fixed structure, so from one rebin to the next
+  // leaves empty and fill. Every get() must equal a fresh build, and only
+  // the first flip may walk.
+  constexpr int kRebins = 20;
+  for (int threads : {1, 4}) {
+    OmpThreads scope(threads);
+    SCOPED_TRACE(threads);
+    Rng rng(27);
+    auto set = uniform_cube(6000, rng, {0.5, 0.5, 0.5}, 0.5);
+    std::vector<Vec3> pts = std::move(set.positions);
+    AdaptiveOctree tree;
+    tree.build(pts, unit_config(8));
+
+    InteractionListCache cache;
+    TraversalConfig cfg;
+    expect_lists_equal(cache.get(tree, cfg),
+                       build_interaction_lists(tree, cfg));
+    std::vector<char> before = emptiness(tree);
+    int emptied = 0, filled = 0, flips = 0;
+    for (int step = 0; step < kRebins; ++step) {
+      for (Vec3& p : pts) {
+        p = p + Vec3{rng.uniform(-0.01, 0.01), rng.uniform(-0.01, 0.01),
+                     rng.uniform(-0.01, 0.01)};
+        p = {std::clamp(p.x, 0.001, 0.999), std::clamp(p.y, 0.001, 0.999),
+             std::clamp(p.z, 0.001, 0.999)};
+      }
+      tree.rebin(pts);
+      const std::vector<char> after = emptiness(tree);
+      for (std::size_t i = 0; i < after.size(); ++i) {
+        emptied += !before[i] && after[i];
+        filled += before[i] && !after[i];
+      }
+      flips += after != before;
+      before = after;
+      SCOPED_TRACE(step);
+      expect_lists_equal(cache.get(tree, cfg),
+                         build_interaction_lists(tree, cfg));
+    }
+    EXPECT_GT(emptied, 0);
+    EXPECT_GT(filled, 0);
+    EXPECT_GT(flips, 1) << "no flip after the first: nothing was re-filtered";
+    EXPECT_EQ(cache.builds(), 2u);  // the first build and the first flip
+    EXPECT_EQ(cache.refreshes(), kRebins - 1u);
+  }
 }
 
 TEST(ListCache, SolvePerformsExactlyOneTraversal) {
