@@ -13,9 +13,12 @@
 #include <numeric>
 #include <span>
 
+#include "dist/distributions.hpp"
 #include "expansion/operators.hpp"
 #include "kernels/gravity.hpp"
 #include "kernels/stokeslet.hpp"
+#include "octree/octree.hpp"
+#include "octree/traversal.hpp"
 #include "util/lanes.hpp"
 #include "util/rng.hpp"
 
@@ -266,6 +269,76 @@ void BM_SqrtDivFloor(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFloorOperands);
 }
 
+// The tree-maintenance layer of a replay observation step, on a clustered
+// cloud: 200k Plummer bodies at S = 64, and the same bodies one step of a
+// contraction later (every body 3% toward the center, jittered), which moves
+// bodies between leaves and empties some of them.
+struct ClusteredCloud {
+  std::vector<Vec3> before, after;
+  AdaptiveOctree tree;  // built on `before`
+
+  static const ClusteredCloud& get() {
+    static const ClusteredCloud cloud;
+    return cloud;
+  }
+
+ private:
+  ClusteredCloud() {
+    Rng rng(5);
+    PlummerOptions opt;
+    opt.scale_radius = 0.05;
+    before = plummer(200000, rng, opt).positions;
+    after = before;
+    for (Vec3& p : after)
+      p = 0.97 * p + Vec3{rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3),
+                          rng.uniform(-1e-3, 1e-3)};
+    TreeConfig tc;
+    tc.leaf_capacity = 64;
+    tree.build(before, fit_cube(before, tc));
+  }
+};
+
+// One rebin per iteration, alternating between the cloud's two steps, so
+// every rebin moves bodies. Items are bodies.
+void BM_Rebin(benchmark::State& state) {
+  const ClusteredCloud& cloud = ClusteredCloud::get();
+  AdaptiveOctree tree = cloud.tree;
+  bool forward = true;
+  for (auto _ : state) {
+    tree.rebin(forward ? cloud.after : cloud.before);
+    forward = !forward;
+    benchmark::DoNotOptimize(tree.perm().data());
+  }
+  state.SetItemsProcessed(state.iterations() * tree.num_bodies());
+}
+
+// One re-filter of the cloud tree's count-blind rows per iteration,
+// alternating between the emptiness of the cloud's two steps, into lists
+// whose storage is reused as the list cache's is. Items are count-blind
+// pairs.
+void BM_ListRefilter(benchmark::State& state) {
+  const ClusteredCloud& cloud = ClusteredCloud::get();
+  const TraversalConfig cfg;
+  PairRows rows;
+  walk_count_blind(cloud.tree, cfg, rows);
+  AdaptiveOctree moved = cloud.tree;
+  moved.rebin(cloud.after);
+  const AdaptiveOctree* trees[2] = {&cloud.tree, &moved};
+  std::vector<char> empty[2];
+  for (int k = 0; k < 2; ++k)
+    for (int i = 0; i < trees[k]->num_nodes(); ++i)
+      empty[k].push_back(trees[k]->node(i).count == 0);
+  InteractionLists lists;
+  int k = 0;
+  for (auto _ : state) {
+    filter_interaction_lists(*trees[k], rows, empty[k], lists);
+    k ^= 1;
+    benchmark::DoNotOptimize(lists.m2l_sources.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (rows.m2l_sources.size() + rows.p2p_sources.size()));
+}
+
 }  // namespace
 
 BENCHMARK(BM_P2M)->Arg(2)->Arg(4)->Arg(6)->Arg(8);
@@ -287,4 +360,6 @@ BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 2);
 BENCHMARK_TEMPLATE(BM_P2P_Stokeslet, 4);
 BENCHMARK_TEMPLATE(BM_SqrtDivFloor, 2);
 BENCHMARK_TEMPLATE(BM_SqrtDivFloor, 4);
+BENCHMARK(BM_Rebin)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ListRefilter)->Unit(benchmark::kMillisecond);
 BENCHMARK_MAIN();

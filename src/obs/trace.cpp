@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -55,14 +54,13 @@ void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
 }  // namespace
 
 int TraceRecorder::track_id(int pid, const std::string& track) {
-  for (const auto& [key, tid] : tracks_)
-    if (key.first == pid && key.second == track) return tid;
-  // tids are unique per process; number them per pid in first-use order.
-  int next = 1;
-  for (const auto& [key, tid] : tracks_)
-    if (key.first == pid) next = std::max(next, tid + 1);
-  tracks_.push_back({{pid, track}, next});
-  return next;
+  PidTracks& tracks = tids_[pid];
+  const auto found = tracks.tid_of.find(track);
+  if (found != tracks.tid_of.end()) return found->second;
+  const int tid = tracks.next_tid++;
+  tracks.tid_of.emplace(track, tid);
+  tracks_.push_back({{pid, track}, tid});
+  return tid;
 }
 
 void TraceRecorder::span(int pid, const std::string& track,
@@ -118,6 +116,7 @@ bool TraceRecorder::has_category(const std::string& cat) const {
 void TraceRecorder::clear() {
   events_.clear();
   tracks_.clear();
+  tids_.clear();
 }
 
 void TraceRecorder::write_json(std::ostream& os) const {

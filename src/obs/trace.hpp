@@ -23,8 +23,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,9 +109,17 @@ class TraceRecorder {
  private:
   int track_id(int pid, const std::string& track);
 
+  // One process's tracks: tid by name, and the tid its next new track
+  // takes (tids are numbered per pid in first-use order, from 1).
+  struct PidTracks {
+    std::unordered_map<std::string, int> tid_of;
+    int next_tid = 1;
+  };
+
   std::vector<TraceEvent> events_;
   // (pid, track name) -> tid, in first-use order for metadata emission.
   std::vector<std::pair<std::pair<int, std::string>, int>> tracks_;
+  std::map<int, PidTracks> tids_;  // the index into tracks_, by pid
 };
 
 }  // namespace afmm

@@ -38,14 +38,14 @@ const InteractionLists& InteractionListCache::get(
   content_version_ = tree.content_version();
   const bool flipped = take_emptiness(tree);
   if (flipped && !walked_) {
-    walk_count_blind(tree, config_, all_pairs_);
+    walk_count_blind(tree, config_, rows_);
     walked_ = true;
-    lists_ = filter_interaction_lists(tree, all_pairs_, empty_);
+    filter_interaction_lists(tree, rows_, empty_, lists_);
     ++builds_;
     return lists_;
   }
   if (flipped)
-    lists_ = filter_interaction_lists(tree, all_pairs_, empty_);
+    filter_interaction_lists(tree, rows_, empty_, lists_);
   else
     count_p2p_interactions(tree, lists_);
   ++refreshes_;

@@ -17,10 +17,12 @@
 //     Interactions(t).
 //   * Some node flipped. Emptiness is the one input the walk prunes on, so
 //     the lists change. The first flip on a structure walks it once more
-//     without the empty-box cut (walk_count_blind) and keeps those pairs;
-//     that flip and every later one on the same structure rebuild the lists
-//     from them with no walk (filter_interaction_lists), equal to a fresh
-//     build field for field.
+//     without the empty-box cut (walk_count_blind) and keeps those pairs
+//     grouped by target (PairRows); that flip and every later one on the
+//     same structure rebuild the lists from the rows with no walk
+//     (filter_interaction_lists: each row's kept pairs counted, summed and
+//     copied, rows in parallel; P2P items ordered by their first kept
+//     pair), equal to a fresh build field for field.
 // A structure or config change marks the kept pairs stale and builds with
 // the pruned walk, as the first get() does.
 //
@@ -60,10 +62,10 @@ class InteractionListCache {
   std::uint64_t structure_version_ = 0;
   std::uint64_t content_version_ = 0;
   std::vector<char> empty_;  // per node: count was zero at the last get()
-  // The structure's count-blind pairs, walked on its first emptiness flip.
-  // The storage outlives the structure, so the next structure's walk writes
-  // into memory that is already mapped.
-  WalkedPairs all_pairs_;
+  // The structure's count-blind pairs grouped by target, walked on its first
+  // emptiness flip. The storage outlives the structure, so the next
+  // structure's grouping writes into memory that is already mapped.
+  PairRows rows_;
   bool walked_ = false;
   bool valid_ = false;
 

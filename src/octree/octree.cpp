@@ -3,10 +3,12 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace afmm {
 
@@ -18,6 +20,14 @@ constexpr std::uint32_t kTaskCutoff = 2048;
 // Trees of at most this many bodies rebin serially, with no parallel region:
 // on 2 threads a parallel rebin breaks even near 5k Plummer bodies.
 constexpr std::size_t kSerialRebinBodies = 8192;
+
+// A rebin pass over a node above this many bodies is split across the
+// team; smaller passes run on one thread.
+constexpr std::uint32_t kTeamPassBodies = 32768;
+
+// A rebin pass sorts a node's span into one bucket per (child, grandchild)
+// octant pair.
+constexpr int kPassBuckets = 64;
 
 // Deepest level a tree may reach: a level-21 cell is 2^-21 of the root's
 // width. Beyond that, subdivision only stacks levels around (near-)
@@ -40,6 +50,226 @@ std::uint64_t next_version_stamp() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
+
+bool effective_leaf(const OctreeNode& n) {
+  return !n.has_children || n.collapsed;
+}
+
+// One of the two arrays pairs a rebin moves bodies between: the tree's
+// positions and permutation, or the scratch.
+struct Bodies {
+  Vec3* pos;
+  std::uint32_t* perm;
+};
+
+// The bucket of a body in a rebin pass over one node: 8 * o1 + o2, with o1
+// its child octant and o2 its grandchild octant, or 0 under an
+// effective-leaf child.
+struct PassKey {
+  Vec3 center;
+  std::array<Vec3, 8> child_center;
+  std::array<int, 8> mask;  // 7 under an effective parent, else 0
+
+  PassKey(const std::vector<OctreeNode>& nodes, const OctreeNode& n)
+      : center(n.center) {
+    for (int o = 0; o < 8; ++o) {
+      const OctreeNode& c = nodes[n.children[o]];
+      child_center[o] = c.center;
+      mask[o] = effective_leaf(c) ? 0 : 7;
+    }
+  }
+  std::uint8_t operator()(const Vec3& p) const {
+    const int o = octant_of(p, center);
+    return static_cast<std::uint8_t>(8 * o +
+                                     (octant_of(p, child_center[o]) & mask[o]));
+  }
+};
+
+// rebin's re-split, two tree levels per pass. A pass is one stable counting
+// sort of an effective parent's span into its grandchild buckets, out of
+// the array holding the span into the other one, so passes alternate
+// between the tree arrays and the scratch; a leaf whose bodies end in the
+// scratch copies its span back. A stable sort by a two-digit key leaves the
+// bodies in the order of two stable one-digit partitions, so every span and
+// the permutation come out as a one-level re-split leaves them.
+class TwoLevelResplit {
+ public:
+  // `keys` holds one byte per body: a pass keeps each body's bucket there
+  // between counting and moving it.
+  TwoLevelResplit(std::vector<OctreeNode>& nodes, Bodies tree, Bodies scratch,
+                  std::uint8_t* keys)
+      : nodes_(nodes), tree_(tree), scratch_(scratch), keys_(keys) {}
+
+  // Re-splits the effective subtree under `id`, whose bodies are in the
+  // scratch when `in_scratch`, on the calling thread; with `spawn`, the
+  // subtrees under effective parents above kTaskCutoff bodies become tasks.
+  void settle(int id, bool in_scratch, bool spawn) {
+    const OctreeNode& n = nodes_[id];
+    if (effective_leaf(n)) {
+      if (in_scratch) copy_back(n);
+      return;
+    }
+    const PassKey key(nodes_, n);
+    const Bodies src = in_scratch ? scratch_ : tree_;
+    const std::uint32_t end = n.begin + n.count;
+    Counts at{};
+    count(key, src, n.begin, end, at);
+    std::uint32_t bucket[kPassBuckets + 1];
+    cursors({&at, 1}, n.begin, bucket);
+    move(src, in_scratch ? tree_ : scratch_, n.begin, end, at);
+    set_spans(n, bucket);
+    int next[kPassBuckets];
+    const int num_next = next_nodes(n, next);
+    const bool next_scratch = !in_scratch;
+    for (int k = 0; k < num_next; ++k) {
+      const int id_k = next[k];
+      if (spawn && nodes_[id_k].count > kTaskCutoff &&
+          !effective_leaf(nodes_[id_k])) {
+#pragma omp task firstprivate(id_k, next_scratch)
+        settle(id_k, next_scratch, true);
+      } else {
+        settle(id_k, next_scratch, spawn);
+      }
+    }
+  }
+
+  // Called by every thread of a team: passes over effective parents above
+  // kTeamPassBodies, breadth first, each split across the team, then the
+  // rest of the tree as tasks.
+  void settle_team(int root) {
+#pragma omp single
+    {
+      enqueue(root, false);
+      hist_.resize(static_cast<std::size_t>(omp_get_num_threads()));
+    }
+    for (std::size_t i = 0; i < heavy_.size(); ++i) team_pass(heavy_[i]);
+#pragma omp single nowait
+    for (std::size_t k = 0; k < light_.size(); ++k) {
+      const Pending p = light_[k];
+#pragma omp task firstprivate(p)
+      settle(p.id, p.in_scratch, true);
+    }
+  }
+
+ private:
+  struct Pending {
+    int id;
+    bool in_scratch;
+  };
+  // One thread's bucket counts, then its write cursors; a cache line apart
+  // from the next thread's.
+  struct alignas(64) Counts {
+    std::uint32_t at[kPassBuckets];
+  };
+
+  void enqueue(int id, bool in_scratch) {
+    const OctreeNode& n = nodes_[id];
+    (!effective_leaf(n) && n.count > kTeamPassBodies ? heavy_ : light_)
+        .push_back({id, in_scratch});
+  }
+
+  // A pass split across the team: each thread counts its own contiguous
+  // chunk of the span, and chunk t's share of bucket k lands after chunks
+  // 0..t-1's, so the chunks keep their order.
+  void team_pass(Pending p) {
+    const OctreeNode& n = nodes_[p.id];
+    const PassKey key(nodes_, n);
+    const Bodies src = p.in_scratch ? scratch_ : tree_;
+    const auto threads = static_cast<std::uint64_t>(omp_get_num_threads());
+    const auto t = static_cast<std::uint64_t>(omp_get_thread_num());
+    const auto begin =
+        static_cast<std::uint32_t>(n.begin + n.count * t / threads);
+    const auto end =
+        static_cast<std::uint32_t>(n.begin + n.count * (t + 1) / threads);
+    hist_[t] = {};
+    count(key, src, begin, end, hist_[t]);
+#pragma omp barrier
+#pragma omp single
+    {
+      std::uint32_t bucket[kPassBuckets + 1];
+      cursors(hist_, n.begin, bucket);
+      set_spans(n, bucket);
+      int next[kPassBuckets];
+      const int num_next = next_nodes(n, next);
+      for (int k = 0; k < num_next; ++k) enqueue(next[k], !p.in_scratch);
+    }
+    move(src, p.in_scratch ? tree_ : scratch_, begin, end, hist_[t]);
+#pragma omp barrier
+  }
+
+  // Counts the buckets of the pass's bodies [b, e) into `at`, keeping each
+  // body's bucket for move().
+  void count(const PassKey& key, Bodies src, std::uint32_t b, std::uint32_t e,
+             Counts& at) {
+    for (std::uint32_t i = b; i < e; ++i) ++at.at[keys_[i] = key(src.pos[i])];
+  }
+
+  // Turns each chunk's bucket counts into its write cursors, chunk after
+  // chunk within each bucket from `begin` on, and writes the bucket bounds.
+  static void cursors(std::span<Counts> chunks, std::uint32_t begin,
+                      std::uint32_t bucket[kPassBuckets + 1]) {
+    for (int k = 0; k < kPassBuckets; ++k) {
+      bucket[k] = begin;
+      for (Counts& c : chunks) begin += std::exchange(c.at[k], begin);
+    }
+    bucket[kPassBuckets] = begin;
+  }
+
+  // Moves the bodies [b, e) from `src` to their cursors' slots in `dst`.
+  void move(Bodies src, Bodies dst, std::uint32_t b, std::uint32_t e,
+            Counts& at) {
+    for (std::uint32_t i = b; i < e; ++i) {
+      const std::uint32_t to = at.at[keys_[i]]++;
+      dst.pos[to] = src.pos[i];
+      dst.perm[to] = src.perm[i];
+    }
+  }
+
+  // The nodes a pass over `n` leaves to settle, into `out`: each
+  // effective-leaf child and each grandchild under an effective-parent
+  // child, in octant order. Returns how many.
+  int next_nodes(const OctreeNode& n, int out[kPassBuckets]) const {
+    int count = 0;
+    for (int c : n.children) {
+      if (effective_leaf(nodes_[c])) {
+        out[count++] = c;
+      } else {
+        for (int g : nodes_[c].children) out[count++] = g;
+      }
+    }
+    return count;
+  }
+
+  // Spans of `n`'s children and of its effective-parent children's
+  // children, from the pass's bucket bounds.
+  void set_spans(const OctreeNode& n,
+                 const std::uint32_t bucket[kPassBuckets + 1]) {
+    for (int o = 0; o < 8; ++o) {
+      OctreeNode& c = nodes_[n.children[o]];
+      c.begin = bucket[8 * o];
+      c.count = bucket[8 * o + 8] - bucket[8 * o];
+      if (effective_leaf(c)) continue;
+      for (int o2 = 0; o2 < 8; ++o2) {
+        OctreeNode& g = nodes_[c.children[o2]];
+        g.begin = bucket[8 * o + o2];
+        g.count = bucket[8 * o + o2 + 1] - bucket[8 * o + o2];
+      }
+    }
+  }
+
+  void copy_back(const OctreeNode& leaf) {
+    const std::uint32_t b = leaf.begin, e = leaf.begin + leaf.count;
+    std::copy(scratch_.pos + b, scratch_.pos + e, tree_.pos + b);
+    std::copy(scratch_.perm + b, scratch_.perm + e, tree_.perm + b);
+  }
+
+  std::vector<OctreeNode>& nodes_;
+  Bodies tree_;
+  Bodies scratch_;
+  std::uint8_t* keys_;
+  std::vector<Pending> heavy_, light_;  // settle_team's queues
+  std::vector<Counts> hist_;            // per thread, for team passes
+};
 }  // namespace
 
 void AdaptiveOctree::bump_structure() {
@@ -113,6 +343,7 @@ void AdaptiveOctree::build_tree(std::span<const Vec3> positions,
   std::iota(perm_.begin(), perm_.end(), 0u);
   scratch_pos_.resize(n);
   scratch_perm_.resize(n);
+  scratch_key_.resize(n);
   nodes_.clear();
 
   // Recursive lambda returning a self-contained subtree.
@@ -195,36 +426,22 @@ void AdaptiveOctree::rebin(std::span<const Vec3> positions) {
     throw std::invalid_argument("rebin: body count changed");
 
   // Refresh tree-ordered positions from the (moved) originals, then re-split
-  // every effective internal node's span top-down. Siblings own disjoint
-  // spans, so on large trees their subtrees re-split as tasks with the
-  // serial result bit for bit.
+  // the effective tree top down, two levels per pass. Passes own disjoint
+  // spans, so on large trees subtrees re-split as tasks, and passes over
+  // large nodes split across the team, with the serial result bit for bit.
   const std::size_t n = perm_.size();
-  const bool parallel = n > kSerialRebinBodies;
-  auto resplit = [&](auto&& self, int id) -> void {
-    if (is_effective_leaf(id)) return;
-    repartition_into_children(id);
-    for (int c : nodes_[id].children) {
-      if (parallel && nodes_[c].count > kTaskCutoff) {
-#pragma omp task firstprivate(c)
-        self(self, c);
-      } else {
-        self(self, c);
-      }
-    }
-    if (parallel) {
-#pragma omp taskwait
-    }
-  };
-  if (!parallel) {
+  TwoLevelResplit resplit(nodes_, {sorted_pos_.data(), perm_.data()},
+                          {scratch_pos_.data(), scratch_perm_.data()},
+                          scratch_key_.data());
+  if (n <= kSerialRebinBodies) {
     for (std::size_t t = 0; t < n; ++t) sorted_pos_[t] = positions[perm_[t]];
-    resplit(resplit, root());
+    resplit.settle(root(), false, false);
   } else {
 #pragma omp parallel
     {
 #pragma omp for schedule(static)
       for (std::size_t t = 0; t < n; ++t) sorted_pos_[t] = positions[perm_[t]];
-#pragma omp single nowait
-      resplit(resplit, root());
+      resplit.settle_team(root());
     }
   }
   bump_content();
@@ -355,6 +572,7 @@ void AdaptiveOctree::restore(const OctreeSnapshot& snap) {
   perm_ = snap.perm;
   scratch_pos_.resize(sorted_pos_.size());
   scratch_perm_.resize(perm_.size());
+  scratch_key_.resize(perm_.size());
   bump_structure();
 }
 

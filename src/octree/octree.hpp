@@ -210,6 +210,7 @@ class AdaptiveOctree {
   std::vector<std::uint32_t> perm_;
   std::vector<Vec3> scratch_pos_;
   std::vector<std::uint32_t> scratch_perm_;
+  std::vector<std::uint8_t> scratch_key_;  // rebin's bucket per body
 };
 
 // Smallest cube centered on the centroid of `positions` containing them all

@@ -22,6 +22,12 @@ bool well_separated(const OctreeNode& a, const OctreeNode& b, double theta) {
 
 using PairStream = std::vector<std::pair<int, int>>;
 
+// (target, source) node pairs that a walk settles, each stream in walk
+// order.
+struct WalkedPairs {
+  PairStream m2l, p2p;
+};
+
 // The traversal's one recursion rule, depth first from (ta, sb). Empty pairs
 // end unless kCountBlind; v.settled(m2l, ta, sb) receives each
 // well-separated (M2L) and leaf-leaf (P2P) pair; any other pair descends
@@ -122,80 +128,205 @@ std::vector<WalkedPairs> walk_parts(const AdaptiveOctree& tree,
   return walked;
 }
 
-// The one grouping of a walk's pairs into lists: M2L pairs into CSR by
-// target, P2P pairs into per-target items in order of first appearance,
-// reading the parts in order. Pairs for which keep(t, s) is false are left
-// out.
-template <class Keep>
-InteractionLists group_pairs(const AdaptiveOctree& tree,
-                             std::span<const WalkedPairs> parts, Keep keep) {
-  auto for_each_pair = [&](PairStream WalkedPairs::*stream, auto&& fn) {
-    for (const WalkedPairs& w : parts)
-      for (const auto& [t, s] : w.*stream)
-        if (keep(t, s)) fn(t, s);
-  };
-
-  InteractionLists out;
+// The one grouping of a walk's pairs, reading the parts in order: M2L pairs
+// into CSR rows by target, P2P pairs into rows in order of their target's
+// first pair, each pair with its index in the P2P stream. `rows` keeps its
+// storage.
+void group_pairs(const AdaptiveOctree& tree,
+                 std::span<const WalkedPairs> parts, PairRows& rows) {
   const int n = tree.num_nodes();
-  out.m2l_offset.assign(n + 1, 0);
-  for_each_pair(&WalkedPairs::m2l,
-                [&](int t, int) { ++out.m2l_offset[t + 1]; });
-  for (int i = 0; i < n; ++i) out.m2l_offset[i + 1] += out.m2l_offset[i];
-  out.total_m2l_pairs = out.m2l_offset[n];
-  out.m2l_sources.resize(out.total_m2l_pairs);
-  std::vector<std::uint32_t> cursor(out.m2l_offset.begin(),
-                                    out.m2l_offset.end() - 1);
-  for_each_pair(&WalkedPairs::m2l,
-                [&](int t, int s) { out.m2l_sources[cursor[t]++] = s; });
+  rows.m2l_offset.assign(n + 1, 0);
+  for (const WalkedPairs& w : parts)
+    for (const auto& [t, s] : w.m2l) ++rows.m2l_offset[t + 1];
+  for (int i = 0; i < n; ++i) rows.m2l_offset[i + 1] += rows.m2l_offset[i];
+  rows.m2l_sources.resize(rows.m2l_offset[n]);
+  std::vector<std::uint32_t> cursor(rows.m2l_offset.begin(),
+                                    rows.m2l_offset.end() - 1);
+  for (const WalkedPairs& w : parts)
+    for (const auto& [t, s] : w.m2l) rows.m2l_sources[cursor[t]++] = s;
 
-  std::vector<int> work_of(n, -1);
-  for_each_pair(&WalkedPairs::p2p, [&](int t, int s) {
-    if (work_of[t] < 0) {
-      work_of[t] = static_cast<int>(out.p2p.size());
-      out.p2p.push_back({t, {}, 0});
+  std::vector<int> row_of(n, -1);
+  rows.p2p_target.clear();
+  rows.p2p_offset.assign(1, 0);
+  for (const WalkedPairs& w : parts)
+    for (const auto& [t, s] : w.p2p) {
+      if (row_of[t] < 0) {
+        row_of[t] = static_cast<int>(rows.p2p_target.size());
+        rows.p2p_target.push_back(t);
+        rows.p2p_offset.push_back(0);
+      }
+      ++rows.p2p_offset[row_of[t] + 1];
     }
-    out.p2p[work_of[t]].sources.push_back(s);
-  });
-  count_p2p_interactions(tree, out);
-  return out;
+  const std::size_t nrows = rows.p2p_target.size();
+  for (std::size_t r = 0; r < nrows; ++r)
+    rows.p2p_offset[r + 1] += rows.p2p_offset[r];
+  rows.p2p_sources.resize(rows.p2p_offset[nrows]);
+  rows.p2p_walk_index.resize(rows.p2p_offset[nrows]);
+  cursor.assign(rows.p2p_offset.begin(), rows.p2p_offset.end() - 1);
+  std::uint32_t walk_index = 0;
+  for (const WalkedPairs& w : parts)
+    for (const auto& [t, s] : w.p2p) {
+      const std::uint32_t at = cursor[row_of[t]]++;
+      rows.p2p_sources[at] = s;
+      rows.p2p_walk_index[at] = walk_index++;
+    }
 }
+
+// Row sets of at most this many pairs re-filter with no parallel region.
+constexpr std::size_t kSerialFilterPairs = 16384;
+
+// One re-filter of count-blind rows into lists. run() holds orphaned
+// worksharing loops: every thread of a team calls it, or the calling thread
+// alone with no parallel region. The loops take rows in parallel; the
+// prefix sum, the item order and the items' allocations run on the calling
+// thread in between.
+class RowFilter {
+ public:
+  RowFilter(const AdaptiveOctree& tree, const PairRows& rows,
+            std::span<const char> empty, InteractionLists& out)
+      : tree_(tree), rows_(rows), empty_(empty), out_(out),
+        kept_(rows.p2p_target.size()), first_(rows.p2p_target.size()) {}
+
+  void run() {
+    const int n = tree_.num_nodes();
+    const int nrows = static_cast<int>(rows_.p2p_target.size());
+#pragma omp for schedule(static) nowait
+    for (int t = 0; t < n; ++t) count_m2l_row(t);
+#pragma omp for schedule(static)
+    for (int r = 0; r < nrows; ++r) count_p2p_row(r);
+#pragma omp masked
+    order_and_allocate();
+#pragma omp barrier
+#pragma omp for schedule(static) nowait
+    for (int t = 0; t < n; ++t) copy_m2l_row(t);
+    const int items = static_cast<int>(items_.size());
+#pragma omp for schedule(dynamic, 16)
+    for (int i = 0; i < items; ++i) fill_item(i);
+  }
+
+ private:
+  // Writes the row's kept count where the prefix sum turns it into its end.
+  void count_m2l_row(int t) {
+    std::uint32_t count = 0;
+    if (!empty_[t])
+      for (std::uint32_t i = rows_.m2l_offset[t]; i < rows_.m2l_offset[t + 1];
+           ++i)
+        count += !empty_[rows_.m2l_sources[i]];
+    out_.m2l_offset[t + 1] = count;
+  }
+
+  void copy_m2l_row(int t) {
+    if (empty_[t]) return;
+    int* to = out_.m2l_sources.data() + out_.m2l_offset[t];
+    for (std::uint32_t i = rows_.m2l_offset[t]; i < rows_.m2l_offset[t + 1];
+         ++i)
+      if (!empty_[rows_.m2l_sources[i]]) *to++ = rows_.m2l_sources[i];
+  }
+
+  // A P2P row's kept pairs and the walk index of its first one.
+  void count_p2p_row(int r) {
+    kept_[r] = 0;
+    if (empty_[rows_.p2p_target[r]]) return;
+    for (std::uint32_t i = rows_.p2p_offset[r]; i < rows_.p2p_offset[r + 1];
+         ++i)
+      if (!empty_[rows_.p2p_sources[i]] && kept_[r]++ == 0)
+        first_[r] = rows_.p2p_walk_index[i];
+  }
+
+  // M2L offsets by prefix sum; P2P items in order of their first kept pair.
+  void order_and_allocate() {
+    const std::size_t n = out_.m2l_offset.size() - 1;
+    out_.m2l_offset[0] = 0;
+    for (std::size_t t = 0; t < n; ++t)
+      out_.m2l_offset[t + 1] += out_.m2l_offset[t];
+    out_.m2l_sources.resize(out_.m2l_offset[n]);
+
+    items_.clear();
+    for (std::size_t r = 0; r < kept_.size(); ++r)
+      if (kept_[r] > 0) items_.push_back(static_cast<int>(r));
+    std::sort(items_.begin(), items_.end(),
+              [&](int a, int b) { return first_[a] < first_[b]; });
+    out_.p2p.resize(items_.size());
+    for (std::size_t i = 0; i < items_.size(); ++i) {
+      P2PWork& w = out_.p2p[i];
+      w.target = rows_.p2p_target[items_[i]];
+      w.sources.clear();
+      w.sources.resize(kept_[items_[i]]);
+    }
+  }
+
+  void fill_item(int i) {
+    const int r = items_[i];
+    P2PWork& w = out_.p2p[i];
+    int* to = w.sources.data();
+    std::uint64_t bodies = 0;
+    for (std::uint32_t k = rows_.p2p_offset[r]; k < rows_.p2p_offset[r + 1];
+         ++k) {
+      const int s = rows_.p2p_sources[k];
+      if (empty_[s]) continue;
+      *to++ = s;
+      bodies += tree_.node(s).count;
+    }
+    w.interactions = tree_.node(w.target).count * bodies;
+  }
+
+  const AdaptiveOctree& tree_;
+  const PairRows& rows_;
+  std::span<const char> empty_;
+  InteractionLists& out_;
+  std::vector<std::uint32_t> kept_;   // per P2P row
+  std::vector<std::uint32_t> first_;  // per P2P row with kept pairs
+  std::vector<int> items_;            // P2P rows with kept pairs, in order
+};
 }  // namespace
 
 InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
                                          const TraversalConfig& config) {
   if (tree.empty()) return {};
-  return group_pairs(tree, walk_parts<false>(tree, config.theta),
-                     [](int, int) { return true; });
+  PairRows rows;
+  group_pairs(tree, walk_parts<false>(tree, config.theta), rows);
+  InteractionLists out;
+  out.total_m2l_pairs = rows.m2l_sources.size();
+  out.m2l_offset = std::move(rows.m2l_offset);
+  out.m2l_sources = std::move(rows.m2l_sources);
+  out.p2p.resize(rows.p2p_target.size());
+  for (std::size_t r = 0; r < out.p2p.size(); ++r)
+    out.p2p[r] = {rows.p2p_target[r],
+                  {rows.p2p_sources.begin() + rows.p2p_offset[r],
+                   rows.p2p_sources.begin() + rows.p2p_offset[r + 1]},
+                  0};
+  count_p2p_interactions(tree, out);
+  return out;
 }
 
 void walk_count_blind(const AdaptiveOctree& tree,
-                      const TraversalConfig& config, WalkedPairs& all) {
-  all.m2l.clear();
-  all.p2p.clear();
-  if (tree.empty()) return;
-  // Concatenated once, because one flat stream re-filters faster than the
-  // scattered parts, and a structure is re-filtered many times.
-  std::vector<WalkedPairs> parts = walk_parts<true>(tree, config.theta);
-  std::size_t m2l = 0, p2p = 0;
-  for (const WalkedPairs& w : parts) {
-    m2l += w.m2l.size();
-    p2p += w.p2p.size();
+                      const TraversalConfig& config, PairRows& rows) {
+  if (tree.empty()) {
+    rows = {};
+    return;
   }
-  all.m2l.reserve(m2l);
-  all.p2p.reserve(p2p);
-  for (WalkedPairs& w : parts) {
-    all.m2l.insert(all.m2l.end(), w.m2l.begin(), w.m2l.end());
-    all.p2p.insert(all.p2p.end(), w.p2p.begin(), w.p2p.end());
-    w = {};
-  }
+  group_pairs(tree, walk_parts<true>(tree, config.theta), rows);
 }
 
-InteractionLists filter_interaction_lists(const AdaptiveOctree& tree,
-                                          const WalkedPairs& all,
-                                          std::span<const char> empty) {
-  if (tree.empty()) return {};
-  return group_pairs(tree, {&all, 1},
-                     [&](int t, int s) { return !(empty[t] | empty[s]); });
+void filter_interaction_lists(const AdaptiveOctree& tree,
+                              const PairRows& rows,
+                              std::span<const char> empty,
+                              InteractionLists& out) {
+  if (tree.empty()) {
+    out = {};
+    return;
+  }
+  out.m2l_offset.resize(static_cast<std::size_t>(tree.num_nodes()) + 1);
+  RowFilter filter(tree, rows, empty, out);
+  if (rows.m2l_sources.size() + rows.p2p_sources.size() > kSerialFilterPairs) {
+#pragma omp parallel
+    filter.run();
+  } else {
+    filter.run();
+  }
+  out.total_m2l_pairs = out.m2l_offset.back();
+  out.total_p2p_interactions = 0;
+  for (const P2PWork& w : out.p2p) out.total_p2p_interactions += w.interactions;
 }
 
 void count_p2p_interactions(const AdaptiveOctree& tree,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "octree/octree.hpp"
@@ -58,28 +57,39 @@ struct InteractionLists {
 InteractionLists build_interaction_lists(const AdaptiveOctree& tree,
                                          const TraversalConfig& config = {});
 
-// (target, source) node pairs that a dual walk settles, each stream in walk
-// order.
-struct WalkedPairs {
-  std::vector<std::pair<int, int>> m2l, p2p;
+// The (target, source) node pairs of one dual walk, grouped by target, each
+// row in walk order. M2L rows are CSR over every node id: the sources of
+// target t are m2l_sources[m2l_offset[t] .. m2l_offset[t+1]). P2P rows exist
+// only for targets with a pair, in order of their target's first pair: row r
+// holds p2p_target[r]'s sources at p2p_offset[r] .. p2p_offset[r+1], and
+// p2p_walk_index gives each of those pairs' index in the walk's P2P stream.
+struct PairRows {
+  std::vector<std::uint32_t> m2l_offset;
+  std::vector<int> m2l_sources;
+  std::vector<int> p2p_target;
+  std::vector<std::uint32_t> p2p_offset;
+  std::vector<int> p2p_sources;
+  std::vector<std::uint32_t> p2p_walk_index;
 };
 
 // The dual walk without its cut at empty boxes: every pair the walk settles
-// on `tree`'s effective structure whatever its body counts, into `all`
-// (whose storage is reused). It depends on the structure and on config
-// alone, so it stays valid across rebins.
+// on `tree`'s effective structure whatever its body counts, grouped into
+// `rows` (whose storage is reused). It depends on the structure and on
+// config alone, so it stays valid across rebins.
 void walk_count_blind(const AdaptiveOctree& tree,
-                      const TraversalConfig& config, WalkedPairs& all);
+                      const TraversalConfig& config, PairRows& rows);
 
-// The lists build_interaction_lists(tree, config) returns, made without a
-// walk from the pairs walk_count_blind(tree, config, all) wrote: drops every
-// pair with a side flagged in `empty` (empty[i] must be
-// tree.node(i).count == 0) and groups the rest as the build does. Equal field for field, because the
-// walk reads only geometry and leafness between non-empty boxes, and every
-// box under an empty box is empty.
-InteractionLists filter_interaction_lists(const AdaptiveOctree& tree,
-                                          const WalkedPairs& all,
-                                          std::span<const char> empty);
+// Writes into `out` (whose storage is reused) the lists
+// build_interaction_lists(tree, config) returns, made without a walk from
+// the rows walk_count_blind(tree, config, rows) wrote: drops every pair with
+// a side flagged in `empty` (empty[i] must be tree.node(i).count == 0) and
+// orders the P2P items by the walk index of their first kept pair. Equal
+// field for field, because the walk reads only geometry and leafness
+// between non-empty boxes, and every box under an empty box is empty.
+void filter_interaction_lists(const AdaptiveOctree& tree,
+                              const PairRows& rows,
+                              std::span<const char> empty,
+                              InteractionLists& out);
 
 // Recomputes every P2P item's Interactions(t) and the list total from the
 // tree's current body counts; the lists' pairs are left as they are.

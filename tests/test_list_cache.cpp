@@ -162,12 +162,13 @@ TEST_P(ParallelWalk, MatchesReferenceWalkBitForBit) {
     OmpThreads scope(threads);
     SCOPED_TRACE(threads);
     expect_lists_equal(build_interaction_lists(tree, cfg), ref);
-    // The count-blind pairs, filtered by the tree's emptiness, give the
+    // The count-blind rows, filtered by the tree's emptiness, give the
     // same lists.
-    WalkedPairs all;
-    walk_count_blind(tree, cfg, all);
-    expect_lists_equal(filter_interaction_lists(tree, all, emptiness(tree)),
-                       ref);
+    PairRows rows;
+    walk_count_blind(tree, cfg, rows);
+    InteractionLists filtered;
+    filter_interaction_lists(tree, rows, emptiness(tree), filtered);
+    expect_lists_equal(filtered, ref);
   }
 }
 
@@ -421,6 +422,110 @@ TEST(ListCache, RandomMotionMatchesFreshBuilds) {
     EXPECT_GT(flips, 1) << "no flip after the first: nothing was re-filtered";
     EXPECT_EQ(cache.builds(), 2u);  // the first build and the first flip
     EXPECT_EQ(cache.refreshes(), kRebins - 1u);
+  }
+}
+
+// The P2P targets a re-filter would list if it ordered its items by their
+// first count-blind pair rather than their first kept one.
+std::vector<int> targets_by_first_count_blind_pair(
+    const PairRows& rows, const std::vector<char>& empty) {
+  std::vector<std::pair<std::uint32_t, int>> first;
+  for (std::size_t r = 0; r < rows.p2p_target.size(); ++r) {
+    const int t = rows.p2p_target[r];
+    bool kept = false;
+    for (std::uint32_t k = rows.p2p_offset[r]; k < rows.p2p_offset[r + 1]; ++k)
+      kept |= !empty[rows.p2p_sources[k]];
+    if (!empty[t] && kept)
+      first.emplace_back(rows.p2p_walk_index[rows.p2p_offset[r]], t);
+  }
+  std::sort(first.begin(), first.end());
+  std::vector<int> out;
+  for (const auto& [w, t] : first) out.push_back(t);
+  return out;
+}
+
+std::vector<int> item_targets(const InteractionLists& lists) {
+  std::vector<int> out;
+  for (const P2PWork& w : lists.p2p) out.push_back(w.target);
+  return out;
+}
+
+TEST(ListCache, ItemWhoseFirstCountBlindPairEmptiesMovesLater) {
+  // 48 bodies at S = 2, jittered once: some target keeps its bodies while
+  // the source of its first count-blind P2P pair empties, so its first kept
+  // pair comes after another target's and its item moves later. The item
+  // order therefore differs from the count-blind one, and the re-filter
+  // must still equal a fresh build.
+  Rng rng(1);
+  std::vector<Vec3> pts =
+      uniform_cube(48, rng, {0.5, 0.5, 0.5}, 0.5).positions;
+  AdaptiveOctree tree;
+  tree.build(pts, unit_config(2));
+  const TraversalConfig cfg;
+  PairRows rows;
+  walk_count_blind(tree, cfg, rows);
+  for (Vec3& p : pts) {
+    p = p + Vec3{rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05),
+                 rng.uniform(-0.05, 0.05)};
+    p = {std::clamp(p.x, 0.001, 0.999), std::clamp(p.y, 0.001, 0.999),
+         std::clamp(p.z, 0.001, 0.999)};
+  }
+  tree.rebin(pts);
+  const std::vector<char> empty = emptiness(tree);
+  const InteractionLists fresh = build_interaction_lists(tree, cfg);
+
+  int moved = 0;
+  for (std::size_t r = 0; r < rows.p2p_target.size(); ++r)
+    moved += !empty[rows.p2p_target[r]] &&
+             empty[rows.p2p_sources[rows.p2p_offset[r]]];
+  ASSERT_GT(moved, 0) << "no first count-blind pair lost its source";
+  ASSERT_NE(targets_by_first_count_blind_pair(rows, empty),
+            item_targets(fresh));
+
+  InteractionLists filtered;
+  filter_interaction_lists(tree, rows, empty, filtered);
+  expect_lists_equal(filtered, fresh);
+}
+
+TEST(ListCache, RowRefilterAboveParallelThresholdMatchesBuilds) {
+  // A clustered tree whose count-blind rows hold far more than the 16,384
+  // pairs below which a re-filter opens no parallel region. Its bodies
+  // contract over several rebins, so leaves empty and fill; each re-filter
+  // writes into the previous one's lists, as the cache's do.
+  for (int threads : {1, 4}) {
+    OmpThreads scope(threads);
+    SCOPED_TRACE(threads);
+    Rng rng(41);
+    PlummerOptions opt;
+    opt.scale_radius = 0.05;
+    std::vector<Vec3> pts = plummer(30000, rng, opt).positions;
+    AdaptiveOctree tree;
+    tree.build(pts, fit_cube(pts, unit_config(16)));
+    const TraversalConfig cfg;
+    PairRows rows;
+    walk_count_blind(tree, cfg, rows);
+    ASSERT_GT(rows.m2l_sources.size() + rows.p2p_sources.size(), 160000u);
+
+    InteractionLists lists;
+    std::vector<char> before = emptiness(tree);
+    int flips = 0, reordered = 0;
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE(step);
+      for (Vec3& p : pts)
+        p = 0.95 * p + Vec3{rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3),
+                            rng.uniform(-1e-3, 1e-3)};
+      tree.rebin(pts);
+      const std::vector<char> after = emptiness(tree);
+      flips += after != before;
+      before = after;
+      filter_interaction_lists(tree, rows, after, lists);
+      const InteractionLists fresh = build_interaction_lists(tree, cfg);
+      reordered +=
+          targets_by_first_count_blind_pair(rows, after) != item_targets(fresh);
+      expect_lists_equal(lists, fresh);
+    }
+    EXPECT_GT(flips, 2);
+    EXPECT_GT(reordered, 0);
   }
 }
 

@@ -12,7 +12,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problems.hpp"
@@ -98,6 +100,41 @@ TEST(Obs, TraceCoversEventCategories) {
   EXPECT_TRUE(tr.has_category("state"));   // audits + checkpoints
   // Virtual time advanced by the sum of the step totals.
   EXPECT_GT(sim.virtual_now(), 0.0);
+}
+
+TEST(Obs, TrackIdsNumberedPerPidInFirstUseOrder) {
+  // Two pids whose tracks are first used interleaved: each pid numbers its
+  // own tracks from 1 in first-use order, a repeated name gets its tid back,
+  // and the metadata lists the tracks in first-use order.
+  constexpr int kV = TraceRecorder::kVirtualPid;
+  constexpr int kW = TraceRecorder::kWallPid;
+  TraceRecorder rec;
+  rec.span(kV, "cpu", "a", "c", 0.0, 1.0);
+  rec.span(kW, "wall.ops", "b", "c", 0.0, 1.0);
+  rec.instant(kV, "gpu0", "c", "c", 1.0);
+  rec.counter(kW, "wall.cpu", "d", 1.0, 2.0);
+  rec.span(kV, "cpu", "e", "c", 2.0, 1.0);
+  rec.counter(kV, "gpu1", "f", 2.0, 3.0);
+  rec.instant(kW, "wall.ops", "g", "c", 3.0);
+  const std::vector<std::pair<int, int>> expected = {
+      {kV, 1}, {kW, 1}, {kV, 2}, {kW, 2}, {kV, 1}, {kV, 3}, {kW, 1}};
+  ASSERT_EQ(rec.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(rec.events()[i].pid, expected[i].first) << "event " << i;
+    EXPECT_EQ(rec.events()[i].tid, expected[i].second) << "event " << i;
+  }
+  const std::string json = rec.to_json();
+  const char* tracks[] = {"\"cpu\"", "\"wall.ops\"", "\"gpu0\"",
+                          "\"wall.cpu\"", "\"gpu1\""};
+  for (std::size_t i = 1; i < std::size(tracks); ++i)
+    EXPECT_LT(json.find(tracks[i - 1]), json.find(tracks[i])) << tracks[i];
+
+  // clear() starts the numbering over.
+  rec.clear();
+  rec.span(kV, "gpu1", "h", "c", 0.0, 1.0);
+  rec.span(kV, "cpu", "i", "c", 0.0, 1.0);
+  EXPECT_EQ(rec.events()[0].tid, 1);
+  EXPECT_EQ(rec.events()[1].tid, 2);
 }
 
 TEST(Obs, TraceJsonWellFormed) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -497,6 +499,145 @@ TEST(Octree, ParallelAndSerialRebinsAgree) {
   EXPECT_GT(changed, 100);
   EXPECT_TRUE(std::equal(serial.perm().begin(), serial.perm().end(),
                          parallel.perm().begin(), parallel.perm().end()));
+}
+
+// ------------------------------------------ rebin against the reference ----
+
+// What a rebin leaves behind: tree-ordered positions, the permutation and
+// every node's span, hidden nodes included.
+struct RebinImage {
+  std::vector<Vec3> pos;
+  std::vector<std::uint32_t> perm;
+  std::vector<std::uint32_t> begin, count;
+};
+
+RebinImage image_of(const AdaptiveOctree& tree) {
+  RebinImage r;
+  r.pos.assign(tree.sorted_positions().begin(), tree.sorted_positions().end());
+  r.perm.assign(tree.perm().begin(), tree.perm().end());
+  for (int i = 0; i < tree.num_nodes(); ++i) {
+    r.begin.push_back(tree.node(i).begin);
+    r.count.push_back(tree.node(i).count);
+  }
+  return r;
+}
+
+// The reference for rebin: the one-level re-split it replaced. Gather, then
+// top down, a stable partition of each effective parent's span by child
+// octant (bodies on a splitting plane go up), copied back at every level.
+RebinImage reference_rebin(const AdaptiveOctree& tree,
+                           std::span<const Vec3> positions) {
+  RebinImage r = image_of(tree);
+  for (std::size_t t = 0; t < r.perm.size(); ++t) r.pos[t] = positions[r.perm[t]];
+  std::vector<Vec3> spos(r.pos.size());
+  std::vector<std::uint32_t> sperm(r.perm.size());
+  auto octant = [](const Vec3& p, const Vec3& c) {
+    return (p.x >= c.x ? 1 : 0) | (p.y >= c.y ? 2 : 0) | (p.z >= c.z ? 4 : 0);
+  };
+  auto resplit = [&](auto&& self, int id) -> void {
+    if (tree.is_effective_leaf(id)) return;
+    const OctreeNode& n = tree.node(id);
+    const std::uint32_t b = r.begin[id], e = b + r.count[id];
+    std::uint32_t at[9] = {};
+    for (std::uint32_t i = b; i < e; ++i) ++at[octant(r.pos[i], n.center) + 1];
+    at[0] = b;
+    for (int o = 0; o < 8; ++o) at[o + 1] += at[o];
+    for (int o = 0; o < 8; ++o) {
+      r.begin[n.children[o]] = at[o];
+      r.count[n.children[o]] = at[o + 1] - at[o];
+    }
+    for (std::uint32_t i = b; i < e; ++i) {
+      const std::uint32_t to = at[octant(r.pos[i], n.center)]++;
+      spos[to] = r.pos[i];
+      sperm[to] = r.perm[i];
+    }
+    std::copy(spos.begin() + b, spos.begin() + e, r.pos.begin() + b);
+    std::copy(sperm.begin() + b, sperm.begin() + e, r.perm.begin() + b);
+    for (int c : n.children) self(self, c);
+  };
+  resplit(resplit, tree.root());
+  return r;
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(Octree, RebinMatchesOneLevelReference) {
+  // A clustered cloud whose dense core keeps more than 32k bodies in nodes
+  // below the root, so passes split across the team; collapsed nodes; NaN
+  // positions; bodies exactly on splitting planes; a stack of coincident
+  // bodies in a leaf at max_depth. Each motion step rebins copies of one
+  // tree at 1, 3 and 4 threads and compares them byte for byte with the
+  // reference.
+  Rng rng(31);
+  PlummerOptions opt;
+  opt.scale_radius = 0.02;
+  opt.center = {0.3, 0.3, 0.3};
+  opt.max_radius = 20.0;
+  std::vector<Vec3> pts = plummer(120000, rng, opt).positions;
+  const Vec3 stack{0.61, 0.71, 0.81};
+  constexpr int kStacked = 100;
+  for (int i = 0; i < kStacked; ++i) pts[i] = stack;
+  constexpr int kNaN = 7;
+  for (int i = kStacked; i < kStacked + kNaN; ++i)
+    pts[i] = {std::numeric_limits<double>::quiet_NaN(), 0.3, 0.3};
+  TreeConfig tc = unit_config(64);
+  AdaptiveOctree tree;
+  tree.build(pts, tc);
+
+  bool at_max_depth = false;
+  std::vector<int> parents;
+  for (int id = 0; id < tree.num_nodes(); ++id) {
+    at_max_depth |= tree.node(id).level == tc.max_depth &&
+                    tree.node(id).count > 0;
+    if (!tree.is_effective_leaf(id)) parents.push_back(id);
+  }
+  ASSERT_TRUE(at_max_depth);
+  int heavy_below_root = 0;
+  for (int id : parents)
+    heavy_below_root += id != tree.root() && tree.node(id).count > 32768;
+  ASSERT_GT(heavy_below_root, 1);
+  // Hide a few effective parents, some of them heavy.
+  int collapsed = 0;
+  for (int id : parents)
+    if (tree.node(id).level >= 3 && tree.node(id).count > 0 &&
+        rng.below(8) == 0 && !tree.is_effective_leaf(tree.node(id).parent)) {
+      tree.collapse(id);
+      ++collapsed;
+    }
+  ASSERT_GT(collapsed, 10);
+
+  const int first_free = kStacked + kNaN;
+  for (int step = 0; step < 4; ++step) {
+    SCOPED_TRACE(step);
+    for (std::size_t i = first_free; i < pts.size(); ++i)
+      pts[i] = opt.center + 0.97 * (pts[i] - opt.center) +
+               Vec3{rng.uniform(-2e-3, 2e-3), rng.uniform(-2e-3, 2e-3),
+                    rng.uniform(-2e-3, 2e-3)};
+    // Bodies exactly on the splitting planes of random effective parents.
+    for (std::size_t i = first_free; i < first_free + 200u; ++i)
+      pts[i] = tree.node(parents[rng.below(parents.size())]).center;
+    const RebinImage ref = reference_rebin(tree, pts);
+    AdaptiveOctree next;
+    for (int threads : {1, 3, 4}) {
+      SCOPED_TRACE(threads);
+      AdaptiveOctree copy = tree;
+      {
+        OmpThreads team(threads);
+        copy.rebin(pts);
+      }
+      EXPECT_TRUE(same_bytes(ref.pos, copy.sorted_positions()));
+      EXPECT_TRUE(same_bytes(ref.perm, copy.perm()));
+      const RebinImage got = image_of(copy);
+      EXPECT_TRUE(got.begin == ref.begin);
+      EXPECT_TRUE(got.count == ref.count);
+      next = std::move(copy);
+    }
+    tree = std::move(next);
+  }
 }
 
 TEST(Octree, RebinRejectsChangedBodyCount) {
